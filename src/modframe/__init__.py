@@ -9,7 +9,6 @@ from .curves import (
     arclength,
     at_arclength,
     circle,
-    eval_jet,
     helix,
     line,
     planar_cubic,
@@ -45,7 +44,7 @@ from .indicatrix import (
     indicatrix_tangent,
 )
 from .involute import InvolutePair, InvoluteReport, involute_inner, involute_scan
-from .numerics import Tolerance, Vec3, cross, diff_vec, integrate, invert_monotone, vec
+from .numerics import Tolerance, Vec3, cross, diff_vec, invert_monotone, vec
 from .validation import ValidationReport, run_validation
 
 __version__ = "0.1.0"
@@ -53,7 +52,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CurveSpec", "Jet", "Tolerance", "Vec3",
     "line", "circle", "helix", "twisted_cubic", "planar_cubic", "salkowski",
-    "eval_jet", "arclength", "at_arclength", "total_arclength",
+    "arclength", "at_arclength", "total_arclength",
     "FrenetFrame", "ModifiedFrame", "frenet_frame", "modified_frame",
     "curvature", "torsion", "torsion_general", "check_frame_ode",
     "DarbouxData", "darboux", "check_alignment",
@@ -63,7 +62,7 @@ __all__ = [
     "GeodesicReport", "geodesic_curvature_closed", "geodesic_curvature_oracle",
     "geodesic_curvature_sphere", "geodesic_report",
     "InvolutePair", "InvoluteReport", "involute_inner", "involute_scan",
-    "cross", "diff_vec", "integrate", "invert_monotone", "vec",
+    "cross", "diff_vec", "invert_monotone", "vec",
     "ValidationReport", "run_validation",
     "errors",
 ]

@@ -26,35 +26,25 @@ EXIT_VALIDATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INADMISSIBLE = 3
 
-_FAMILIES = {
-    "line": (0, lambda p: curves.line()),
-    "circle": (1, lambda p: curves.circle(p[0])),
-    "helix": (2, lambda p: curves.helix(p[0], p[1])),
-    "twistedcubic": (0, lambda p: curves.twisted_cubic()),
-    "planarcubic": (0, lambda p: curves.planar_cubic()),
-    "salkowski": (1, lambda p: curves.salkowski(p[0])),
-}
-
-
 def parse_curve(text: str) -> CurveSpec:
-    """Parse ``family`` or ``family:p1,p2`` into a CurveSpec."""
+    """Parse ``family`` or ``family:p1,p2`` (underscores optional) into a CurveSpec."""
     name, _, param_text = text.partition(":")
-    name = name.strip().lower()
-    if name not in _FAMILIES:
+    spellings = {f.name.replace("_", ""): f for f in curves.FAMILIES.values()}
+    family = spellings.get(name.strip().lower().replace("_", ""))
+    if family is None:
         raise argparse.ArgumentTypeError(
-            f"unknown curve family {name!r}; choose from {', '.join(_FAMILIES)}"
+            f"unknown curve family {name!r}; choose from {', '.join(spellings)}"
         )
-    arity, build = _FAMILIES[name]
     try:
         params = [float(x) for x in param_text.split(",") if x.strip()] if param_text else []
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad curve parameters in {text!r}") from exc
-    if len(params) != arity:
+    if len(params) != family.arity:
         raise argparse.ArgumentTypeError(
-            f"{name} takes {arity} parameter(s), got {len(params)}"
+            f"{family.name} takes {family.arity} parameter(s), got {len(params)}"
         )
     try:
-        return build(params)
+        return family.factory(*params)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -170,21 +160,7 @@ def cmd_validate(args) -> int:
             print(f"error: unknown identity name(s): {', '.join(unknown)}",
                   file=sys.stderr)
             return EXIT_USAGE
-    families = None
-    if args.curve is not None:
-        families = {"curve": args.curve}
-        if args.curve.family == "helix":
-            families = {"helix": args.curve}
-        elif args.curve.family == "circle" and args.curve.params[0] == 1.0:
-            families = {"circle1": args.curve}
-        elif args.curve.family == "circle":
-            families = {"circle2": args.curve}
-        elif args.curve.family == "salkowski":
-            families = {"salkowski": args.curve}
-        elif args.curve.family == "twisted_cubic":
-            families = {"twisted_cubic": args.curve}
-        elif args.curve.family == "planar_cubic":
-            families = {"planar_cubic": args.curve}
+    families = None if args.curve is None else {args.curve.family: args.curve}
     report = validation.run_validation(
         samples=args.samples,
         tolerance_override=args.tolerance,

@@ -9,10 +9,6 @@ class StepTooSmall(ModFrameError):
     """Finite-difference step so small that rounding noise dominates."""
 
 
-class NoConvergence(ModFrameError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-
 class TargetOutOfRange(ModFrameError):
     """Inversion target lies outside the image of the bracket."""
 

@@ -16,11 +16,11 @@ from functools import lru_cache
 from . import curves, numerics
 from .curves import CurveSpec, Jet
 from .errors import CurvatureVanishes
-from .numerics import DEFAULT_TOL, Tolerance, Vec3, cross, det3, dot, norm
+from .numerics import DEFAULT_TOL, ReadOnlyArrays, Tolerance, Vec3, cross, det3, dot, norm
 
 
 @dataclass(frozen=True)
-class FrenetFrame:
+class FrenetFrame(ReadOnlyArrays):
     """Orthonormal frame {t, n, b} with curvature and torsion."""
 
     t_vec: Vec3
@@ -31,7 +31,7 @@ class FrenetFrame:
 
 
 @dataclass(frozen=True)
-class ModifiedFrame:
+class ModifiedFrame(ReadOnlyArrays):
     """Orthogonal frame {T, N, B} with |T| = 1 and |N| = |B| = kappa.
 
     kappa_prime and tau_prime are arclength derivatives computed from the
@@ -137,7 +137,7 @@ def modified_frame(
     spec: CurveSpec, s: float, tol: Tolerance = DEFAULT_TOL
 ) -> ModifiedFrame:
     """Modified orthogonal frame at arclength ``s``; total on regular curves."""
-    jet = curves.eval_jet(spec, curves.at_arclength(spec, s, tol))
+    jet = spec.jet(curves.at_arclength(spec, s, tol))
     us = unit_speed_jet(jet)
     T = us.r1
     N = us.r2
@@ -214,7 +214,7 @@ def metric_residual(spec: CurveSpec, s: float, tol: Tolerance = DEFAULT_TOL) -> 
     orthogonality; kappa^2 taken from the cross-product formula so the two
     curvature paths check each other."""
     mf = modified_frame(spec, s, tol)
-    jet = curves.eval_jet(spec, curves.at_arclength(spec, s, tol))
+    jet = spec.jet(curves.at_arclength(spec, s, tol))
     k2 = curvature(jet) ** 2
     return max(
         abs(dot(mf.T, mf.T) - 1.0),

@@ -3,8 +3,7 @@
 Everything here is a pure function: no shared mutable state, safe to call
 from any number of threads.  The finite-difference derivative is the
 independent oracle used throughout the test suite, so it is implemented
-here by hand; one-dimensional quadrature and bracketed inversion are
-delegated to scipy behind the contracts below.
+here by hand, as is the bracketed Newton inversion of monotone maps.
 """
 
 from __future__ import annotations
@@ -14,19 +13,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
-from .errors import (
-    NoConvergence,
-    NotMonotone,
-    StepTooSmall,
-    TargetOutOfRange,
-)
+from .errors import NotMonotone, StepTooSmall, TargetOutOfRange
 
 Vec3 = np.ndarray
 
 _EPS = float(np.finfo(float).eps)
+# Newton stops once a step is below _XTOL + _RTOL * |t|; bisection alone
+# would shrink any bracket below that well within _MAX_NEWTON steps.
+_XTOL, _RTOL, _MAX_NEWTON = 1e-14, 4.0 * _EPS, 100
 
 
 @dataclass(frozen=True)
@@ -47,6 +42,16 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+
+
+class ReadOnlyArrays:
+    """Dataclass base whose array fields turn read-only when built, so a
+    cached result cannot be changed in place by one of its callers."""
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
 
 def vec(x: float, y: float, z: float) -> Vec3:
@@ -133,26 +138,21 @@ def diff_vec(
     return (4.0 * fine - coarse) / 3.0
 
 
-def integrate(
-    f: Callable[[float], float], a: float, b: float, tol: float = 1e-10
-) -> float:
-    """Adaptive quadrature of ``f`` over [a, b] to absolute tolerance ``tol``."""
-    value, err, info = quad(f, a, b, epsabs=tol, epsrel=tol, limit=200, full_output=1)[:3]
-    if err > max(tol, tol * abs(value)) * 10.0:
-        raise NoConvergence(
-            f"quadrature error estimate {err:g} exceeds tolerance {tol:g}"
-        )
-    return float(value)
-
-
 def invert_monotone(
     g: Callable[[float], float],
+    dg: Callable[[float], float],
     target: float,
     lo: float,
     hi: float,
+    t0: float,
     tol: Tolerance = DEFAULT_TOL,
 ) -> float:
-    """Solve g(t) = target for a strictly increasing g by bracketing."""
+    """Solve g(t) = target for a strictly increasing g with derivative dg.
+
+    Newton steps start from the guess ``t0`` and stay in a bracket that
+    shrinks around the root; a step that would leave the bracket bisects
+    it instead.
+    """
     g_lo, g_hi = g(lo), g(hi)
     if not (g_lo - tol.abs_tol <= target <= g_hi + tol.abs_tol):
         raise TargetOutOfRange(
@@ -162,7 +162,18 @@ def invert_monotone(
         return float(lo)
     if target >= g_hi:
         return float(hi)
-    t = brentq(lambda x: g(x) - target, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    t = min(max(t0, lo), hi)
+    for _ in range(_MAX_NEWTON):
+        r = g(t) - target
+        lo, hi = (lo, t) if r > 0.0 else (t, hi)
+        d = dg(t)
+        step = r / d if d > 0.0 else math.inf
+        if abs(step) <= _XTOL + _RTOL * abs(t):
+            t = min(max(t - step, lo), hi)
+            break
+        t -= step
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
     if abs(g(t) - target) > max(tol.abs_tol, 1e-12 * abs(target)):
         raise NotMonotone("bracketing converged to a point that misses the target")
     return float(t)

@@ -70,10 +70,6 @@ def default_families() -> dict[str, CurveSpec]:
     }
 
 
-_CONST_KAPPA = ("helix", "circle1", "circle2", "salkowski")
-_NONZERO_KAPPA = ("helix", "circle1", "circle2", "twisted_cubic", "salkowski")
-
-
 def _grids(specs: dict[str, CurveSpec], names, n: int):
     for name in names:
         spec = specs[name]
@@ -120,9 +116,13 @@ def run_validation(
     def wanted(name):
         return only is None or name in only
 
-    avail = set(specs)
-    const_k = [f for f in _CONST_KAPPA if f in avail]
-    nonzero_k = [f for f in _NONZERO_KAPPA if f in avail]
+    # Each identity runs on the curves whose properties it assumes.
+    avail = list(specs)
+    kappa = {name: sp.constant_kappa for name, sp in specs.items()}
+    const_k = [f for f in avail if kappa[f] is not None and kappa[f] > 0.0]
+    nonzero_k = [f for f in avail
+                 if f in const_k or (kappa[f] is None and not specs[f].kappa_zeros)]
+    unit_k = [f for f in const_k if abs(kappa[f] - 1.0) < 1e-12]
 
     if wanted("frame-ode"):
         add("frame-ode",
@@ -132,12 +132,9 @@ def run_validation(
             1e-5)
 
     if wanted("metric-relations"):
-        names = [f for f in avail]
         worst = 0.0
-        for name in names:
-            spec = specs[name]
-            grid = curves.frenet_arclength_grid(spec, samples)
-            for s in grid:
+        for spec in specs.values():
+            for s in curves.frenet_arclength_grid(spec, samples):
                 worst = max(worst, frames.metric_residual(spec, float(s), tol))
         add("metric-relations",
             "frame inner products equal (1, k^2, k^2, 0, 0, 0)",
@@ -286,22 +283,22 @@ def run_validation(
         add(name, f"pole-curve tangent orthogonal to the {pair.value} indicatrix tangent",
             worst, 1e-9)
 
-    if wanted("involute-normal") and "helix" in avail:
-        helix_rep = involute.involute_scan(InvolutePair.N_VS_C, specs["helix"], samples, tol=tol)
+    helices = [specs[f] for f in const_k if specs[f].family == "helix"]
+    if wanted("involute-normal") and helices:
+        helix_defect = max(
+            involute.involute_scan(InvolutePair.N_VS_C, sp, samples, tol=tol).max_abs_inner
+            for sp in helices)
         note = "helix defect vanishes with phi'"
-        ok = helix_rep.max_abs_inner <= 1e-9
-        if "salkowski" in avail:
-            salk_rep = involute.involute_scan(
-                InvolutePair.N_VS_C, specs["salkowski"], samples, tol=tol)
+        ok = helix_defect <= 1e-9
+        for sp in [sp for sp in specs.values() if sp.family == "salkowski"]:
+            salk_rep = involute.involute_scan(InvolutePair.N_VS_C, sp, samples, tol=tol)
             ok = ok and salk_rep.max_abs_inner > 1e-3
             note += f"; varying-torsion defect reaches {salk_rep.max_abs_inner:.3g}"
         add("involute-normal",
             "normal-indicatrix involute defect is zero exactly for helices",
-            helix_rep.max_abs_inner, 1e-9, passed=ok, note=note)
+            helix_defect, 1e-9, passed=ok, note=note)
 
     if wanted("frame-coincidence"):
-        coincide = [f for f in ("circle1", "salkowski") if f in avail]
-
         def coincidence(sp, s):
             mf = frames.modified_frame(sp, s, tol)
             ff = frames.frenet_frame(sp, s, tol)
@@ -311,7 +308,7 @@ def run_validation(
 
         add("frame-coincidence",
             "modified frame equals the Frenet frame where kappa = 1",
-            _max_over(specs, coincide, samples, coincidence), 1e-9)
+            _max_over(specs, unit_k, samples, coincidence), 1e-9)
 
     if wanted("unit-speed"):
         from . import numerics
@@ -322,19 +319,20 @@ def run_validation(
 
         add("unit-speed",
             "arclength reparametrization has unit speed",
-            _max_over(specs, list(avail), samples, unit_speed), 1e-6)
+            _max_over(specs, avail, samples, unit_speed), 1e-6)
 
-    if wanted("kappa-zero-extension") and "planar_cubic" in avail:
-        sp = specs["planar_cubic"]
-        worst = 0.0
-        for s in curves.arclength_grid(sp, samples):
-            mf = frames.modified_frame(sp, float(s), tol)
-            jet = curves.eval_jet(sp, curves.at_arclength(sp, float(s)))
-            k2 = frames.curvature(jet) ** 2
-            worst = max(worst, abs(dot(mf.N, mf.N) - k2), abs(dot(mf.B, mf.B) - k2))
-        s0 = curves.arclength(sp, sp.t_lo, 0.0)
-        mf0 = frames.modified_frame(sp, s0, tol)
-        zero_ok = norm(mf0.N) <= 1e-6 and norm(mf0.B) <= 1e-6
+    with_zeros = [sp for sp in specs.values() if sp.kappa_zeros]
+    if wanted("kappa-zero-extension") and with_zeros:
+        worst, zero_ok = 0.0, True
+        for sp in with_zeros:
+            for s in curves.arclength_grid(sp, samples):
+                mf = frames.modified_frame(sp, float(s), tol)
+                jet = sp.jet(curves.at_arclength(sp, float(s), tol))
+                k2 = frames.curvature(jet) ** 2
+                worst = max(worst, abs(dot(mf.N, mf.N) - k2), abs(dot(mf.B, mf.B) - k2))
+            for t0 in sp.kappa_zeros:
+                mf0 = frames.modified_frame(sp, curves.arclength(sp, sp.t_lo, t0), tol)
+                zero_ok = zero_ok and norm(mf0.N) <= 1e-6 and norm(mf0.B) <= 1e-6
         add("kappa-zero-extension",
             "|N|^2 and |B|^2 extend continuously through the curvature zero",
             worst, 1e-7, passed=(worst <= 1e-7 and zero_ok),

@@ -7,7 +7,6 @@ from modframe import curves, frames, numerics
 from modframe.curves import (
     arclength_grid,
     circle,
-    eval_jet,
     frenet_arclength_grid,
     helix,
     planar_cubic,
@@ -30,7 +29,7 @@ class TestUnitSpeedJet:
         total = curves.total_arclength(spec)
         for s in np.linspace(0.1 * total, 0.9 * total, 5):
             t = curves.at_arclength(spec, float(s))
-            us = frames.unit_speed_jet(eval_jet(spec, t))
+            us = frames.unit_speed_jet(spec.jet(t))
             pos = lambda x: curves.position_at_arclength(spec, x)
             for order, exact in ((1, us.r1), (2, us.r2), (3, us.r3)):
                 fd = numerics.diff_vec(pos, float(s), order=order)
@@ -38,41 +37,41 @@ class TestUnitSpeedJet:
 
     def test_fourth_order_on_helix(self):
         t = 0.7
-        us = frames.unit_speed_jet(eval_jet(HELIX, t))
+        us = frames.unit_speed_jet(HELIX.jet(t))
         s = curves.arclength(HELIX, HELIX.t_lo, t)
         fd = numerics.diff_vec(
             lambda x: frames.unit_speed_jet(
-                eval_jet(HELIX, curves.at_arclength(HELIX, x))).r1,
+                HELIX.jet(curves.at_arclength(HELIX, x))).r1,
             s, order=3)
         assert np.allclose(fd, us.r4, atol=1e-6)
 
 
 class TestCurvatureTorsion:
     def test_helix_constants(self):
-        jet = eval_jet(HELIX, 0.3)
+        jet = HELIX.jet(0.3)
         assert frames.curvature(jet) == pytest.approx(HELIX_KAPPA, rel=1e-12)
         assert frames.torsion_general(jet) == pytest.approx(HELIX_TAU, rel=1e-12)
 
     def test_circle(self):
-        jet = eval_jet(circle(2.0), 1.0)
+        jet = circle(2.0).jet(1.0)
         assert frames.curvature(jet) == pytest.approx(0.5, rel=1e-12)
         assert frames.torsion_general(jet) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_curvature_paths_agree(self):
         for spec in (HELIX, twisted_cubic(), salkowski(0.5)):
             for t in np.linspace(spec.t_lo + 0.1, spec.t_hi - 0.1, 5):
-                jet = eval_jet(spec, float(t))
+                jet = spec.jet(float(t))
                 assert frames.curvature(jet) == pytest.approx(
                     frames.curvature_from_tangent(jet), rel=1e-9)
 
     def test_salkowski_unit_curvature(self):
         spec = salkowski(0.5)
         for t in np.linspace(spec.t_lo, spec.t_hi, 9):
-            assert frames.curvature(eval_jet(spec, float(t))) == pytest.approx(
+            assert frames.curvature(spec.jet(float(t))) == pytest.approx(
                 1.0, abs=1e-12)
 
     def test_torsion_raises_at_curvature_zero(self):
-        jet = eval_jet(planar_cubic(), 0.0)
+        jet = planar_cubic().jet(0.0)
         with pytest.raises(CurvatureVanishes):
             frames.torsion_general(jet)
 
@@ -111,6 +110,16 @@ class TestModifiedFrame:
                 assert numerics.norm(mf.T) == pytest.approx(1.0, abs=1e-12)
                 assert numerics.norm(mf.N) == pytest.approx(mf.kappa, abs=1e-10)
                 assert numerics.norm(mf.B) == pytest.approx(mf.kappa, abs=1e-10)
+
+    def test_cached_results_are_read_only(self):
+        spec = helix(2.0, 1.0)
+        mf = frames.modified_frame(spec, 0.5)
+        T = mf.T.copy()
+        ff = frames.frenet_frame(spec, 0.5)
+        for arr in (mf.T, mf.N, mf.B, ff.t_vec, ff.n_vec, ff.b_vec, spec.jet(0.5).r1):
+            with pytest.raises(ValueError):
+                arr[0] = 99.0
+        assert np.array_equal(frames.modified_frame(spec, 0.5).T, T)
 
     def test_b_is_cross_of_t_and_n(self):
         mf = frames.modified_frame(twisted_cubic(), 1.0)

@@ -40,6 +40,18 @@ def test_family_restriction():
     assert len(rep.entries) == 1
 
 
+def test_curves_chosen_by_property_not_key():
+    rep = run_validation(samples=6,
+                         only=["darboux-rotation", "involute-normal", "kappa-zero-extension"],
+                         families={"a": curves.helix(2.0, 1.0), "b": curves.planar_cubic(),
+                                   "c": curves.salkowski(0.5)})
+    entries = {e.name: e for e in rep.entries}
+    assert set(entries) == {"darboux-rotation", "involute-normal", "kappa-zero-extension"}
+    assert entries["darboux-rotation"].max_residual > 0.0  # evaluated, not vacuous
+    assert "varying-torsion" in entries["involute-normal"].note
+    assert rep.passed
+
+
 def test_tolerance_override_can_fail():
     rep = run_validation(samples=8, only=["frame-ode"],
                          tolerance_override=1e-18)
