@@ -44,13 +44,13 @@ from .indicatrix import (
     indicatrix_tangent,
 )
 from .involute import InvolutePair, InvoluteReport, involute_inner, involute_scan
-from .numerics import Tolerance, Vec3, cross, diff_vec, invert_monotone, vec
+from .numerics import Vec3, cross, diff_vec, invert_monotone, vec
 from .validation import ValidationReport, run_validation
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CurveSpec", "Jet", "Tolerance", "Vec3",
+    "CurveSpec", "Jet", "Vec3",
     "line", "circle", "helix", "twisted_cubic", "planar_cubic", "salkowski",
     "arclength", "at_arclength", "total_arclength",
     "FrenetFrame", "ModifiedFrame", "frenet_frame", "modified_frame",

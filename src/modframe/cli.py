@@ -19,7 +19,7 @@ from . import curves, frames, indicatrix, validation
 from .curves import CurveSpec
 from .errors import ModFrameError, NonConstantCurvature
 from .indicatrix import IndicatrixKind
-from .numerics import DEFAULT_TOL, norm
+from .numerics import ABS_TOL, FD_STEP, norm
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILED = 1
@@ -95,12 +95,18 @@ def _write_rows(args, columns: list[str], rows: list[dict], report=None) -> None
 def _sample_range(args, spec: CurveSpec, margin: float = 0.0) -> np.ndarray:
     total = curves.total_arclength(spec)
     lo, hi = args.s_range if args.s_range else (0.0, total)
-    if not (0.0 <= lo < hi <= total + DEFAULT_TOL.abs_tol):
+    if not (0.0 <= lo < hi <= total + ABS_TOL):
         raise argparse.ArgumentTypeError(
             f"sample range [{lo:g}, {hi:g}] outside the curve's arclength [0, {total:g}]"
         )
     # finite-difference oracles need room on both sides of each sample
-    return np.linspace(max(lo, margin), min(hi, total) - margin, args.samples)
+    start, stop = max(lo, margin), min(hi, total) - margin
+    if start > stop:
+        raise argparse.ArgumentTypeError(
+            f"sample range [{lo:g}, {hi:g}] leaves no room for the {margin:g} "
+            f"finite-difference margin inside [0, {total:g}]"
+        )
+    return np.linspace(start, stop, args.samples)
 
 
 def cmd_frames(args) -> int:
@@ -125,7 +131,7 @@ def cmd_indicatrix(args) -> int:
                "cx", "cy", "cz", "ox", "oy", "oz", "residual", "degenerate"]
     rows = []
     zero3 = (0.0, 0.0, 0.0)
-    fd_margin = 4.0 * DEFAULT_TOL.fd_step
+    fd_margin = 4.0 * FD_STEP
     try:
         for s in _sample_range(args, spec, margin=fd_margin):
             smp = indicatrix.sample(kind, spec, float(s))
@@ -169,7 +175,7 @@ def cmd_validate(args) -> int:
     )
     doc = report.to_dict()
     if args.format == "csv":
-        columns = ["name", "max_residual", "tolerance", "passed",
+        columns = ["name", "max_residual", "tolerance", "passed", "n_evaluated",
                    "expected_discrepancy", "note"]
         rows = [{c: e.to_dict()[c] for c in columns} for e in report.entries]
         _write_rows(args, columns, rows)
@@ -232,8 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "samples", 2) < 2:
-        parser.error("--samples must be >= 2")
+    # involute scans in validate need three samples per curve
+    min_samples = 3 if args.command == "validate" else 2
+    if args.samples < min_samples:
+        parser.error(f"--samples must be >= {min_samples}")
     if isinstance(getattr(args, "curve", None), CurveSpec):
         args.curve_text = f"{args.curve.family}:{','.join(map(str, args.curve.params))}"
     try:

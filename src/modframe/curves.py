@@ -20,7 +20,7 @@ import numpy as np
 
 from . import numerics
 from .errors import OutOfRange, TargetOutOfRange
-from .numerics import DEFAULT_TOL, ReadOnlyArrays, Tolerance, Vec3, vec
+from .numerics import ABS_TOL, ReadOnlyArrays, Vec3, vec
 
 _RANGE_SLACK = 1e-9
 _PANELS = 256
@@ -250,11 +250,10 @@ def total_arclength(spec: CurveSpec) -> float:
     return float(_arclength_table(spec)[1][-1])
 
 
-@lru_cache(maxsize=None)
-def at_arclength(spec: CurveSpec, s: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def at_arclength(spec: CurveSpec, s: float) -> float:
     """Parameter t with arclength(spec, t_lo, t) = s."""
     total = total_arclength(spec)
-    if not (-tol.abs_tol <= s <= total + tol.abs_tol):
+    if not (-ABS_TOL <= s <= total + ABS_TOL):
         raise TargetOutOfRange(f"arclength {s:g} outside [0, {total:g}]")
     if FAMILIES[spec.family].constant_speed:
         return min(max(spec.t_lo + s / spec.speed(spec.t_lo), spec.t_lo), spec.t_hi)
@@ -265,13 +264,14 @@ def at_arclength(spec: CurveSpec, s: float, tol: Tolerance = DEFAULT_TOL) -> flo
     lo, hi, c0 = float(ts[i]), float(ts[i + 1]), float(cum[i])
     guess = lo + (hi - lo) * (s - c0) / float(cum[i + 1] - c0)
     return numerics.invert_monotone(
-        lambda t: c0 + _gauss(spec, lo, t), spec.speed, s, lo, hi, guess, tol)
+        lambda t: c0 + _gauss(spec, lo, t), spec.speed, s, lo, hi, guess)
 
 
 def position_at_arclength(spec: CurveSpec, s: float) -> Vec3:
-    # tol goes by position, as in frames.modified_frame, so that both
-    # calls share one at_arclength cache entry per point (also below).
-    return spec.jet(at_arclength(spec, s, DEFAULT_TOL)).r
+    """Position at arclength ``s``, read from the cached frame there so
+    that the frame and the position of a point share one inversion."""
+    from . import frames  # frames imports this module
+    return frames.modified_frame(spec, s).r
 
 
 def arclength_grid(
@@ -288,6 +288,7 @@ def frenet_arclength_grid(
 ) -> np.ndarray:
     """Like :func:`arclength_grid` but drops samples whose parameter falls
     within ``exclude_halfwidth`` of a curvature zero."""
+    from . import frames
     return np.array([s for s in arclength_grid(spec, n, margin) if all(
-        abs(at_arclength(spec, float(s), DEFAULT_TOL) - z) > exclude_halfwidth
+        abs(frames.modified_frame(spec, float(s)).t - z) > exclude_halfwidth
         for z in spec.kappa_zeros)])

@@ -13,7 +13,7 @@ from . import frames, numerics
 from .curves import CurveSpec
 from .errors import DegenerateFrame, NonConstantCurvature
 from .frames import ModifiedFrame
-from .numerics import DEFAULT_TOL, Tolerance, Vec3, cross, norm
+from .numerics import ABS_TOL, Vec3, cross, norm
 
 #: Width of the |kappa'| gate below which curvature counts as constant.
 CONST_KAPPA_GATE = 1e-6
@@ -30,28 +30,24 @@ class DarbouxData:
     C: Vec3
 
 
-def _require_constant_kappa(mf: ModifiedFrame, gate: float) -> None:
-    if abs(mf.kappa_prime) > gate:
+def _require_constant_kappa(mf: ModifiedFrame) -> None:
+    if abs(mf.kappa_prime) > CONST_KAPPA_GATE:
         raise NonConstantCurvature(
             f"|kappa'| = {abs(mf.kappa_prime):g} exceeds the constant-curvature "
-            f"gate {gate:g}"
+            f"gate {CONST_KAPPA_GATE:g}"
         )
 
 
-def darboux(
-    mf: ModifiedFrame,
-    const_kappa_check: float = CONST_KAPPA_GATE,
-    tol: Tolerance = DEFAULT_TOL,
-) -> DarbouxData:
+def darboux(mf: ModifiedFrame) -> DarbouxData:
     """Darboux data at a point of a constant-curvature curve.
 
     phi is the quadrant-correct angle between B and w (atan2 of tau against
     kappa), and phi' = tau' * kappa / (kappa^2 + tau^2) -- the kappa' term
     of the general quotient rule vanishes under the gate.
     """
-    if mf.kappa <= tol.abs_tol:
+    if mf.kappa <= ABS_TOL:
         raise DegenerateFrame("Darboux vector undefined where kappa ~ 0")
-    _require_constant_kappa(mf, const_kappa_check)
+    _require_constant_kappa(mf)
     w = mf.tau * mf.T + mf.B
     w_norm = math.hypot(mf.kappa, mf.tau)
     phi = math.atan2(mf.tau, mf.kappa)
@@ -59,34 +55,22 @@ def darboux(
     return DarbouxData(w, w_norm, phi, phi_prime, w / w_norm)
 
 
-def check_alignment(
-    spec: CurveSpec,
-    s: float,
-    const_kappa_check: float = CONST_KAPPA_GATE,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
+def check_alignment(spec: CurveSpec, s: float) -> float:
     """Residual |N x N' - kappa^2 w| with N' from the finite-difference
     oracle."""
-    mf = frames.modified_frame(spec, s, tol)
-    dd = darboux(mf, const_kappa_check, tol)
-    fd_N = numerics.diff_vec(lambda x: frames.modified_frame(spec, x, tol).N, s, tol=tol)
+    mf = frames.modified_frame(spec, s)
+    dd = darboux(mf)
+    fd_N = numerics.diff_vec(lambda x: frames.modified_frame(spec, x).N, s)
     return norm(cross(mf.N, fd_N) - mf.kappa**2 * dd.w)
 
 
-def rotation_residuals(
-    spec: CurveSpec,
-    s: float,
-    const_kappa_check: float = CONST_KAPPA_GATE,
-    tol: Tolerance = DEFAULT_TOL,
-) -> tuple[float, float, float]:
+def rotation_residuals(spec: CurveSpec, s: float) -> tuple[float, float, float]:
     """Residuals of X' = w x X for X in {T, N, B}, with X' from the
     finite-difference oracle."""
-    mf = frames.modified_frame(spec, s, tol)
-    dd = darboux(mf, const_kappa_check, tol)
+    mf = frames.modified_frame(spec, s)
+    dd = darboux(mf)
     out = []
     for pick in (lambda f: f.T, lambda f: f.N, lambda f: f.B):
-        fd = numerics.diff_vec(
-            lambda x: pick(frames.modified_frame(spec, x, tol)), s, tol=tol
-        )
+        fd = numerics.diff_vec(lambda x: pick(frames.modified_frame(spec, x)), s)
         out.append(norm(fd - cross(dd.w, pick(mf))))
     return tuple(out)

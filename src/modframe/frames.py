@@ -16,7 +16,7 @@ from functools import lru_cache
 from . import curves, numerics
 from .curves import CurveSpec, Jet
 from .errors import CurvatureVanishes
-from .numerics import DEFAULT_TOL, ReadOnlyArrays, Tolerance, Vec3, cross, det3, dot, norm
+from .numerics import ABS_TOL, ReadOnlyArrays, Vec3, cross, det3, dot, norm
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,8 @@ class ModifiedFrame(ReadOnlyArrays):
     kappa_prime and tau_prime are arclength derivatives computed from the
     exact jets, so the finite-difference checks stay independent of them.
     At an isolated curvature zero N = B = 0 and the scalar fields that
-    are undefined there (tau, kappa', tau') are reported as 0.
+    are undefined there (tau, kappa', tau') are reported as 0.  ``t`` is
+    the curve parameter of the point and ``r`` its position.
     """
 
     T: Vec3
@@ -47,6 +48,8 @@ class ModifiedFrame(ReadOnlyArrays):
     tau: float
     kappa_prime: float
     tau_prime: float
+    t: float
+    r: Vec3
 
 
 def unit_speed_jet(jet: Jet) -> Jet:
@@ -92,18 +95,18 @@ def curvature_from_tangent(jet: Jet) -> float:
     return norm(unit_speed_jet(jet).r2)
 
 
-def torsion(jet: Jet, kappa: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def torsion(jet: Jet, kappa: float) -> float:
     """tau = det(r', r'', r''') / kappa^2 for a unit-speed jet."""
-    if kappa <= tol.abs_tol:
+    if kappa <= ABS_TOL:
         raise CurvatureVanishes("torsion undefined where kappa ~ 0")
     return det3(jet.r1, jet.r2, jet.r3) / (kappa * kappa)
 
 
-def torsion_general(jet: Jet, tol: Tolerance = DEFAULT_TOL) -> float:
+def torsion_general(jet: Jet) -> float:
     """tau = det(r', r'', r''') / |r' x r''|^2 for any regular parameter."""
     c = cross(jet.r1, jet.r2)
     c2 = dot(c, c)
-    if c2 <= tol.abs_tol**2:
+    if c2 <= ABS_TOL**2:
         raise CurvatureVanishes("torsion undefined where kappa ~ 0")
     return det3(jet.r1, jet.r2, jet.r3) / c2
 
@@ -133,45 +136,39 @@ def _tau_prime(jet: Jet) -> float:
 
 
 @lru_cache(maxsize=None)
-def modified_frame(
-    spec: CurveSpec, s: float, tol: Tolerance = DEFAULT_TOL
-) -> ModifiedFrame:
-    """Modified orthogonal frame at arclength ``s``; total on regular curves."""
-    jet = spec.jet(curves.at_arclength(spec, s, tol))
+def modified_frame(spec: CurveSpec, s: float) -> ModifiedFrame:
+    """Modified orthogonal frame at arclength ``s``; total on regular curves.
+
+    The one per-point cache: the parameter and position of a point are
+    read from its frame, so each point is inverted once.
+    """
+    t = curves.at_arclength(spec, s)
+    jet = spec.jet(t)
     us = unit_speed_jet(jet)
     T = us.r1
     N = us.r2
     kappa = norm(N)
     B = cross(T, N)
-    if kappa <= tol.abs_tol:
-        return ModifiedFrame(T, N, B, kappa, 0.0, 0.0, 0.0)
-    return ModifiedFrame(
-        T,
-        N,
-        B,
-        kappa,
-        torsion_general(jet, tol),
-        _kappa_prime(jet),
-        _tau_prime(jet),
-    )
+    if kappa <= ABS_TOL:
+        return ModifiedFrame(T, N, B, kappa, 0.0, 0.0, 0.0, t, jet.r)
+    return ModifiedFrame(T, N, B, kappa, torsion_general(jet), _kappa_prime(jet),
+                         _tau_prime(jet), t, jet.r)
 
 
-def frenet_frame(
-    spec: CurveSpec, s: float, tol: Tolerance = DEFAULT_TOL
-) -> FrenetFrame:
+def frenet_frame(spec: CurveSpec, s: float) -> FrenetFrame:
     """Classical Frenet frame; raises where the curvature vanishes."""
-    mf = modified_frame(spec, s, tol)
-    if mf.kappa <= tol.abs_tol:
+    mf = modified_frame(spec, s)
+    if mf.kappa <= ABS_TOL:
         raise CurvatureVanishes(
             f"Frenet frame undefined at s = {s:g} (kappa = {mf.kappa:g})"
         )
     return FrenetFrame(mf.T, mf.N / mf.kappa, mf.B / mf.kappa, mf.kappa, mf.tau)
 
 
-def frame_ode_rhs(mf: ModifiedFrame, tol: Tolerance = DEFAULT_TOL):
+def frame_ode_rhs(mf: ModifiedFrame):
     """Right-hand sides T' = N, N' = -k^2 T + (k'/k) N + tau B,
     B' = -tau N + (k'/k) B."""
-    if mf.kappa <= tol.abs_tol:
+    if mf.kappa <= ABS_TOL:
         raise CurvatureVanishes("frame ODE coefficients need kappa > 0")
     ratio = mf.kappa_prime / mf.kappa
     dT = mf.N
@@ -194,28 +191,25 @@ class FrameOdeResult:
         return max(self.residual_T, self.residual_N, self.residual_B)
 
 
-def check_frame_ode(
-    spec: CurveSpec, s: float, tol: Tolerance = DEFAULT_TOL
-) -> FrameOdeResult:
+def check_frame_ode(spec: CurveSpec, s: float) -> FrameOdeResult:
     """Compare finite-difference derivatives of {T, N, B} along s with the
     exact ODE right-hand sides."""
-    mf = modified_frame(spec, s, tol)
-    dT, dN, dB = frame_ode_rhs(mf, tol)
-    fd_T = numerics.diff_vec(lambda x: modified_frame(spec, x, tol).T, s, tol=tol)
-    fd_N = numerics.diff_vec(lambda x: modified_frame(spec, x, tol).N, s, tol=tol)
-    fd_B = numerics.diff_vec(lambda x: modified_frame(spec, x, tol).B, s, tol=tol)
+    mf = modified_frame(spec, s)
+    dT, dN, dB = frame_ode_rhs(mf)
+    fd_T = numerics.diff_vec(lambda x: modified_frame(spec, x).T, s)
+    fd_N = numerics.diff_vec(lambda x: modified_frame(spec, x).N, s)
+    fd_B = numerics.diff_vec(lambda x: modified_frame(spec, x).B, s)
     return FrameOdeResult(
         s, norm(fd_T - dT), norm(fd_N - dN), norm(fd_B - dB)
     )
 
 
-def metric_residual(spec: CurveSpec, s: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def metric_residual(spec: CurveSpec, s: float) -> float:
     """Worst deviation from <T,T> = 1, <N,N> = <B,B> = kappa^2 and pairwise
     orthogonality; kappa^2 taken from the cross-product formula so the two
     curvature paths check each other."""
-    mf = modified_frame(spec, s, tol)
-    jet = spec.jet(curves.at_arclength(spec, s, tol))
-    k2 = curvature(jet) ** 2
+    mf = modified_frame(spec, s)
+    k2 = curvature(spec.jet(mf.t)) ** 2
     return max(
         abs(dot(mf.T, mf.T) - 1.0),
         abs(dot(mf.N, mf.N) - k2),

@@ -20,10 +20,10 @@ import numpy as np
 
 from . import frames
 from .curves import CurveSpec, arclength_grid
-from .darboux import CONST_KAPPA_GATE, darboux
-from .errors import DegenerateIndicatrix, ModFrameError, NonConstantCurvature
+from .darboux import darboux
+from .errors import DegenerateFrame, DegenerateIndicatrix
 from .indicatrix import IndicatrixKind, indicatrix_tangent, pole_tangent_direction
-from .numerics import DEFAULT_TOL, Tolerance, dot
+from .numerics import ABS_TOL, dot
 
 
 class InvolutePair(enum.Enum):
@@ -51,18 +51,12 @@ class InvoluteReport:
     precondition_note: str
 
 
-def involute_inner(
-    pair: InvolutePair,
-    spec: CurveSpec,
-    s: float,
-    const_kappa_check: float = CONST_KAPPA_GATE,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
+def involute_inner(pair: InvolutePair, spec: CurveSpec, s: float) -> float:
     """Orthogonality defect between the pair's indicatrix tangent and the
     pole curve's tangent at base arclength ``s``."""
-    mf = frames.modified_frame(spec, s, tol)
-    dd = darboux(mf, const_kappa_check, tol)
-    t_x = indicatrix_tangent(_KIND[pair], mf, dd, const_kappa_check, tol)
+    mf = frames.modified_frame(spec, s)
+    dd = darboux(mf)
+    t_x = indicatrix_tangent(_KIND[pair], mf, dd)
     t_c = pole_tangent_direction(mf, dd)
     if pair is InvolutePair.N_VS_C:
         # Pairing against the velocity phi' * T_C keeps the phi' = 0
@@ -72,17 +66,12 @@ def involute_inner(
     return dot(t_x, t_c)
 
 
-def involute_scan(
-    pair: InvolutePair,
-    spec: CurveSpec,
-    n_samples: int,
-    const_kappa_check: float = CONST_KAPPA_GATE,
-    tol: Tolerance = DEFAULT_TOL,
-) -> InvoluteReport:
+def involute_scan(pair: InvolutePair, spec: CurveSpec, n_samples: int) -> InvoluteReport:
     """Evaluate :func:`involute_inner` on a uniform arclength grid.
 
-    Verdict is true iff every defined sample is within abs_tol of zero;
-    samples where either tangent degenerates are skipped and counted.
+    Verdict is true iff every defined sample is within ABS_TOL of zero;
+    samples where the frame or the indicatrix degenerates are skipped and
+    counted, and every other error propagates.
     """
     if n_samples < 3:
         raise ValueError("need at least 3 samples")
@@ -90,16 +79,12 @@ def involute_scan(
     skipped = 0
     for s in arclength_grid(spec, n_samples):
         try:
-            inners.append(abs(involute_inner(pair, spec, float(s), const_kappa_check, tol)))
-        except NonConstantCurvature:
-            raise
-        except (DegenerateIndicatrix, ModFrameError):
+            inners.append(abs(involute_inner(pair, spec, float(s))))
+        except (DegenerateIndicatrix, DegenerateFrame):
             skipped += 1
     if not inners:
         return InvoluteReport(pair, n_samples, 0, float("inf"), False,
                               "no sample had both tangents defined")
     worst = max(inners)
     note = f"{skipped} degenerate samples skipped" if skipped else "all samples defined"
-    return InvoluteReport(
-        pair, n_samples, len(inners), worst, worst <= tol.abs_tol, note
-    )
+    return InvoluteReport(pair, n_samples, len(inners), worst, worst <= ABS_TOL, note)

@@ -9,7 +9,6 @@ here by hand, as is the bracketed Newton inversion of monotone maps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,24 +23,12 @@ _EPS = float(np.finfo(float).eps)
 _XTOL, _RTOL, _MAX_NEWTON = 1e-14, 4.0 * _EPS, 100
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Numerical tolerances shared by the whole library.
-
-    abs_tol gates absolute residuals, rel_tol relative ones, fd_step is the
-    base step of the first-order finite-difference oracle.
-    """
-
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-7
-    fd_step: float = 1e-5
-
-    def __post_init__(self) -> None:
-        if self.abs_tol <= 0 or self.rel_tol <= 0 or self.fd_step <= 0:
-            raise ValueError("all tolerances must be strictly positive")
-
-
-DEFAULT_TOL = Tolerance()
+#: Gate on absolute residuals and on quantities that count as zero.
+ABS_TOL = 1e-9
+#: Budget for the relative rounding noise of the finite-difference oracle.
+REL_TOL = 1e-7
+#: Base step of the first-order finite-difference oracle.
+FD_STEP = 1e-5
 
 
 class ReadOnlyArrays:
@@ -105,32 +92,27 @@ def _stencil(f: Callable[[float], Vec3], s: float, order: int, h: float) -> Vec3
     )
 
 
-def diff_vec(
-    f: Callable[[float], Vec3],
-    s: float,
-    order: int = 1,
-    step: float | None = None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> Vec3:
+def diff_vec(f: Callable[[float], Vec3], s: float, order: int = 1,
+             step: float | None = None) -> Vec3:
     """Central-difference derivative of a vector-valued map.
 
     Richardson extrapolation over steps h and h/2 raises the leading
     O(h^2) stencil error to O(h^4).  ``f`` must be evaluable on
     [s - 3*step, s + 3*step].  Raises StepTooSmall when the rounding-noise
-    estimate eps * |f| / step**order exceeds the rel_tol budget.
+    estimate eps * |f| / step**order exceeds the REL_TOL budget.
     """
     if order not in (1, 2, 3):
         raise ValueError(f"unsupported derivative order {order}")
-    h = tol.fd_step * _STEP_SCALE[order] if step is None else float(step)
+    h = FD_STEP * _STEP_SCALE[order] if step is None else float(step)
     if h <= 0:
         raise ValueError("step must be positive")
 
     scale = max(norm(f(s)), 1.0)
     noise = 8.0 * _EPS * scale / h**order
-    if noise > tol.rel_tol * scale:
+    if noise > REL_TOL * scale:
         raise StepTooSmall(
             f"step {h:g} leaves rounding noise {noise:g} above the "
-            f"rel_tol budget at order {order}"
+            f"REL_TOL budget at order {order}"
         )
 
     coarse = _stencil(f, s, order, h)
@@ -138,15 +120,8 @@ def diff_vec(
     return (4.0 * fine - coarse) / 3.0
 
 
-def invert_monotone(
-    g: Callable[[float], float],
-    dg: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float,
-    t0: float,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
+def invert_monotone(g: Callable[[float], float], dg: Callable[[float], float],
+                    target: float, lo: float, hi: float, t0: float) -> float:
     """Solve g(t) = target for a strictly increasing g with derivative dg.
 
     Newton steps start from the guess ``t0`` and stay in a bracket that
@@ -154,7 +129,7 @@ def invert_monotone(
     it instead.
     """
     g_lo, g_hi = g(lo), g(hi)
-    if not (g_lo - tol.abs_tol <= target <= g_hi + tol.abs_tol):
+    if not (g_lo - ABS_TOL <= target <= g_hi + ABS_TOL):
         raise TargetOutOfRange(
             f"target {target:g} outside [{g_lo:g}, {g_hi:g}]"
         )
@@ -174,6 +149,6 @@ def invert_monotone(
         t -= step
         if not lo < t < hi:
             t = 0.5 * (lo + hi)
-    if abs(g(t) - target) > max(tol.abs_tol, 1e-12 * abs(target)):
+    if abs(g(t) - target) > max(ABS_TOL, 1e-12 * abs(target)):
         raise NotMonotone("bracketing converged to a point that misses the target")
     return float(t)

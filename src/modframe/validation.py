@@ -14,24 +14,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import curves, frames, geodesic, indicatrix, involute
+from . import curves, frames, geodesic, indicatrix, involute, numerics
 from .curves import CurveSpec
 from .darboux import check_alignment, darboux, rotation_residuals
-from .errors import DegenerateIndicatrix, ModFrameError, TorsionVanishes
+from .errors import DegenerateIndicatrix, TorsionVanishes
 from .indicatrix import IndicatrixKind
 from .involute import InvolutePair
-from .numerics import DEFAULT_TOL, Tolerance, dot, norm
+from .numerics import dot, norm
 
 
 @dataclass(frozen=True)
 class ValidationEntry:
-    """One identity's verdict: worst residual against its tolerance."""
+    """One identity's verdict: worst residual against its tolerance over
+    ``n_evaluated`` samples.  An identity with no evaluated sample has not
+    passed; it is marked not applicable and carries no verdict."""
 
     name: str
     description: str
     max_residual: float
     tolerance: float
     passed: bool
+    n_evaluated: int
     expected_discrepancy: bool = False
     note: str = ""
 
@@ -42,6 +45,7 @@ class ValidationEntry:
             "max_residual": self.max_residual,
             "tolerance": self.tolerance,
             "passed": self.passed,
+            "n_evaluated": self.n_evaluated,
             "expected_discrepancy": self.expected_discrepancy,
             "note": self.note,
         }
@@ -53,7 +57,11 @@ class ValidationReport:
 
     @property
     def passed(self) -> bool:
-        return all(e.passed for e in self.entries if not e.expected_discrepancy)
+        """Every judged entry passed, and some entry evaluated a sample.
+        Expected discrepancies and not-applicable entries are not judged."""
+        return any(e.n_evaluated for e in self.entries) and all(
+            e.passed for e in self.entries
+            if e.n_evaluated and not e.expected_discrepancy)
 
     def to_dict(self) -> dict:
         return {"passed": self.passed, "entries": [e.to_dict() for e in self.entries]}
@@ -77,14 +85,17 @@ def _grids(specs: dict[str, CurveSpec], names, n: int):
             yield name, spec, float(s)
 
 
-def _max_over(specs, names, n, fn) -> float:
-    worst = 0.0
+def _max_over(specs, names, n, fn) -> tuple[float, int]:
+    """Worst value of ``fn`` over the named curves' grids, and the number
+    of samples it was evaluated on (degenerate samples are skipped)."""
+    worst, evaluated = 0.0, 0
     for _, spec, s in _grids(specs, names, n):
         try:
             worst = max(worst, fn(spec, s))
         except (DegenerateIndicatrix, TorsionVanishes):
             continue
-    return worst
+        evaluated += 1
+    return worst, evaluated
 
 
 def run_validation(
@@ -92,7 +103,6 @@ def run_validation(
     tolerance_override: float | None = None,
     only: list[str] | None = None,
     families: dict[str, CurveSpec] | None = None,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> ValidationReport:
     """Run every identity suite and collect a report.
 
@@ -102,14 +112,18 @@ def run_validation(
     specs = families if families is not None else default_families()
     report = ValidationReport()
 
-    def add(name, description, residual, default_tol,
+    def add(name, description, result, default_tol,
             expected_discrepancy=False, note="", passed=None):
+        # result is (worst residual, number of samples evaluated)
         if only is not None and name not in only:
             return
+        residual, n_evaluated = result
         use_tol = tolerance_override if tolerance_override is not None else default_tol
         ok = passed if passed is not None else residual <= use_tol
+        if not n_evaluated:
+            ok, note = False, "not applicable: no sample evaluated"
         report.entries.append(
-            ValidationEntry(name, description, residual, use_tol, ok,
+            ValidationEntry(name, description, residual, use_tol, ok, n_evaluated,
                             expected_discrepancy, note)
         )
 
@@ -128,36 +142,36 @@ def run_validation(
         add("frame-ode",
             "finite-difference frame derivatives match the derivative matrix",
             _max_over(specs, nonzero_k, samples,
-                      lambda sp, s: frames.check_frame_ode(sp, s, tol).max_residual),
+                      lambda sp, s: frames.check_frame_ode(sp, s).max_residual),
             1e-5)
 
     if wanted("metric-relations"):
-        worst = 0.0
+        worst, evaluated = 0.0, 0
         for spec in specs.values():
             for s in curves.frenet_arclength_grid(spec, samples):
-                worst = max(worst, frames.metric_residual(spec, float(s), tol))
+                worst = max(worst, frames.metric_residual(spec, float(s)))
+                evaluated += 1
         add("metric-relations",
             "frame inner products equal (1, k^2, k^2, 0, 0, 0)",
-            worst, 1e-9)
+            (worst, evaluated), 1e-9)
 
     if wanted("darboux-alignment"):
         add("darboux-alignment",
             "N x N' = k^2 w against the finite-difference N'",
-            _max_over(specs, const_k, samples,
-                      lambda sp, s: check_alignment(sp, s, tol=tol)),
+            _max_over(specs, const_k, samples, check_alignment),
             1e-5)
 
     if wanted("darboux-rotation"):
         add("darboux-rotation",
             "X' = w x X for X in {T, N, B} on constant-curvature curves",
             _max_over(specs, const_k, samples,
-                      lambda sp, s: max(rotation_residuals(sp, s, tol=tol))),
+                      lambda sp, s: max(rotation_residuals(sp, s))),
             1e-5)
 
     if wanted("lancret-angle"):
         def lancret(sp, s):
-            mf = frames.modified_frame(sp, s, tol)
-            dd = darboux(mf, tol=tol)
+            mf = frames.modified_frame(sp, s)
+            dd = darboux(mf)
             return max(
                 abs(math.sin(dd.phi) * dd.w_norm - mf.tau),
                 abs(math.cos(dd.phi) * dd.w_norm - mf.kappa),
@@ -182,10 +196,10 @@ def run_validation(
             continue
 
         def cov_residual(sp, s, kind=kind):
-            mf = frames.modified_frame(sp, s, tol)
-            dd = darboux(mf, tol=tol) if kind is not IndicatrixKind.TANGENT else None
-            closed = indicatrix.cov_deriv_closed(kind, mf, dd, tol=tol)
-            numeric = indicatrix.cov_deriv_numeric(kind, sp, s, tol=tol)
+            mf = frames.modified_frame(sp, s)
+            dd = darboux(mf) if kind is not IndicatrixKind.TANGENT else None
+            closed = indicatrix.cov_deriv_closed(kind, mf, dd)
+            numeric = indicatrix.cov_deriv_numeric(kind, sp, s)
             return norm(closed - numeric)
 
         add(name, desc, _max_over(specs, fams, samples, cov_residual), 1e-5)
@@ -201,20 +215,19 @@ def run_validation(
             continue
 
         def tangent_residual(sp, s, kind=kind):
-            mf = frames.modified_frame(sp, s, tol)
-            dd = darboux(mf, tol=tol) if kind is not IndicatrixKind.TANGENT else None
-            closed = indicatrix.indicatrix_tangent(kind, mf, dd, tol=tol)
+            mf = frames.modified_frame(sp, s)
+            dd = darboux(mf) if kind is not IndicatrixKind.TANGENT else None
+            closed = indicatrix.indicatrix_tangent(kind, mf, dd)
             rate = indicatrix._signed_rate(kind, mf, dd)
             if abs(rate) <= 1e-6:
                 raise DegenerateIndicatrix("skip near-degenerate sample")
 
             def point_at(x, kind=kind):
-                f = frames.modified_frame(sp, x, tol)
-                d = darboux(f, tol=tol) if kind is not IndicatrixKind.TANGENT else None
+                f = frames.modified_frame(sp, x)
+                d = darboux(f) if kind is not IndicatrixKind.TANGENT else None
                 return indicatrix.indicatrix_point(kind, f, d)
 
-            from . import numerics
-            fd = numerics.diff_vec(point_at, s, tol=tol) / rate
+            fd = numerics.diff_vec(point_at, s) / rate
             return norm(closed - fd)
 
         add(name, f"{kind.value}-indicatrix unit tangent vs differentiated point",
@@ -231,7 +244,7 @@ def run_validation(
             continue
 
         def geo_residual(sp, s, kind=kind):
-            return geodesic.geodesic_report(kind, sp, s, tol=tol).residual_closed
+            return geodesic.geodesic_report(kind, sp, s).residual_closed
 
         add(name, f"{kind.value}-indicatrix geodesic curvature, closed vs oracle",
             _max_over(specs, fams, samples, geo_residual), 1e-5)
@@ -240,34 +253,32 @@ def run_validation(
         gaps = []
         for _, sp, s in _grids(specs, const_k, samples):
             try:
-                rep = geodesic.geodesic_report(IndicatrixKind.BINORMAL, sp, s, tol=tol)
+                rep = geodesic.geodesic_report(IndicatrixKind.BINORMAL, sp, s)
             except (DegenerateIndicatrix, TorsionVanishes):
                 continue
-            if abs(rep.gamma_oracle) > 0 and frames.modified_frame(sp, s, tol).kappa != 1.0:
+            if abs(rep.gamma_oracle) > 0 and frames.modified_frame(sp, s).kappa != 1.0:
                 gaps.append(rep.residual_unweighted)
-        gap = max(gaps) if gaps else 0.0
         add("geodesic-binormal-unweighted",
             "unit-norm expansion of the binormal geodesic curvature differs "
             "from the oracle whenever kappa != 1",
-            gap, 1e-5, expected_discrepancy=True, passed=True,
+            (max(gaps, default=0.0), len(gaps)), 1e-5,
+            expected_discrepancy=True, passed=True,
             note="known algebraic discrepancy; oracle arbitrates")
 
     if wanted("geodesic-sphere-det"):
         def det_residual(sp, s, kind):
-            det = geodesic.geodesic_curvature_sphere_at(kind, sp, s, tol=tol)
-            oracle = geodesic.geodesic_curvature_oracle(kind, sp, s, tol=tol)
+            det = geodesic.geodesic_curvature_sphere_at(kind, sp, s)
+            oracle = geodesic.geodesic_curvature_oracle(kind, sp, s)
             return abs(abs(det) - oracle)
 
-        worst = 0.0
-        for fams, kind in ((nonzero_k, IndicatrixKind.TANGENT),
-                           (const_k, IndicatrixKind.POLE)):
-            worst = max(worst, _max_over(
-                specs, fams, max(samples // 2, 4),
-                lambda sp, s, kind=kind: det_residual(sp, s, kind)))
+        results = [_max_over(specs, fams, max(samples // 2, 4),
+                             lambda sp, s, kind=kind: det_residual(sp, s, kind))
+                   for fams, kind in ((nonzero_k, IndicatrixKind.TANGENT),
+                                      (const_k, IndicatrixKind.POLE))]
         add("geodesic-sphere-det",
             "determinant oracle agrees with the Gauss-equation oracle on the "
             "unit-sphere indicatrices",
-            worst, 1e-5)
+            (max(w for w, _ in results), sum(n for _, n in results)), 1e-5)
 
     inv_cases = [
         ("involute-tangent", InvolutePair.T_VS_C, const_k),
@@ -276,32 +287,33 @@ def run_validation(
     for name, pair, fams in inv_cases:
         if not wanted(name):
             continue
-        worst = 0.0
-        for fam in fams:
-            rep = involute.involute_scan(pair, specs[fam], samples, tol=tol)
-            worst = max(worst, rep.max_abs_inner if rep.n_defined else 0.0)
+        reps = [r for r in (involute.involute_scan(pair, specs[f], samples) for f in fams)
+                if r.n_defined]
         add(name, f"pole-curve tangent orthogonal to the {pair.value} indicatrix tangent",
-            worst, 1e-9)
+            (max((r.max_abs_inner for r in reps), default=0.0),
+             sum(r.n_defined for r in reps)), 1e-9)
 
     helices = [specs[f] for f in const_k if specs[f].family == "helix"]
     if wanted("involute-normal") and helices:
-        helix_defect = max(
-            involute.involute_scan(InvolutePair.N_VS_C, sp, samples, tol=tol).max_abs_inner
-            for sp in helices)
+        helix_reps = [involute.involute_scan(InvolutePair.N_VS_C, sp, samples)
+                      for sp in helices]
+        helix_defect = max(r.max_abs_inner for r in helix_reps)
+        evaluated = sum(r.n_defined for r in helix_reps)
         note = "helix defect vanishes with phi'"
         ok = helix_defect <= 1e-9
         for sp in [sp for sp in specs.values() if sp.family == "salkowski"]:
-            salk_rep = involute.involute_scan(InvolutePair.N_VS_C, sp, samples, tol=tol)
+            salk_rep = involute.involute_scan(InvolutePair.N_VS_C, sp, samples)
             ok = ok and salk_rep.max_abs_inner > 1e-3
+            evaluated += salk_rep.n_defined
             note += f"; varying-torsion defect reaches {salk_rep.max_abs_inner:.3g}"
         add("involute-normal",
             "normal-indicatrix involute defect is zero exactly for helices",
-            helix_defect, 1e-9, passed=ok, note=note)
+            (helix_defect, evaluated), 1e-9, passed=ok, note=note)
 
     if wanted("frame-coincidence"):
         def coincidence(sp, s):
-            mf = frames.modified_frame(sp, s, tol)
-            ff = frames.frenet_frame(sp, s, tol)
+            mf = frames.modified_frame(sp, s)
+            ff = frames.frenet_frame(sp, s)
             return max(norm(mf.T - ff.t_vec), norm(mf.N - ff.n_vec * ff.kappa),
                        norm(mf.B - ff.b_vec * ff.kappa),
                        norm(mf.N - ff.n_vec) if abs(ff.kappa - 1) < 1e-12 else 0.0)
@@ -311,10 +323,8 @@ def run_validation(
             _max_over(specs, unit_k, samples, coincidence), 1e-9)
 
     if wanted("unit-speed"):
-        from . import numerics
-
         def unit_speed(sp, s):
-            fd = numerics.diff_vec(lambda x: curves.position_at_arclength(sp, x), s, tol=tol)
+            fd = numerics.diff_vec(lambda x: curves.position_at_arclength(sp, x), s)
             return abs(norm(fd) - 1.0)
 
         add("unit-speed",
@@ -323,19 +333,19 @@ def run_validation(
 
     with_zeros = [sp for sp in specs.values() if sp.kappa_zeros]
     if wanted("kappa-zero-extension") and with_zeros:
-        worst, zero_ok = 0.0, True
+        worst, evaluated, zero_ok = 0.0, 0, True
         for sp in with_zeros:
             for s in curves.arclength_grid(sp, samples):
-                mf = frames.modified_frame(sp, float(s), tol)
-                jet = sp.jet(curves.at_arclength(sp, float(s), tol))
-                k2 = frames.curvature(jet) ** 2
+                mf = frames.modified_frame(sp, float(s))
+                k2 = frames.curvature(sp.jet(mf.t)) ** 2
                 worst = max(worst, abs(dot(mf.N, mf.N) - k2), abs(dot(mf.B, mf.B) - k2))
+                evaluated += 1
             for t0 in sp.kappa_zeros:
-                mf0 = frames.modified_frame(sp, curves.arclength(sp, sp.t_lo, t0), tol)
+                mf0 = frames.modified_frame(sp, curves.arclength(sp, sp.t_lo, t0))
                 zero_ok = zero_ok and norm(mf0.N) <= 1e-6 and norm(mf0.B) <= 1e-6
         add("kappa-zero-extension",
             "|N|^2 and |B|^2 extend continuously through the curvature zero",
-            worst, 1e-7, passed=(worst <= 1e-7 and zero_ok),
+            (worst, evaluated), 1e-7, passed=(worst <= 1e-7 and zero_ok),
             note="N = B = 0 at the zero itself")
 
     return report

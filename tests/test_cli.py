@@ -144,6 +144,23 @@ class TestValidate:
                              "--only", "frame-coincidence")
         assert code == EXIT_OK
 
+    def test_straight_line_reports_not_applicable(self, capsys):
+        code, out, err = run(capsys, "validate", "--samples", "6", "--curve", "line")
+        entries = {e["name"]: e for e in json.loads(out)["report"]["entries"]}
+        evaluated = {n for n, e in entries.items() if e["n_evaluated"]}
+        assert evaluated == {"metric-relations", "unit-speed"}
+        for name in entries.keys() - evaluated:
+            assert entries[name]["passed"] is False
+            assert entries[name]["note"] == "not applicable: no sample evaluated"
+        # the two evaluated identities pass and carry the verdict
+        assert code == EXIT_OK
+
+    def test_nothing_evaluated_fails(self, capsys):
+        code, out, err = run(capsys, "validate", "--samples", "6", "--curve", "line",
+                             "--only", "frame-ode")
+        assert code == EXIT_VALIDATION_FAILED
+        assert json.loads(out)["report"]["passed"] is False
+
     def test_csv_format(self, capsys):
         code, out, err = run(capsys, "validate", "--samples", "6",
                              "--only", "frame-ode", "--format", "csv")
@@ -168,6 +185,18 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frames", "--curve", "circle:1", "--samples", "1"])
         assert exc.value.code == EXIT_USAGE
+
+    def test_validate_needs_three_samples(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--samples", "2"])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_range_inside_fd_margin(self, capsys):
+        code, out, err = run(capsys, "indicatrix", "--curve", "helix:2,1",
+                             "--kind", "tangent", "--samples", "3",
+                             "--range", "0,1e-6")
+        assert code == EXIT_USAGE
+        assert "margin" in err
 
     def test_bad_range(self, capsys):
         code, out, err = run(capsys, "frames", "--curve", "circle:1",

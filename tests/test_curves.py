@@ -180,7 +180,8 @@ class TestAtArclength:
             at_arclength(line(), 5.0)
 
     def test_one_inversion_per_point(self, monkeypatch):
-        # The frame and the position at one s share a single inversion.
+        # The frame, the position and the metric check at one s share a
+        # single inversion, whether s comes as a float or a numpy float.
         targets = []
         invert = numerics.invert_monotone
 
@@ -191,9 +192,13 @@ class TestAtArclength:
         monkeypatch.setattr(numerics, "invert_monotone", counted)
         spec = salkowski(0.4321)  # used by no other test, so nothing is cached
         s = 0.5 * total_arclength(spec)
-        frames.modified_frame(spec, s)
-        curves.position_at_arclength(spec, s)
+        mf = frames.modified_frame(spec, s)
+        assert frames.modified_frame(spec, np.float64(s)) is mf
+        assert curves.position_at_arclength(spec, s) is mf.r
+        frames.metric_residual(spec, s)
         assert targets == [s]
+        assert mf.t == at_arclength(spec, s)
+        assert np.array_equal(mf.r, spec.jet(mf.t).r)
 
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
     def test_round_trip(self, spec):

@@ -57,7 +57,7 @@ class TestDarbouxData:
         from modframe.frames import ModifiedFrame
         from modframe.numerics import vec
         mf = ModifiedFrame(vec(1, 0, 0), vec(0, 0, 0), vec(0, 0, 0),
-                           0.0, 0.0, 0.0, 0.0)
+                           0.0, 0.0, 0.0, 0.0, 0.0, vec(0, 0, 0))
         with pytest.raises(DegenerateFrame):
             darboux(mf)
 

@@ -1,8 +1,8 @@
 import pytest
 
-from modframe import involute
+from modframe import involute, numerics
 from modframe.curves import arclength_grid, helix, salkowski, twisted_cubic
-from modframe.errors import NonConstantCurvature
+from modframe.errors import NonConstantCurvature, NotMonotone
 from modframe.involute import InvolutePair
 
 HELIX = helix(2.0, 1.0)
@@ -55,3 +55,13 @@ class TestScan:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             involute.involute_scan(InvolutePair.T_VS_C, HELIX, 2)
+
+    def test_failed_inversion_propagates(self, monkeypatch):
+        # Only degenerate samples are skipped; an arclength inversion
+        # that fails is an error of the scan.
+        def fail(*args):
+            raise NotMonotone("bracketing failed")
+
+        monkeypatch.setattr(numerics, "invert_monotone", fail)
+        with pytest.raises(NotMonotone):
+            involute.involute_scan(InvolutePair.T_VS_C, salkowski(0.3579), 8)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import modframe
 from modframe import numerics
 from modframe.errors import NotMonotone, StepTooSmall, TargetOutOfRange
-from modframe.numerics import Tolerance, cross, diff_vec, invert_monotone, vec
+from modframe.numerics import cross, diff_vec, invert_monotone, vec
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 vectors = st.builds(vec, finite, finite, finite)
@@ -104,12 +104,6 @@ class TestInvertMonotone:
         t = invert_monotone(g, lambda t: 3 * t * t + 1, target, 0.0, 2.0, guess)
         assert abs(g(t) - target) <= 1e-9
 
-
-def test_tolerance_must_be_positive():
-    with pytest.raises(ValueError):
-        Tolerance(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        Tolerance(fd_step=-1e-5)
 
 
 def test_import_loads_no_scipy():

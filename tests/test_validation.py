@@ -64,5 +64,9 @@ def test_to_dict_roundtrip(report):
     assert len(doc["entries"]) == len(report.entries)
     for entry in doc["entries"]:
         assert set(entry) == {"name", "description", "max_residual",
-                              "tolerance", "passed", "expected_discrepancy",
-                              "note"}
+                              "tolerance", "passed", "n_evaluated",
+                              "expected_discrepancy", "note"}
+
+
+def test_every_default_entry_evaluated(report):
+    assert all(e.n_evaluated > 0 for e in report.entries)
