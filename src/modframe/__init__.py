@@ -24,6 +24,7 @@ from .frames import (
     curvature,
     frenet_frame,
     modified_frame,
+    modified_frames,
     torsion,
     torsion_general,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "line", "circle", "helix", "twisted_cubic", "planar_cubic", "salkowski",
     "arclength", "at_arclength", "total_arclength",
     "FrenetFrame", "ModifiedFrame", "frenet_frame", "modified_frame",
+    "modified_frames",
     "curvature", "torsion", "torsion_general", "check_frame_ode",
     "DarbouxData", "darboux", "check_alignment",
     "IndicatrixKind", "IndicatrixSample", "indicatrix_point",

@@ -113,14 +113,10 @@ def cmd_frames(args) -> int:
     spec = args.curve
     columns = ["s", "x", "y", "z", "Tx", "Ty", "Tz", "Nx", "Ny", "Nz",
                "Bx", "By", "Bz", "kappa", "tau", "kappa_prime"]
-    rows = []
-    for s in _sample_range(args, spec):
-        mf = frames.modified_frame(spec, float(s))
-        pos = curves.position_at_arclength(spec, float(s))
-        rows.append(dict(zip(columns, [
-            float(s), *pos, *mf.T, *mf.N, *mf.B, mf.kappa, mf.tau, mf.kappa_prime,
-        ])))
-    _write_rows(args, columns, rows)
+    s = _sample_range(args, spec)
+    mf = frames.modified_frames(spec, s)
+    table = np.column_stack([s, mf.r, mf.T, mf.N, mf.B, mf.kappa, mf.tau, mf.kappa_prime])
+    _write_rows(args, columns, [dict(zip(columns, row)) for row in table.tolist()])
     return EXIT_OK
 
 

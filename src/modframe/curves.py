@@ -4,9 +4,10 @@ Everything the library knows about a family sits in one row of
 :data:`FAMILIES`: its arity and factory, a closed-form jet (position and
 parameter-derivatives up to order 4), an exact speed, and the properties
 validation selects curves by.  Arclength comes from one Gauss-Legendre
-table per curve, so the frame formulas can assume unit speed.  Finite
-differences are never used here; they live in :mod:`modframe.numerics`
-as the independent cross-check.
+table per curve, so the frame formulas can assume unit speed.  Jets,
+speeds and arclength inversion take a float or an array of points.
+Finite differences are never used here; they live in
+:mod:`modframe.numerics` as the independent cross-check.
 """
 
 from __future__ import annotations
@@ -45,11 +46,13 @@ class CurveSpec:
         if not all(map(math.isfinite, (*self.params, self.t_lo, self.t_hi))):
             raise ValueError(f"{self.family} parameters must be finite, got {self.params}")
 
-    def jet(self, t: float) -> Jet:
-        """Exact position and derivatives of the curve at parameter ``t``."""
-        if not (self.t_lo - _RANGE_SLACK <= t <= self.t_hi + _RANGE_SLACK):
+    def jet(self, t) -> Jet:
+        """Exact position and derivatives of the curve at parameter ``t``,
+        a float or an array of parameters."""
+        bad = numerics.outside(t, self.t_lo - _RANGE_SLACK, self.t_hi + _RANGE_SLACK)
+        if bad is not None:
             raise OutOfRange(
-                f"t = {t:g} outside [{self.t_lo:g}, {self.t_hi:g}] for {self.family}"
+                f"t = {bad:g} outside [{self.t_lo:g}, {self.t_hi:g}] for {self.family}"
             )
         return FAMILIES[self.family].jet(self.params, t)
 
@@ -70,7 +73,8 @@ class CurveSpec:
 
 @dataclass(frozen=True)
 class Jet(ReadOnlyArrays):
-    """Position and first four parameter-derivatives at one point."""
+    """Position and first four parameter-derivatives: (3,) vectors at one
+    point, or (..., 3) arrays at an array of parameters."""
 
     r: Vec3
     r1: Vec3
@@ -121,15 +125,25 @@ def salkowski(m: float) -> CurveSpec:
     return CurveSpec("salkowski", (float(m),), 0.1 * u_max, 0.9 * u_max)
 
 
-def _helix_jet(p, t: float) -> Jet:
+def _vectors(t, *xyz) -> Vec3:
+    # One 3-vector per parameter: (3,) for a float t, (..., 3) for an
+    # array t, with constant components broadcast.
+    if not isinstance(t, np.ndarray):
+        return vec(*xyz)
+    out = np.empty(t.shape + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = xyz
+    return out
+
+
+def _helix_jet(p, t) -> Jet:
     a, b = p
-    ct, st = math.cos(t), math.sin(t)
+    ct, st = np.cos(t), np.sin(t)
     return Jet(
-        vec(a * ct, a * st, b * t),
-        vec(-a * st, a * ct, b),
-        vec(-a * ct, -a * st, 0),
-        vec(a * st, -a * ct, 0),
-        vec(a * ct, a * st, 0),
+        _vectors(t, a * ct, a * st, b * t),
+        _vectors(t, -a * st, a * ct, b),
+        _vectors(t, -a * ct, -a * st, 0.0),
+        _vectors(t, a * st, -a * ct, 0.0),
+        _vectors(t, a * ct, a * st, 0.0),
     )
 
 
@@ -138,8 +152,8 @@ def _monomials(*powers: int | None):
     def term(n, k, t):
         return 0.0 if n is None or k > n else math.perm(n, k) * t ** (n - k)
 
-    def jet(p, t: float) -> Jet:
-        return Jet(*(vec(*(term(n, k, t) for n in powers)) for k in range(5)))
+    def jet(p, t) -> Jet:
+        return Jet(*(_vectors(t, *(term(n, k, t) for n in powers)) for k in range(5)))
 
     def speed(p, t):
         return np.sqrt(sum((n * t ** (n - 1)) ** 2 for n in powers if n))
@@ -152,10 +166,11 @@ def _salkowski_ca(m: float) -> tuple[float, float]:
     return m / math.sqrt(1.0 + m * m), 1.0 / math.sqrt(1.0 + m * m)
 
 
-def _salkowski_jet(p, t: float) -> Jet:
+def _salkowski_jet(p, t) -> Jet:
     # Per component: cosine terms (amplitude, frequency, phase), so the
     # k-th derivative is sum A w^k cos(w t + phase + k pi/2) -- exact at
-    # every order.
+    # every order.  math.cos is the fast one-point case of np.cos (the two
+    # agree bit for bit).
     c, a = _salkowski_ca(p[0])
     w1 = 1.0 + 2.0 * c
     w2 = 1.0 - 2.0 * c
@@ -164,11 +179,12 @@ def _salkowski_jet(p, t: float) -> Jet:
          (-a * (1.0 + c) / (4.0 * w2), w2, 0.0)]
     y = [(A, w, -math.pi / 2.0) for A, w, _ in x]
     z = [(-a * a / (4.0 * c), 2.0 * c, 0.0)]
+    cos = np.cos if isinstance(t, np.ndarray) else math.cos
 
     def column(k: int) -> Vec3:
         shift = k * math.pi / 2.0
-        return vec(*(sum(A * w**k * math.cos(w * t + ph + shift) for A, w, ph in comp)
-                     for comp in (x, y, z)))
+        return _vectors(t, *(sum(A * w**k * cos(w * t + ph + shift) for A, w, ph in comp)
+                             for comp in (x, y, z)))
 
     return Jet(*(column(k) for k in range(5)))
 
@@ -182,8 +198,8 @@ def _salkowski_speed(p, t):
 class Family:
     """One curve family: how to build it, evaluate it, and what it is.
 
-    ``jet(params, t)`` and ``speed(params, t)`` are exact; ``speed`` also
-    takes an array of ``t``.  ``constant_kappa(params)`` is the curvature
+    ``jet(params, t)`` and ``speed(params, t)`` are exact, for a float
+    ``t`` or an array of them.  ``constant_kappa(params)`` is the curvature
     when it is the same at every point and None otherwise;
     ``kappa_zeros`` lists the parameters of isolated curvature zeros.
     """
@@ -191,7 +207,7 @@ class Family:
     name: str
     arity: int
     factory: Callable[..., CurveSpec]
-    jet: Callable[[tuple, float], Jet]
+    jet: Callable[[tuple, float | np.ndarray], Jet]
     speed: Callable
     constant_speed: bool
     constant_kappa: Callable[[tuple], float | None]
@@ -214,9 +230,14 @@ FAMILIES: dict[str, Family] = {f.name: f for f in (
 )}
 
 
-def _gauss(spec: CurveSpec, a: float, b: float) -> float:
-    # One 16-node Gauss-Legendre rule for the length over [a, b].
+def _gauss(spec: CurveSpec, a, b):
+    # One 16-node Gauss-Legendre rule for the length over [a, b],
+    # elementwise over arrays of ends; an empty interval needs no rule.
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    if isinstance(half, np.ndarray):
+        return half * (spec.speed(mid[..., None] + half[..., None] * _GL_NODES) @ _GL_WEIGHTS)
+    if a == b:
+        return 0.0
     return half * float(_GL_WEIGHTS @ spec.speed(mid + half * _GL_NODES))
 
 
@@ -225,9 +246,7 @@ def _arclength_table(spec: CurveSpec) -> tuple[np.ndarray, np.ndarray]:
     # Cumulative lengths on a uniform grid, one Gauss-Legendre rule per
     # panel; essentially exact for these analytic speeds.
     ts = np.linspace(spec.t_lo, spec.t_hi, _PANELS + 1)
-    mid, half = 0.5 * (ts[1:] + ts[:-1]), 0.5 * np.diff(ts)
-    panels = half * (spec.speed(mid[:, None] + half[:, None] * _GL_NODES) @ _GL_WEIGHTS)
-    return ts, np.concatenate(([0.0], np.cumsum(panels)))
+    return ts, np.concatenate(([0.0], np.cumsum(_gauss(spec, ts[:-1], ts[1:]))))
 
 
 def arclength(spec: CurveSpec, t0: float, t1: float) -> float:
@@ -250,19 +269,25 @@ def total_arclength(spec: CurveSpec) -> float:
     return float(_arclength_table(spec)[1][-1])
 
 
-def at_arclength(spec: CurveSpec, s: float) -> float:
-    """Parameter t with arclength(spec, t_lo, t) = s."""
+def at_arclength(spec: CurveSpec, s):
+    """Parameter t with arclength(spec, t_lo, t) = s; for an array of
+    arclengths, an array of parameters from one elementwise solve."""
     total = total_arclength(spec)
-    if not (-ABS_TOL <= s <= total + ABS_TOL):
-        raise TargetOutOfRange(f"arclength {s:g} outside [0, {total:g}]")
+    bad = numerics.outside(s, -ABS_TOL, total + ABS_TOL)
+    if bad is not None:
+        raise TargetOutOfRange(f"arclength {bad:g} outside [0, {total:g}]")
     if FAMILIES[spec.family].constant_speed:
-        return min(max(spec.t_lo + s / spec.speed(spec.t_lo), spec.t_lo), spec.t_hi)
-    # The table brackets s within one panel; linear interpolation across
-    # the panel is the first guess.
+        t = spec.t_lo + s / spec.speed(spec.t_lo)
+        if isinstance(t, np.ndarray):
+            return np.clip(t, spec.t_lo, spec.t_hi)
+        return min(max(t, spec.t_lo), spec.t_hi)
+    # The table brackets s within one panel (the count of inner panel
+    # edges at or below s); linear interpolation across it is the first
+    # guess.
     ts, cum = _arclength_table(spec)
-    i = min(max(int(np.searchsorted(cum, s, side="right")) - 1, 0), _PANELS - 1)
-    lo, hi, c0 = float(ts[i]), float(ts[i + 1]), float(cum[i])
-    guess = lo + (hi - lo) * (s - c0) / float(cum[i + 1] - c0)
+    i = np.searchsorted(cum[1:-1], s, side="right")
+    lo, hi, c0 = ts[i], ts[i + 1], cum[i]
+    guess = lo + (hi - lo) * (s - c0) / (cum[i + 1] - c0)
     return numerics.invert_monotone(
         lambda t: c0 + _gauss(spec, lo, t), spec.speed, s, lo, hi, guess)
 

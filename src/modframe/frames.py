@@ -4,7 +4,9 @@ The modified frame {T, N, B} = {t, kappa*n, kappa*b} stays defined where
 the curvature vanishes (N and B go to zero there), while the classical
 Frenet frame does not.  All quantities here come from exact jets;
 :func:`check_frame_ode` compares them against the finite-difference
-oracle.
+oracle.  :func:`modified_frame` gives the frame at one point and caches
+it; :func:`modified_frames` gives it on a whole arclength grid in one
+array pass.  Both share one assembly from the jet.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import curves, numerics
 from .curves import CurveSpec, Jet
-from .errors import CurvatureVanishes
+from .errors import CurvatureVanishes, DegenerateFrame
 from .numerics import ABS_TOL, ReadOnlyArrays, Vec3, cross, det3, dot, norm
 
 
@@ -38,7 +42,8 @@ class ModifiedFrame(ReadOnlyArrays):
     exact jets, so the finite-difference checks stay independent of them.
     At an isolated curvature zero N = B = 0 and the scalar fields that
     are undefined there (tau, kappa', tau') are reported as 0.  ``t`` is
-    the curve parameter of the point and ``r`` its position.
+    the curve parameter of the point and ``r`` its position.  From
+    :func:`modified_frames` every field carries a leading axis of points.
     """
 
     T: Vec3
@@ -104,35 +109,71 @@ def torsion(jet: Jet, kappa: float) -> float:
 
 def torsion_general(jet: Jet) -> float:
     """tau = det(r', r'', r''') / |r' x r''|^2 for any regular parameter."""
-    c = cross(jet.r1, jet.r2)
-    c2 = dot(c, c)
-    if c2 <= ABS_TOL**2:
+    if curvature(jet) <= ABS_TOL:
         raise CurvatureVanishes("torsion undefined where kappa ~ 0")
-    return det3(jet.r1, jet.r2, jet.r3) / c2
+    c = cross(jet.r1, jet.r2)
+    return det3(jet.r1, jet.r2, jet.r3) / dot(c, c)
 
 
-def _kappa_prime(jet: Jet) -> float:
-    # d/ds of |r1 x r2| / |r1|^3, via d/dt and division by the speed.
-    r1, r2, r3 = jet.r1, jet.r2, jet.r3
-    v = norm(r1)
+def _dot(a, b):
+    # dot over component-first vectors: a[0] holds every x component.
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _check_scale(r1, divisor) -> None:
+    # A divisor of the assembly that overflowed or underflowed: the frame
+    # algebra cannot represent a curve moving at this speed.
+    ok = (0.0 < divisor) & (divisor < math.inf)
+    if not ok.all():
+        speed = np.hypot(np.hypot(r1[0], r1[1]), r1[2])  # free of overflow
+        raise DegenerateFrame(
+            f"speed |r'| = {np.extract(~ok, speed)[0]:g} is outside the range "
+            "the frame algebra can represent"
+        )
+
+
+def _rates(r1, r2, r3, r4, v, v3, v5):
+    # tau = det(r1,r2,r3) / |r1 x r2|^2, and the arclength derivatives of
+    # kappa = |r1 x r2| / |r1|^3 and of tau (d/dt over the speed).
     u = cross(r1, r2)
-    un = norm(u)
+    u2 = _dot(u, u)
+    uu = u2 * u2
+    _check_scale(r1, uu)
+    un = np.sqrt(u2)
     up = cross(r1, r3)
-    dkdt = dot(u, up) / (un * v**3) - 3.0 * un * dot(r1, r2) / v**5
-    return dkdt / v
+    d = _dot(u, r3)
+    dp = _dot(u, r4)
+    kappa_prime = (_dot(u, up) / (un * v3) - 3.0 * un * _dot(r1, r2) / v5) / v
+    tau_prime = (dp / u2 - d * 2.0 * _dot(u, up) / uu) / v
+    return d / u2, kappa_prime, tau_prime
 
 
-def _tau_prime(jet: Jet) -> float:
-    # d/ds of det(r1,r2,r3) / |r1 x r2|^2.
-    r1, r2, r3, r4 = jet.r1, jet.r2, jet.r3, jet.r4
-    v = norm(r1)
-    u = cross(r1, r2)
-    u2 = dot(u, u)
-    up = cross(r1, r3)
-    d = det3(r1, r2, r3)
-    dp = det3(r1, r2, r4)
-    dtaudt = dp / u2 - d * 2.0 * dot(u, up) / (u2 * u2)
-    return dtaudt / v
+def _assemble(jet: Jet):
+    """T, N, B, kappa, tau, kappa' and tau' from a jet in any parameter:
+    the one assembly behind both frame paths.  The jet's vectors are (3,)
+    at one point or (..., 3) at many, and so are T, N and B."""
+    r1, r2, r3, r4 = jet.r1.T, jet.r2.T, jet.r3.T, jet.r4.T  # component-first
+    with np.errstate(all="ignore"):  # _check_scale refuses what overflowed
+        v = np.sqrt(_dot(r1, r1))
+        v3, v5 = v**3, v**5
+        _check_scale(r1, v5)
+        vp = _dot(r1, r2) / v
+        T = r1 / v
+        N = r2 / v**2 - r1 * (vp / v3)
+        kappa = np.sqrt(_dot(N, N))
+        B = cross(T, N)
+        # tau, kappa' and tau' only where kappa > ABS_TOL; 0 elsewhere
+        live = kappa > ABS_TOL
+        if not isinstance(live, np.ndarray):
+            rates = _rates(r1, r2, r3, r4, v, v3, v5) if live else (0.0, 0.0, 0.0)
+        else:
+            rates = np.zeros((3,) + live.shape)
+            rates[:, live] = _rates(*(r[:, live] for r in (r1, r2, r3, r4)),
+                                    v[live], v3[live], v5[live])
+    # Back to (..., 3).  A (3,) vector is returned as is: its transpose
+    # would be a view, and a cached frame would hold two arrays per vector.
+    T, N, B = (x if x.ndim == 1 else x.T for x in (T, N, B))
+    return (T, N, B, kappa, *rates)
 
 
 @lru_cache(maxsize=None)
@@ -140,19 +181,30 @@ def modified_frame(spec: CurveSpec, s: float) -> ModifiedFrame:
     """Modified orthogonal frame at arclength ``s``; total on regular curves.
 
     The one per-point cache: the parameter and position of a point are
-    read from its frame, so each point is inverted once.
+    read from its frame, so each point is inverted once.  Raises
+    DegenerateFrame where the speed is beyond what the frame algebra can
+    represent.
     """
     t = curves.at_arclength(spec, s)
     jet = spec.jet(t)
-    us = unit_speed_jet(jet)
-    T = us.r1
-    N = us.r2
-    kappa = norm(N)
-    B = cross(T, N)
-    if kappa <= ABS_TOL:
-        return ModifiedFrame(T, N, B, kappa, 0.0, 0.0, 0.0, t, jet.r)
-    return ModifiedFrame(T, N, B, kappa, torsion_general(jet), _kappa_prime(jet),
-                         _tau_prime(jet), t, jet.r)
+    T, N, B, *scalars = _assemble(jet)
+    return ModifiedFrame(T, N, B, *map(float, scalars), t, jet.r)
+
+
+def modified_frames(spec: CurveSpec, s) -> ModifiedFrame:
+    """Modified frames at a 1-D array of arclengths, in one array pass.
+
+    Every field of the result has a leading axis of length ``len(s)``
+    (vectors are (n, 3)) and agrees with :func:`modified_frame` to
+    rounding.  Use it for a grid of points; these frames are neither read
+    from nor stored in the per-point cache.
+    """
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 1:
+        raise ValueError(f"modified_frames takes a 1-D array of arclengths, not {s.shape}")
+    t = curves.at_arclength(spec, s)
+    jet = spec.jet(t)
+    return ModifiedFrame(*_assemble(jet), t, jet.r)
 
 
 def frenet_frame(spec: CurveSpec, s: float) -> FrenetFrame:

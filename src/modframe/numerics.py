@@ -120,35 +120,87 @@ def diff_vec(f: Callable[[float], Vec3], s: float, order: int = 1,
     return (4.0 * fine - coarse) / 3.0
 
 
-def invert_monotone(g: Callable[[float], float], dg: Callable[[float], float],
-                    target: float, lo: float, hi: float, t0: float) -> float:
+def outside(x, lo, hi):
+    """The first value of ``x`` (a float or an array) outside [lo, hi],
+    NaN included, or None when every value lies inside."""
+    if isinstance(x, np.ndarray):
+        bad = x[~((lo <= x) & (x <= hi))]
+        return bad.flat[0] if bad.size else None
+    return None if lo <= x <= hi else x
+
+
+def _converged(step, t):
+    # The stop rule of both Newton loops.
+    return abs(step) <= _XTOL + _RTOL * abs(t)
+
+
+def _misses(residual, target):
+    # The final check of both loops: the solution must reproduce its target.
+    return (abs(residual) > ABS_TOL) & (abs(residual) > 1e-12 * abs(target))
+
+
+def invert_monotone(g: Callable, dg: Callable, target, lo, hi, t0):
     """Solve g(t) = target for a strictly increasing g with derivative dg.
 
     Newton steps start from the guess ``t0`` and stay in a bracket that
     shrinks around the root; a step that would leave the bracket bisects
-    it instead.
+    it instead.  Given arrays of targets, brackets and guesses (and a
+    ``g`` and ``dg`` that act elementwise), the same solve runs on every
+    element at once.
     """
     g_lo, g_hi = g(lo), g(hi)
-    if not (g_lo - ABS_TOL <= target <= g_hi + ABS_TOL):
-        raise TargetOutOfRange(
-            f"target {target:g} outside [{g_lo:g}, {g_hi:g}]"
-        )
-    if target <= g_lo:
+    bad = outside(target, g_lo - ABS_TOL, g_hi + ABS_TOL)
+    if bad is not None:
+        raise TargetOutOfRange(f"target {bad:g} outside the image of its bracket")
+    if isinstance(target, np.ndarray):
+        t = _newton_elementwise(g, dg, target, lo, hi, t0, g_lo, g_hi)
+        missed = _misses(g(t) - target, target).any()
+    elif target <= g_lo:
         return float(lo)
-    if target >= g_hi:
+    elif target >= g_hi:
         return float(hi)
+    else:
+        t = float(_newton(g, dg, target, lo, hi, t0))
+        missed = _misses(g(t) - target, target)
+    if missed:
+        raise NotMonotone("bracketing converged to a point that misses the target")
+    return t
+
+
+def _newton(g, dg, target, lo, hi, t0):
     t = min(max(t0, lo), hi)
     for _ in range(_MAX_NEWTON):
         r = g(t) - target
         lo, hi = (lo, t) if r > 0.0 else (t, hi)
         d = dg(t)
         step = r / d if d > 0.0 else math.inf
-        if abs(step) <= _XTOL + _RTOL * abs(t):
-            t = min(max(t - step, lo), hi)
-            break
+        if _converged(step, t):
+            return min(max(t - step, lo), hi)
         t -= step
         if not lo < t < hi:
             t = 0.5 * (lo + hi)
-    if abs(g(t) - target) > max(ABS_TOL, 1e-12 * abs(target)):
-        raise NotMonotone("bracketing converged to a point that misses the target")
-    return float(t)
+    return t
+
+
+def _newton_elementwise(g, dg, target, lo, hi, t0, g_lo, g_hi):
+    # The loop of _newton on arrays: an element leaves once it meets the
+    # stop rule, and targets at either end of the bracket never enter.
+    at_lo, at_hi = target <= g_lo, target >= g_hi
+    t = np.minimum(np.maximum(t0, lo), hi)
+    active = ~(at_lo | at_hi)
+    for _ in range(_MAX_NEWTON):
+        if not active.any():
+            break
+        r = g(t) - target
+        above = r > 0.0
+        lo, hi = np.where(active & ~above, t, lo), np.where(active & above, t, hi)
+        d = dg(t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(d > 0.0, r / d, math.inf)
+        done = active & _converged(step, t)
+        t_new = t - step
+        t_new = np.where(done, np.minimum(np.maximum(t_new, lo), hi),
+                         np.where((lo < t_new) & (t_new < hi), t_new, 0.5 * (lo + hi)))
+        t = np.where(active, t_new, t)
+        active &= ~done
+    return np.where(at_lo, lo, np.where(at_hi, hi, t))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from modframe import cli
+from modframe import cli, frames
 from modframe.cli import (
     EXIT_INADMISSIBLE,
     EXIT_OK,
@@ -57,6 +57,35 @@ class TestFrames:
             assert float(row["kappa"]) == pytest.approx(0.4, rel=1e-12)
             assert float(row["tau"]) == pytest.approx(0.2, rel=1e-12)
             assert float(row["kappa_prime"]) == pytest.approx(0.0, abs=1e-9)
+
+    def test_rows_match_scalar_frames(self, capsys):
+        code, out, err = run(capsys, "frames", "--curve", "twistedcubic",
+                             "--samples", "64")
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 64
+        spec = parse_curve("twistedcubic")
+        for row in rows:
+            mf = frames.modified_frame(spec, float(row["s"]))
+            expected = [*mf.r, *mf.T, *mf.N, *mf.B, mf.kappa, mf.tau, mf.kappa_prime]
+            got = [float(row[c]) for c in list(row)[1:]]
+            for g, e in zip(got, expected):
+                assert abs(g - e) <= 1e-13 * max(1.0, abs(e)), row["s"]
+
+    @pytest.mark.parametrize("curve", ["circle:1e300", "helix:1e200,1e200",
+                                       "circle:1e-160", "circle:1e-200"])
+    def test_extreme_scale_refused(self, capsys, curve):
+        code, out, err = run(capsys, "frames", "--curve", curve, "--samples", "4")
+        assert code == EXIT_INADMISSIBLE
+        assert out == ""
+        assert err.count("\n") == 1 and "speed" in err
+
+    def test_salkowski_large_m(self, capsys):
+        code, out, err = run(capsys, "frames", "--curve", "salkowski:1000",
+                             "--samples", "8")
+        assert code == EXIT_OK
+        for row in csv.DictReader(io.StringIO(out)):
+            assert float(row["kappa"]) == pytest.approx(1.0, abs=1e-9)
 
     def test_json_output(self, capsys):
         code, out, err = run(capsys, "frames", "--curve", "circle:1",

@@ -116,6 +116,21 @@ class TestEvalJet:
                 numerics.norm(jet.r1), rel=1e-12)
 
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
+    def test_array_jet_matches_point_jets(self, spec):
+        ts = np.linspace(spec.t_lo, spec.t_hi, 11)
+        batch = spec.jet(ts)
+        for i, t in enumerate(ts):
+            one = spec.jet(float(t))
+            for name in ("r", "r1", "r2", "r3", "r4"):
+                assert getattr(batch, name).shape == (len(ts), 3)
+                assert np.allclose(getattr(batch, name)[i], getattr(one, name),
+                                   rtol=1e-15, atol=1e-15), (name, t)
+
+    def test_array_out_of_range(self):
+        with pytest.raises(OutOfRange):
+            circle(1.0).jet(np.array([0.5, 100.0]))
+
+    @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
     def test_regular_on_range(self, spec):
         for t in np.linspace(spec.t_lo, spec.t_hi, 33):
             assert numerics.norm(spec.jet(float(t)).r1) > 1e-6
@@ -199,6 +214,26 @@ class TestAtArclength:
         assert targets == [s]
         assert mf.t == at_arclength(spec, s)
         assert np.array_equal(mf.r, spec.jet(mf.t).r)
+
+    @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
+    def test_array_matches_scalar(self, spec):
+        grid = np.linspace(0.0, total_arclength(spec), 33)
+        ts = at_arclength(spec, grid)
+        assert ts.shape == grid.shape
+        for s, t in zip(grid, ts):
+            assert abs(t - at_arclength(spec, float(s))) <= 1e-14 * max(1.0, abs(t))
+
+    def test_array_out_of_range(self):
+        with pytest.raises(TargetOutOfRange):
+            at_arclength(twisted_cubic(), np.array([0.1, -0.5, 0.2]))
+
+    def test_empty_interval_needs_no_rule(self, monkeypatch):
+        calls = []
+        speed = curves.CurveSpec.speed
+        monkeypatch.setattr(curves.CurveSpec, "speed",
+                            lambda self, t: calls.append(t) or speed(self, t))
+        assert curves._gauss(twisted_cubic(), 0.3, 0.3) == 0.0
+        assert calls == []
 
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
     def test_round_trip(self, spec):

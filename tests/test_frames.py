@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ from modframe.curves import (
     circle,
     frenet_arclength_grid,
     helix,
+    line,
     planar_cubic,
     salkowski,
     twisted_cubic,
 )
-from modframe.errors import CurvatureVanishes
+from modframe.errors import CurvatureVanishes, DegenerateFrame, TargetOutOfRange
 
 HELIX = helix(2.0, 1.0)
 #: kappa = a / (a^2 + b^2), tau = b / (a^2 + b^2) for helix(a, b)
@@ -121,6 +123,11 @@ class TestModifiedFrame:
                 arr[0] = 99.0
         assert np.array_equal(frames.modified_frame(spec, 0.5).T, T)
 
+    def test_cached_vectors_own_their_memory(self):
+        # a view would keep a second array alive per vector in the cache
+        mf = frames.modified_frame(salkowski(0.5), 1.0)
+        assert all(v.base is None for v in (mf.T, mf.N, mf.B, mf.r))
+
     def test_b_is_cross_of_t_and_n(self):
         mf = frames.modified_frame(twisted_cubic(), 1.0)
         assert np.allclose(mf.B, numerics.cross(mf.T, mf.N), atol=1e-12)
@@ -182,3 +189,105 @@ def test_unit_curvature_circle_frames_coincide():
         assert np.allclose(mf.T, ff.t_vec, atol=1e-9)
         assert np.allclose(mf.N, ff.n_vec, atol=1e-9)
         assert np.allclose(mf.B, ff.b_vec, atol=1e-9)
+
+
+DEFAULT_FAMILIES = [line(), circle(2.0), HELIX, twisted_cubic(), planar_cubic(),
+                    salkowski(0.5)]
+#: Curves whose speed over- or underflows the powers the frame algebra divides by.
+EXTREME_SCALES = [circle(1e300), helix(1e200, 1e200), circle(1e-160), circle(1e-200)]
+
+
+def _close(a, b, rel):
+    # |a - b| <= rel * max(1, |b|), elementwise
+    return np.all(np.abs(a - b) <= rel * np.maximum(1.0, np.abs(b)))
+
+
+class TestModifiedFrames:
+    @pytest.mark.parametrize("spec", DEFAULT_FAMILIES, ids=lambda s: s.family)
+    def test_matches_scalar_path(self, spec):
+        total = curves.total_arclength(spec)
+        grid = np.linspace(0.0, total, 97)
+        if spec.kappa_zeros:  # land exactly on the curvature zero too
+            grid = np.sort(np.append(grid, curves.arclength(spec, spec.t_lo, 0.0)))
+        batch = frames.modified_frames(spec, grid)
+        assert batch.T.shape == (len(grid), 3) and batch.kappa.shape == (len(grid),)
+        for i, s in enumerate(grid):
+            mf = frames.modified_frame(spec, float(s))
+            for name in ("t", "r", "T", "N", "B", "kappa", "tau"):
+                assert _close(getattr(batch, name)[i], getattr(mf, name), 1e-13), (name, s)
+            for name in ("kappa_prime", "tau_prime"):
+                assert _close(getattr(batch, name)[i], getattr(mf, name), 1e-12), (name, s)
+
+    def test_curvature_zero_rows(self):
+        spec = planar_cubic()
+        s0 = curves.arclength(spec, spec.t_lo, 0.0)
+        batch = frames.modified_frames(spec, [0.5 * s0, s0, 1.5 * s0])
+        assert batch.kappa[1] <= 1e-9
+        assert batch.tau[1] == batch.kappa_prime[1] == batch.tau_prime[1] == 0.0
+        assert np.all(batch.N[1] == 0.0) and np.all(batch.B[1] == 0.0)
+        assert batch.kappa[0] > 1e-3 and batch.kappa[2] > 1e-3
+
+    @pytest.mark.parametrize("bad", [-1e-3, 1e6, math.nan])
+    def test_any_out_of_range_s_raises(self, bad):
+        spec = twisted_cubic()
+        grid = np.linspace(0.0, curves.total_arclength(spec), 8)
+        grid[5] = bad
+        with pytest.raises(TargetOutOfRange):
+            frames.modified_frames(spec, grid)
+
+    def test_fields_are_read_only(self):
+        batch = frames.modified_frames(salkowski(0.5), [0.1, 0.2, 0.3])
+        for name in ("T", "N", "B", "kappa", "tau", "kappa_prime", "tau_prime", "t", "r"):
+            with pytest.raises(ValueError):
+                getattr(batch, name)[0] = 99.0
+
+    def test_needs_one_axis(self):
+        with pytest.raises(ValueError):
+            frames.modified_frames(HELIX, [[0.1, 0.2]])
+
+    def test_bypasses_the_frame_cache(self):
+        spec = salkowski(0.271)  # used by no other test, so nothing is cached
+        frames.modified_frames(spec, [0.1, 0.2])
+        before = frames.modified_frame.cache_info().currsize
+        frames.modified_frames(spec, [0.1, 0.2])
+        assert frames.modified_frame.cache_info().currsize == before
+
+
+class TestExtremeScales:
+    @pytest.mark.parametrize("spec", EXTREME_SCALES, ids=lambda s: f"{s.family}{s.params}")
+    def test_both_paths_refuse(self, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateFrame, match="speed"):
+                frames.modified_frame(spec, 0.5 * curves.total_arclength(spec))
+            with pytest.raises(DegenerateFrame, match="speed"):
+                frames.modified_frames(spec, np.linspace(0.0, curves.total_arclength(spec), 4))
+
+    @pytest.mark.parametrize("m", [1e3, 1e5])
+    def test_salkowski_large_m_has_unit_curvature(self, m):
+        # |r' x r''| is about |r'|^3, which is 1e-12 at m = 1e3: a gate in
+        # parameter units took these points for curvature zeros.
+        spec = salkowski(m)
+        grid = np.linspace(0.0, curves.total_arclength(spec), 17)
+        batch = frames.modified_frames(spec, grid)
+        assert np.all(np.abs(batch.kappa - 1.0) <= 1e-9)
+        for s in grid:
+            mf = frames.modified_frame(spec, float(s))
+            assert abs(mf.kappa - 1.0) <= 1e-9
+            assert math.isfinite(mf.tau) and mf.tau > 0.0
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the salkowski jet cancels two cosine terms of amplitude ~a/2 in x and y, "
+        "so tau loses ~m^2 relative digits (3e-6 at m = 1e3, 1e-2 at m = 1e5)"))
+    @pytest.mark.parametrize("m", [1e3, 1e5])
+    def test_salkowski_large_m_torsion(self, m):
+        spec = salkowski(m)
+        c = m / math.sqrt(1.0 + m * m)
+        grid = np.linspace(0.0, curves.total_arclength(spec), 17)
+        batch = frames.modified_frames(spec, grid)
+        assert np.all(np.abs(batch.tau - np.tan(c * batch.t)) <= 1e-9)
+
+    def test_torsion_general_gate_in_curvature_units(self):
+        spec = salkowski(1e3)
+        mf = frames.modified_frame(spec, 0.5 * curves.total_arclength(spec))
+        assert frames.torsion_general(spec.jet(mf.t)) == mf.tau

@@ -95,6 +95,30 @@ class TestInvertMonotone:
             invert_monotone(lambda t: math.sin(10 * t), lambda t: 10 * math.cos(10 * t),
                             0.5, 0.0, 3.0, 1.5)
 
+    def test_elementwise_matches_scalar(self):
+        # products only, so g gives the same bits on floats and on arrays
+        g, dg = (lambda t: t * t * t + t), (lambda t: 3.0 * t * t + 1.0)
+        rng = np.random.default_rng(3)
+        targets = np.concatenate(([0.0, 10.0], rng.uniform(0.0, 10.0, 64)))
+        lo, hi = np.zeros_like(targets), np.full_like(targets, 2.0)
+        guesses = rng.uniform(-1.0, 3.0, targets.size)
+        ts = invert_monotone(g, dg, targets, lo, hi, guesses)
+        for i, target in enumerate(targets):
+            assert ts[i] == invert_monotone(g, dg, float(target), 0.0, 2.0, float(guesses[i]))
+        assert ts[0] == 0.0 and ts[1] == 2.0
+
+    def test_elementwise_out_of_range(self):
+        targets = np.array([0.5, 3.0, 0.2])
+        with pytest.raises(TargetOutOfRange):
+            invert_monotone(lambda t: t, lambda t: np.ones_like(t), targets,
+                            np.zeros(3), np.ones(3), np.full(3, 0.5))
+
+    def test_elementwise_non_monotone_detected(self):
+        targets = np.array([0.1, 0.5])
+        with pytest.raises((NotMonotone, TargetOutOfRange)):
+            invert_monotone(lambda t: np.sin(10 * t), lambda t: 10 * np.cos(10 * t),
+                            targets, np.zeros(2), np.full(2, 3.0), np.full(2, 1.5))
+
     @given(st.floats(min_value=0.01, max_value=7.9),
            st.floats(min_value=-1.0, max_value=3.0))
     @settings(max_examples=50)
