@@ -25,7 +25,6 @@ from .frames import (
     frenet_frame,
     modified_frame,
     modified_frames,
-    torsion,
     torsion_general,
 )
 from .geodesic import (
@@ -56,7 +55,7 @@ __all__ = [
     "arclength", "at_arclength", "total_arclength",
     "FrenetFrame", "ModifiedFrame", "frenet_frame", "modified_frame",
     "modified_frames",
-    "curvature", "torsion", "torsion_general", "check_frame_ode",
+    "curvature", "torsion_general", "check_frame_ode",
     "DarbouxData", "darboux", "check_alignment",
     "IndicatrixKind", "IndicatrixSample", "indicatrix_point",
     "indicatrix_speed", "indicatrix_tangent", "cov_deriv_closed",

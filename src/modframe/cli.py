@@ -63,7 +63,21 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_rows(args, columns: list[str], rows: list[dict], report=None) -> None:
+def _json(config: dict, rows: list[dict], report: dict | None = None) -> str:
+    """The JSON document of every command: its config, rows and report."""
+    return json.dumps({"config": config, "rows": rows, "report": report}, indent=2) + "\n"
+
+
+def _write(args, text: str) -> None:
+    """Write a command's output to ``--out``, or to stdout for '-'."""
+    if args.out in (None, "-"):
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+
+
+def _write_rows(args, columns: list[str], rows: list[dict]) -> None:
     payload_rows = [{c: r[c] for c in columns} for r in rows]
     if args.format == "csv":
         buf = io.StringIO()
@@ -75,21 +89,12 @@ def _write_rows(args, columns: list[str], rows: list[dict], report=None) -> None
             )
         text = buf.getvalue()
     else:
-        doc = {
-            "config": {
-                "curve": getattr(args, "curve_text", None),
-                "samples": getattr(args, "samples", None),
-                "range": list(getattr(args, "s_range", ()) or ()) or None,
-            },
-            "rows": payload_rows,
-            "report": report,
-        }
-        text = json.dumps(doc, indent=2) + "\n"
-    if args.out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        text = _json({
+            "curve": getattr(args, "curve_text", None),
+            "samples": getattr(args, "samples", None),
+            "range": list(getattr(args, "s_range", ()) or ()) or None,
+        }, payload_rows)
+    _write(args, text)
 
 
 def _sample_range(args, spec: CurveSpec, margin: float = 0.0) -> np.ndarray:
@@ -147,9 +152,6 @@ def cmd_indicatrix(args) -> int:
         print(f"error: inadmissible curve for {kind.value} indicatrix: {exc}",
               file=sys.stderr)
         return EXIT_INADMISSIBLE
-    except ModFrameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
     _write_rows(args, columns, rows)
     return EXIT_OK
 
@@ -169,22 +171,14 @@ def cmd_validate(args) -> int:
         only=only,
         families=families,
     )
-    doc = report.to_dict()
     if args.format == "csv":
         columns = ["name", "max_residual", "tolerance", "passed", "n_evaluated",
                    "expected_discrepancy", "note"]
         rows = [{c: e.to_dict()[c] for c in columns} for e in report.entries]
         _write_rows(args, columns, rows)
     else:
-        text = json.dumps({"config": {"samples": args.samples,
-                                      "tolerance": args.tolerance,
-                                      "only": only},
-                           "rows": [], "report": doc}, indent=2) + "\n"
-        if args.out in (None, "-"):
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+        config = {"samples": args.samples, "tolerance": args.tolerance, "only": only}
+        _write(args, _json(config, [], report.to_dict()))
     return EXIT_OK if report.passed else EXIT_VALIDATION_FAILED
 
 

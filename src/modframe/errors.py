@@ -30,7 +30,9 @@ class NonConstantCurvature(ModFrameError):
 
 
 class DegenerateFrame(ModFrameError):
-    """Darboux data requested where the frame degenerates (kappa ~ 0)."""
+    """The frame degenerates: Darboux data requested where kappa ~ 0, or a
+    curve whose speed the frame algebra cannot represent (a power of
+    |r'| or of |r' x r''| overflows or underflows)."""
 
 
 class DegenerateIndicatrix(ModFrameError):

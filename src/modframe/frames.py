@@ -57,62 +57,27 @@ class ModifiedFrame(ReadOnlyArrays):
     r: Vec3
 
 
-def unit_speed_jet(jet: Jet) -> Jet:
-    """Chain-rule conversion of a general-parameter jet to arclength
-    derivatives (orders 1..4)."""
-    r1, r2, r3, r4 = jet.r1, jet.r2, jet.r3, jet.r4
-    v = norm(r1)
-    vp = dot(r1, r2) / v
-    n2 = dot(r2, r2) + dot(r1, r3) - vp * vp
-    vpp = n2 / v
-    n2p = 3.0 * dot(r2, r3) + dot(r1, r4) - 2.0 * vp * vpp
-    vppp = (n2p - vpp * vp) / v
-
-    a1 = r1 / v
-    a2 = r2 / v**2 - r1 * (vp / v**3)
-    a3 = (
-        r3 / v**3
-        - r2 * (3.0 * vp / v**4)
-        - r1 * (vpp / v**4)
-        + r1 * (3.0 * vp * vp / v**5)
-    )
-    d_a3 = (
-        r4 / v**3
-        - r3 * (3.0 * vp / v**4)
-        - (r3 * vp + r2 * vpp) * (3.0 / v**4)
-        + r2 * (12.0 * vp * vp / v**5)
-        - (r2 * vpp + r1 * vppp) / v**4
-        + r1 * (4.0 * vpp * vp / v**5)
-        + (r2 * vp * vp + 2.0 * r1 * vp * vpp) * (3.0 / v**5)
-        - r1 * (15.0 * vp**3 / v**6)
-    )
-    a4 = d_a3 / v
-    return Jet(jet.r, a1, a2, a3, a4)
-
-
 def curvature(jet: Jet) -> float:
-    """kappa = |r' x r''| / |r'|^3 (any regular parametrization)."""
-    return norm(cross(jet.r1, jet.r2)) / norm(jet.r1) ** 3
-
-
-def curvature_from_tangent(jet: Jet) -> float:
-    """kappa = |dT/ds|; redundant path used to cross-check :func:`curvature`."""
-    return norm(unit_speed_jet(jet).r2)
-
-
-def torsion(jet: Jet, kappa: float) -> float:
-    """tau = det(r', r'', r''') / kappa^2 for a unit-speed jet."""
-    if kappa <= ABS_TOL:
-        raise CurvatureVanishes("torsion undefined where kappa ~ 0")
-    return det3(jet.r1, jet.r2, jet.r3) / (kappa * kappa)
+    """kappa = |r' x r''| / |r'|^3 (any regular parametrization).  Raises
+    DegenerateFrame where the speed is beyond what the algebra can
+    represent, as the frame paths do."""
+    with np.errstate(all="ignore"):  # _check_scale refuses what overflowed
+        u = norm(cross(jet.r1, jet.r2))
+        v3 = norm(jet.r1) ** 3
+    _check_scale(jet.r1, v3)
+    return u / v3
 
 
 def torsion_general(jet: Jet) -> float:
-    """tau = det(r', r'', r''') / |r' x r''|^2 for any regular parameter."""
+    """tau = det(r', r'', r''') / |r' x r''|^2 for any regular parameter.
+    Raises DegenerateFrame as :func:`curvature` does."""
     if curvature(jet) <= ABS_TOL:
         raise CurvatureVanishes("torsion undefined where kappa ~ 0")
-    c = cross(jet.r1, jet.r2)
-    return det3(jet.r1, jet.r2, jet.r3) / dot(c, c)
+    with np.errstate(all="ignore"):
+        c = cross(jet.r1, jet.r2)
+        c2 = dot(c, c)
+    _check_scale(jet.r1, c2)
+    return det3(jet.r1, jet.r2, jet.r3) / c2
 
 
 def _dot(a, b):
@@ -123,7 +88,7 @@ def _dot(a, b):
 def _check_scale(r1, divisor) -> None:
     # A divisor of the assembly that overflowed or underflowed: the frame
     # algebra cannot represent a curve moving at this speed.
-    ok = (0.0 < divisor) & (divisor < math.inf)
+    ok = np.logical_and(0.0 < divisor, divisor < math.inf)
     if not ok.all():
         speed = np.hypot(np.hypot(r1[0], r1[1]), r1[2])  # free of overflow
         raise DegenerateFrame(

@@ -70,13 +70,6 @@ def det3(a: Vec3, b: Vec3, c: Vec3) -> float:
     return dot(cross(a, b), c)
 
 
-def normalize(v: Vec3) -> Vec3:
-    n = norm(v)
-    if n == 0.0:
-        raise ZeroDivisionError("cannot normalize the zero vector")
-    return v / n
-
-
 # Higher-order stencils cancel more digits, so their base step must grow.
 _STEP_SCALE = {1: 1.0, 2: 100.0, 3: 1000.0}
 

@@ -2,17 +2,20 @@
 
 Runs every closed-form identity against its numerical oracle across the
 built-in curve families and collects the residuals into a machine
-readable report.  One entry, the unweighted binormal geodesic curvature,
-is a known algebraic discrepancy: it is reported with its measured gap
-and marked ``expected_discrepancy`` instead of counting as a failure.
+readable report.  The identities are the rows of :data:`IDENTITIES`: each
+names the curves it assumes and how it is evaluated, and
+:func:`run_validation` is one loop over them.  One entry, the unweighted
+binormal geodesic curvature, is a known algebraic discrepancy: it is
+reported with its measured gap and marked ``expected_discrepancy``
+instead of counting as a failure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from functools import partial
+from typing import Callable
 
 from . import curves, frames, geodesic, indicatrix, involute, numerics
 from .curves import CurveSpec
@@ -20,7 +23,7 @@ from .darboux import check_alignment, darboux, rotation_residuals
 from .errors import DegenerateIndicatrix, TorsionVanishes
 from .indicatrix import IndicatrixKind
 from .involute import InvolutePair
-from .numerics import dot, norm
+from .numerics import ABS_TOL, dot, norm
 
 
 @dataclass(frozen=True)
@@ -78,24 +81,245 @@ def default_families() -> dict[str, CurveSpec]:
     }
 
 
-def _grids(specs: dict[str, CurveSpec], names, n: int):
-    for name in names:
-        spec = specs[name]
-        for s in curves.arclength_grid(spec, n):
-            yield name, spec, float(s)
-
-
 def _max_over(specs, names, n, fn) -> tuple[float, int]:
     """Worst value of ``fn`` over the named curves' grids, and the number
     of samples it was evaluated on (degenerate samples are skipped)."""
     worst, evaluated = 0.0, 0
-    for _, spec, s in _grids(specs, names, n):
-        try:
-            worst = max(worst, fn(spec, s))
-        except (DegenerateIndicatrix, TorsionVanishes):
-            continue
-        evaluated += 1
+    for name in names:
+        spec = specs[name]
+        for s in curves.arclength_grid(spec, n):
+            try:
+                worst = max(worst, fn(spec, float(s)))
+            except (DegenerateIndicatrix, TorsionVanishes):
+                continue
+            evaluated += 1
     return worst, evaluated
+
+
+# The curve properties an identity assumes.  As everywhere in the library,
+# a curvature at most ABS_TOL counts as zero.
+
+def _const_kappa(spec: CurveSpec) -> bool:
+    return spec.constant_kappa is not None and spec.constant_kappa > ABS_TOL
+
+
+def _nonzero_kappa(spec: CurveSpec) -> bool:
+    return _const_kappa(spec) or (spec.constant_kappa is None and not spec.kappa_zeros)
+
+
+def _unit_kappa(spec: CurveSpec) -> bool:
+    return _const_kappa(spec) and abs(spec.constant_kappa - 1.0) < 1e-12
+
+
+# Per-sample residuals, fn(spec, s) for _max_over.  A sample that raises
+# DegenerateIndicatrix or TorsionVanishes is skipped.
+
+def _lancret(spec, s):
+    mf = frames.modified_frame(spec, s)
+    dd = darboux(mf)
+    return max(
+        abs(math.sin(dd.phi) * dd.w_norm - mf.tau),
+        abs(math.cos(dd.phi) * dd.w_norm - mf.kappa),
+        abs(dd.w_norm - math.hypot(mf.kappa, mf.tau)),
+    )
+
+
+def _darboux_for(kind, mf):
+    # The tangent indicatrix needs no Darboux data.
+    return darboux(mf) if kind is not IndicatrixKind.TANGENT else None
+
+
+def _cov_residual(kind, spec, s):
+    mf = frames.modified_frame(spec, s)
+    closed = indicatrix.cov_deriv_closed(kind, mf, _darboux_for(kind, mf))
+    numeric = indicatrix.cov_deriv_numeric(kind, spec, s)
+    return norm(closed - numeric)
+
+
+def _tangent_residual(kind, spec, s):
+    mf = frames.modified_frame(spec, s)
+    dd = _darboux_for(kind, mf)
+    closed = indicatrix.indicatrix_tangent(kind, mf, dd)
+    rate = indicatrix._signed_rate(kind, mf, dd)
+    if abs(rate) <= 1e-6:
+        raise DegenerateIndicatrix("skip near-degenerate sample")
+
+    def point_at(x):
+        f = frames.modified_frame(spec, x)
+        return indicatrix.indicatrix_point(kind, f, _darboux_for(kind, f))
+
+    fd = numerics.diff_vec(point_at, s) / rate
+    return norm(closed - fd)
+
+
+def _binormal_gap(spec, s):
+    rep = geodesic.geodesic_report(IndicatrixKind.BINORMAL, spec, s)
+    if not (abs(rep.gamma_oracle) > 0 and frames.modified_frame(spec, s).kappa != 1.0):
+        raise DegenerateIndicatrix("no gap where kappa = 1 or the oracle vanishes")
+    return rep.residual_unweighted
+
+
+def _det_residual(kind, spec, s):
+    det = geodesic.geodesic_curvature_sphere_at(kind, spec, s)
+    oracle = geodesic.geodesic_curvature_oracle(kind, spec, s)
+    return abs(abs(det) - oracle)
+
+
+def _coincidence(spec, s):
+    mf = frames.modified_frame(spec, s)
+    ff = frames.frenet_frame(spec, s)
+    return max(norm(mf.T - ff.t_vec), norm(mf.N - ff.n_vec * ff.kappa),
+               norm(mf.B - ff.b_vec * ff.kappa),
+               norm(mf.N - ff.n_vec) if abs(ff.kappa - 1) < 1e-12 else 0.0)
+
+
+def _unit_speed(spec, s):
+    fd = numerics.diff_vec(lambda x: curves.position_at_arclength(spec, x), s)
+    return abs(norm(fd) - 1.0)
+
+
+def _kappa_gap(spec, s):
+    mf = frames.modified_frame(spec, s)
+    k2 = frames.curvature(spec.jet(mf.t)) ** 2
+    return max(abs(dot(mf.N, mf.N) - k2), abs(dot(mf.B, mf.B) - k2))
+
+
+# Whole-entry verdicts, fn(specs, names, samples).  Each returns
+# (residual, n_evaluated, passed, note), with passed None to judge the
+# residual against the tolerance, or None to leave the entry out.
+
+def _metric_relations(specs, names, samples):
+    worst, evaluated = 0.0, 0
+    for spec in map(specs.get, names):
+        for s in curves.frenet_arclength_grid(spec, samples):
+            worst = max(worst, frames.metric_residual(spec, float(s)))
+            evaluated += 1
+    return worst, evaluated, None, ""
+
+
+def _binormal_unweighted(specs, names, samples):
+    return (*_max_over(specs, names, samples, _binormal_gap), True,
+            "known algebraic discrepancy; oracle arbitrates")
+
+
+def _sphere_det(specs, names, samples):
+    # the tangent indicatrix wherever kappa > 0, the pole on constant kappa
+    results = [_max_over(specs, [f for f in names if assumes(specs[f])],
+                         max(samples // 2, 4), partial(_det_residual, kind))
+               for assumes, kind in ((_nonzero_kappa, IndicatrixKind.TANGENT),
+                                     (_const_kappa, IndicatrixKind.POLE))]
+    return max(w for w, _ in results), sum(n for _, n in results), None, ""
+
+
+def _involute_defect(pair, specs, names, samples):
+    reps = [r for r in (involute.involute_scan(pair, specs[f], samples) for f in names)
+            if r.n_defined]
+    return (max((r.max_abs_inner for r in reps), default=0.0),
+            sum(r.n_defined for r in reps), None, "")
+
+
+def _involute_normal(specs, names, samples):
+    helices = [specs[f] for f in names if specs[f].family == "helix"]
+    if not helices:
+        return None
+    helix_reps = [involute.involute_scan(InvolutePair.N_VS_C, sp, samples)
+                  for sp in helices]
+    helix_defect = max(r.max_abs_inner for r in helix_reps)
+    evaluated = sum(r.n_defined for r in helix_reps)
+    note = "helix defect vanishes with phi'"
+    ok = helix_defect <= 1e-9
+    for sp in [specs[f] for f in names if specs[f].family == "salkowski"]:
+        salk_rep = involute.involute_scan(InvolutePair.N_VS_C, sp, samples)
+        ok = ok and salk_rep.max_abs_inner > 1e-3
+        evaluated += salk_rep.n_defined
+        note += f"; varying-torsion defect reaches {salk_rep.max_abs_inner:.3g}"
+    return helix_defect, evaluated, ok, note
+
+
+def _kappa_zero_extension(specs, names, samples):
+    if not names:
+        return None
+    worst, evaluated = _max_over(specs, names, samples, _kappa_gap)
+    at_zeros = [frames.modified_frame(sp, curves.arclength(sp, sp.t_lo, t0))
+                for sp in map(specs.get, names) for t0 in sp.kappa_zeros]
+    vanish = all(norm(mf.N) <= 1e-6 and norm(mf.B) <= 1e-6 for mf in at_zeros)
+    return worst, evaluated, worst <= 1e-7 and vanish, "N = B = 0 at the zero itself"
+
+
+@dataclass(frozen=True)
+class Identity:
+    """One identity of the suite: it runs on the curves for which
+    ``assumes`` holds, either as a per-sample ``residual`` (judged against
+    ``tolerance``) or as one ``verdict`` on the whole entry."""
+
+    name: str
+    description: str
+    tolerance: float
+    assumes: Callable[[CurveSpec], bool]
+    residual: Callable[[CurveSpec, float], float] | None = None
+    verdict: Callable[..., tuple | None] | None = None
+    expected_discrepancy: bool = False
+
+
+def _per_kind(name, description, residual):
+    # One row per indicatrix: the tangent indicatrix needs kappa > 0 only,
+    # the other three constant curvature.
+    return [Identity(name.format(k.value), description.format(k.value), 1e-5,
+                     _nonzero_kappa if k is IndicatrixKind.TANGENT else _const_kappa,
+                     residual=partial(residual, k))
+            for k in IndicatrixKind]
+
+
+# Rows reach the library through module names when they are evaluated, so
+# that a patched function (a tracer, a mock) is the one that runs.
+IDENTITIES: list[Identity] = [
+    Identity("frame-ode",
+             "finite-difference frame derivatives match the derivative matrix",
+             1e-5, _nonzero_kappa,
+             residual=lambda spec, s: frames.check_frame_ode(spec, s).max_residual),
+    Identity("metric-relations", "frame inner products equal (1, k^2, k^2, 0, 0, 0)",
+             1e-9, lambda spec: True, verdict=_metric_relations),
+    Identity("darboux-alignment", "N x N' = k^2 w against the finite-difference N'",
+             1e-5, _const_kappa, residual=lambda spec, s: check_alignment(spec, s)),
+    Identity("darboux-rotation",
+             "X' = w x X for X in {T, N, B} on constant-curvature curves",
+             1e-5, _const_kappa, residual=lambda spec, s: max(rotation_residuals(spec, s))),
+    Identity("lancret-angle", "sin(phi)|w| = tau and cos(phi)|w| = kappa",
+             1e-9, _const_kappa, residual=_lancret),
+    *_per_kind("{}-ind-covderiv",
+               "{}-indicatrix covariant derivative, closed vs oracle", _cov_residual),
+    *_per_kind("{}-ind-tangent",
+               "{}-indicatrix unit tangent vs differentiated point", _tangent_residual),
+    *_per_kind("geodesic-{}", "{}-indicatrix geodesic curvature, closed vs oracle",
+               lambda kind, spec, s: geodesic.geodesic_report(kind, spec, s).residual_closed),
+    Identity("geodesic-binormal-unweighted",
+             "unit-norm expansion of the binormal geodesic curvature differs "
+             "from the oracle whenever kappa != 1",
+             1e-5, _const_kappa, verdict=_binormal_unweighted,
+             expected_discrepancy=True),
+    Identity("geodesic-sphere-det",
+             "determinant oracle agrees with the Gauss-equation oracle on the "
+             "unit-sphere indicatrices",
+             1e-5, _nonzero_kappa, verdict=_sphere_det),
+    Identity("involute-tangent",
+             "pole-curve tangent orthogonal to the tangent indicatrix tangent",
+             1e-9, _const_kappa, verdict=partial(_involute_defect, InvolutePair.T_VS_C)),
+    Identity("involute-binormal",
+             "pole-curve tangent orthogonal to the binormal indicatrix tangent",
+             1e-9, _const_kappa, verdict=partial(_involute_defect, InvolutePair.B_VS_C)),
+    Identity("involute-normal",
+             "normal-indicatrix involute defect is zero exactly for helices",
+             1e-9, _const_kappa, verdict=_involute_normal),
+    Identity("frame-coincidence", "modified frame equals the Frenet frame where kappa = 1",
+             1e-9, _unit_kappa, residual=_coincidence),
+    Identity("unit-speed", "arclength reparametrization has unit speed",
+             1e-6, lambda spec: True, residual=_unit_speed),
+    Identity("kappa-zero-extension",
+             "|N|^2 and |B|^2 extend continuously through the curvature zero",
+             1e-7, lambda spec: bool(spec.kappa_zeros), verdict=_kappa_zero_extension),
+]
+
+IDENTITY_NAMES = [i.name for i in IDENTITIES]
 
 
 def run_validation(
@@ -111,255 +335,23 @@ def run_validation(
     """
     specs = families if families is not None else default_families()
     report = ValidationReport()
-
-    def add(name, description, result, default_tol,
-            expected_discrepancy=False, note="", passed=None):
-        # result is (worst residual, number of samples evaluated)
-        if only is not None and name not in only:
-            return
-        residual, n_evaluated = result
-        use_tol = tolerance_override if tolerance_override is not None else default_tol
-        ok = passed if passed is not None else residual <= use_tol
-        if not n_evaluated:
-            ok, note = False, "not applicable: no sample evaluated"
-        report.entries.append(
-            ValidationEntry(name, description, residual, use_tol, ok, n_evaluated,
-                            expected_discrepancy, note)
-        )
-
-    def wanted(name):
-        return only is None or name in only
-
-    # Each identity runs on the curves whose properties it assumes.
-    avail = list(specs)
-    kappa = {name: sp.constant_kappa for name, sp in specs.items()}
-    const_k = [f for f in avail if kappa[f] is not None and kappa[f] > 0.0]
-    nonzero_k = [f for f in avail
-                 if f in const_k or (kappa[f] is None and not specs[f].kappa_zeros)]
-    unit_k = [f for f in const_k if abs(kappa[f] - 1.0) < 1e-12]
-
-    if wanted("frame-ode"):
-        add("frame-ode",
-            "finite-difference frame derivatives match the derivative matrix",
-            _max_over(specs, nonzero_k, samples,
-                      lambda sp, s: frames.check_frame_ode(sp, s).max_residual),
-            1e-5)
-
-    if wanted("metric-relations"):
-        worst, evaluated = 0.0, 0
-        for spec in specs.values():
-            for s in curves.frenet_arclength_grid(spec, samples):
-                worst = max(worst, frames.metric_residual(spec, float(s)))
-                evaluated += 1
-        add("metric-relations",
-            "frame inner products equal (1, k^2, k^2, 0, 0, 0)",
-            (worst, evaluated), 1e-9)
-
-    if wanted("darboux-alignment"):
-        add("darboux-alignment",
-            "N x N' = k^2 w against the finite-difference N'",
-            _max_over(specs, const_k, samples, check_alignment),
-            1e-5)
-
-    if wanted("darboux-rotation"):
-        add("darboux-rotation",
-            "X' = w x X for X in {T, N, B} on constant-curvature curves",
-            _max_over(specs, const_k, samples,
-                      lambda sp, s: max(rotation_residuals(sp, s))),
-            1e-5)
-
-    if wanted("lancret-angle"):
-        def lancret(sp, s):
-            mf = frames.modified_frame(sp, s)
-            dd = darboux(mf)
-            return max(
-                abs(math.sin(dd.phi) * dd.w_norm - mf.tau),
-                abs(math.cos(dd.phi) * dd.w_norm - mf.kappa),
-                abs(dd.w_norm - math.hypot(mf.kappa, mf.tau)),
-            )
-        add("lancret-angle",
-            "sin(phi)|w| = tau and cos(phi)|w| = kappa",
-            _max_over(specs, const_k, samples, lancret), 1e-9)
-
-    cov_cases = [
-        ("tangent-ind-covderiv", IndicatrixKind.TANGENT, nonzero_k,
-         "tangent-indicatrix covariant derivative, closed vs oracle"),
-        ("normal-ind-covderiv", IndicatrixKind.NORMAL, const_k,
-         "normal-indicatrix covariant derivative, closed vs oracle"),
-        ("binormal-ind-covderiv", IndicatrixKind.BINORMAL, const_k,
-         "binormal-indicatrix covariant derivative, closed vs oracle"),
-        ("pole-ind-covderiv", IndicatrixKind.POLE, const_k,
-         "pole-indicatrix covariant derivative, closed vs oracle"),
-    ]
-    for name, kind, fams, desc in cov_cases:
-        if not wanted(name):
+    for ident in IDENTITIES:
+        if only is not None and ident.name not in only:
             continue
-
-        def cov_residual(sp, s, kind=kind):
-            mf = frames.modified_frame(sp, s)
-            dd = darboux(mf) if kind is not IndicatrixKind.TANGENT else None
-            closed = indicatrix.cov_deriv_closed(kind, mf, dd)
-            numeric = indicatrix.cov_deriv_numeric(kind, sp, s)
-            return norm(closed - numeric)
-
-        add(name, desc, _max_over(specs, fams, samples, cov_residual), 1e-5)
-
-    tangent_cases = [
-        ("tangent-ind-tangent", IndicatrixKind.TANGENT, nonzero_k),
-        ("normal-ind-tangent", IndicatrixKind.NORMAL, const_k),
-        ("binormal-ind-tangent", IndicatrixKind.BINORMAL, const_k),
-        ("pole-ind-tangent", IndicatrixKind.POLE, const_k),
-    ]
-    for name, kind, fams in tangent_cases:
-        if not wanted(name):
-            continue
-
-        def tangent_residual(sp, s, kind=kind):
-            mf = frames.modified_frame(sp, s)
-            dd = darboux(mf) if kind is not IndicatrixKind.TANGENT else None
-            closed = indicatrix.indicatrix_tangent(kind, mf, dd)
-            rate = indicatrix._signed_rate(kind, mf, dd)
-            if abs(rate) <= 1e-6:
-                raise DegenerateIndicatrix("skip near-degenerate sample")
-
-            def point_at(x, kind=kind):
-                f = frames.modified_frame(sp, x)
-                d = darboux(f) if kind is not IndicatrixKind.TANGENT else None
-                return indicatrix.indicatrix_point(kind, f, d)
-
-            fd = numerics.diff_vec(point_at, s) / rate
-            return norm(closed - fd)
-
-        add(name, f"{kind.value}-indicatrix unit tangent vs differentiated point",
-            _max_over(specs, fams, samples, tangent_residual), 1e-5)
-
-    geo_cases = [
-        ("geodesic-tangent", IndicatrixKind.TANGENT, nonzero_k),
-        ("geodesic-normal", IndicatrixKind.NORMAL, const_k),
-        ("geodesic-binormal", IndicatrixKind.BINORMAL, const_k),
-        ("geodesic-pole", IndicatrixKind.POLE, const_k),
-    ]
-    for name, kind, fams in geo_cases:
-        if not wanted(name):
-            continue
-
-        def geo_residual(sp, s, kind=kind):
-            return geodesic.geodesic_report(kind, sp, s).residual_closed
-
-        add(name, f"{kind.value}-indicatrix geodesic curvature, closed vs oracle",
-            _max_over(specs, fams, samples, geo_residual), 1e-5)
-
-    if wanted("geodesic-binormal-unweighted"):
-        gaps = []
-        for _, sp, s in _grids(specs, const_k, samples):
-            try:
-                rep = geodesic.geodesic_report(IndicatrixKind.BINORMAL, sp, s)
-            except (DegenerateIndicatrix, TorsionVanishes):
+        names = [f for f, spec in specs.items() if ident.assumes(spec)]
+        if ident.residual is not None:
+            result = (*_max_over(specs, names, samples, ident.residual), None, "")
+        else:
+            result = ident.verdict(specs, names, samples)
+            if result is None:
                 continue
-            if abs(rep.gamma_oracle) > 0 and frames.modified_frame(sp, s).kappa != 1.0:
-                gaps.append(rep.residual_unweighted)
-        add("geodesic-binormal-unweighted",
-            "unit-norm expansion of the binormal geodesic curvature differs "
-            "from the oracle whenever kappa != 1",
-            (max(gaps, default=0.0), len(gaps)), 1e-5,
-            expected_discrepancy=True, passed=True,
-            note="known algebraic discrepancy; oracle arbitrates")
-
-    if wanted("geodesic-sphere-det"):
-        def det_residual(sp, s, kind):
-            det = geodesic.geodesic_curvature_sphere_at(kind, sp, s)
-            oracle = geodesic.geodesic_curvature_oracle(kind, sp, s)
-            return abs(abs(det) - oracle)
-
-        results = [_max_over(specs, fams, max(samples // 2, 4),
-                             lambda sp, s, kind=kind: det_residual(sp, s, kind))
-                   for fams, kind in ((nonzero_k, IndicatrixKind.TANGENT),
-                                      (const_k, IndicatrixKind.POLE))]
-        add("geodesic-sphere-det",
-            "determinant oracle agrees with the Gauss-equation oracle on the "
-            "unit-sphere indicatrices",
-            (max(w for w, _ in results), sum(n for _, n in results)), 1e-5)
-
-    inv_cases = [
-        ("involute-tangent", InvolutePair.T_VS_C, const_k),
-        ("involute-binormal", InvolutePair.B_VS_C, const_k),
-    ]
-    for name, pair, fams in inv_cases:
-        if not wanted(name):
-            continue
-        reps = [r for r in (involute.involute_scan(pair, specs[f], samples) for f in fams)
-                if r.n_defined]
-        add(name, f"pole-curve tangent orthogonal to the {pair.value} indicatrix tangent",
-            (max((r.max_abs_inner for r in reps), default=0.0),
-             sum(r.n_defined for r in reps)), 1e-9)
-
-    helices = [specs[f] for f in const_k if specs[f].family == "helix"]
-    if wanted("involute-normal") and helices:
-        helix_reps = [involute.involute_scan(InvolutePair.N_VS_C, sp, samples)
-                      for sp in helices]
-        helix_defect = max(r.max_abs_inner for r in helix_reps)
-        evaluated = sum(r.n_defined for r in helix_reps)
-        note = "helix defect vanishes with phi'"
-        ok = helix_defect <= 1e-9
-        for sp in [sp for sp in specs.values() if sp.family == "salkowski"]:
-            salk_rep = involute.involute_scan(InvolutePair.N_VS_C, sp, samples)
-            ok = ok and salk_rep.max_abs_inner > 1e-3
-            evaluated += salk_rep.n_defined
-            note += f"; varying-torsion defect reaches {salk_rep.max_abs_inner:.3g}"
-        add("involute-normal",
-            "normal-indicatrix involute defect is zero exactly for helices",
-            (helix_defect, evaluated), 1e-9, passed=ok, note=note)
-
-    if wanted("frame-coincidence"):
-        def coincidence(sp, s):
-            mf = frames.modified_frame(sp, s)
-            ff = frames.frenet_frame(sp, s)
-            return max(norm(mf.T - ff.t_vec), norm(mf.N - ff.n_vec * ff.kappa),
-                       norm(mf.B - ff.b_vec * ff.kappa),
-                       norm(mf.N - ff.n_vec) if abs(ff.kappa - 1) < 1e-12 else 0.0)
-
-        add("frame-coincidence",
-            "modified frame equals the Frenet frame where kappa = 1",
-            _max_over(specs, unit_k, samples, coincidence), 1e-9)
-
-    if wanted("unit-speed"):
-        def unit_speed(sp, s):
-            fd = numerics.diff_vec(lambda x: curves.position_at_arclength(sp, x), s)
-            return abs(norm(fd) - 1.0)
-
-        add("unit-speed",
-            "arclength reparametrization has unit speed",
-            _max_over(specs, avail, samples, unit_speed), 1e-6)
-
-    with_zeros = [sp for sp in specs.values() if sp.kappa_zeros]
-    if wanted("kappa-zero-extension") and with_zeros:
-        worst, evaluated, zero_ok = 0.0, 0, True
-        for sp in with_zeros:
-            for s in curves.arclength_grid(sp, samples):
-                mf = frames.modified_frame(sp, float(s))
-                k2 = frames.curvature(sp.jet(mf.t)) ** 2
-                worst = max(worst, abs(dot(mf.N, mf.N) - k2), abs(dot(mf.B, mf.B) - k2))
-                evaluated += 1
-            for t0 in sp.kappa_zeros:
-                mf0 = frames.modified_frame(sp, curves.arclength(sp, sp.t_lo, t0))
-                zero_ok = zero_ok and norm(mf0.N) <= 1e-6 and norm(mf0.B) <= 1e-6
-        add("kappa-zero-extension",
-            "|N|^2 and |B|^2 extend continuously through the curvature zero",
-            (worst, evaluated), 1e-7, passed=(worst <= 1e-7 and zero_ok),
-            note="N = B = 0 at the zero itself")
-
+        residual, n_evaluated, passed, note = result
+        tol = tolerance_override if tolerance_override is not None else ident.tolerance
+        if passed is None:
+            passed = residual <= tol
+        if not n_evaluated:
+            passed, note = False, "not applicable: no sample evaluated"
+        report.entries.append(ValidationEntry(
+            ident.name, ident.description, residual, tol, passed, n_evaluated,
+            ident.expected_discrepancy, note))
     return report
-
-
-IDENTITY_NAMES = [
-    "frame-ode", "metric-relations", "darboux-alignment", "darboux-rotation",
-    "lancret-angle",
-    "tangent-ind-covderiv", "normal-ind-covderiv", "binormal-ind-covderiv",
-    "pole-ind-covderiv",
-    "tangent-ind-tangent", "normal-ind-tangent", "binormal-ind-tangent",
-    "pole-ind-tangent",
-    "geodesic-tangent", "geodesic-normal", "geodesic-binormal", "geodesic-pole",
-    "geodesic-binormal-unweighted", "geodesic-sphere-det",
-    "involute-tangent", "involute-binormal", "involute-normal",
-    "frame-coincidence", "unit-speed", "kappa-zero-extension",
-]

@@ -184,6 +184,20 @@ class TestValidate:
         # the two evaluated identities pass and carry the verdict
         assert code == EXIT_OK
 
+    def test_tiny_curvature_counts_as_zero(self, capsys):
+        # kappa = 1e-12 <= ABS_TOL: the curve is picked like a straight line,
+        # not as a constant-curvature curve whose frame ODE needs kappa > 0
+        code, out, err = run(capsys, "validate", "--samples", "6", "--curve", "circle:1e12")
+        entries = {e["name"]: e for e in json.loads(out)["report"]["entries"]}
+        evaluated = {n for n, e in entries.items() if e["n_evaluated"]}
+        assert evaluated == {"metric-relations", "unit-speed"}
+        assert entries["metric-relations"]["passed"] is True
+        # s +- FD_STEP rounds to s at this scale, so the finite-difference
+        # speed is 0: a known failure of the fixed oracle step
+        assert entries["unit-speed"]["max_residual"] == 1.0
+        assert code == EXIT_VALIDATION_FAILED
+        assert err == ""
+
     def test_nothing_evaluated_fails(self, capsys):
         code, out, err = run(capsys, "validate", "--samples", "6", "--curve", "line",
                              "--only", "frame-ode")

@@ -24,28 +24,26 @@ HELIX_TAU = 1.0 / 5.0
 
 
 class TestUnitSpeedJet:
+    # The arclength derivatives of the position are read from the frame:
+    # r' = T, r'' = N and r''' = N' from the frame ODE.
     @pytest.mark.parametrize("spec", [
         circle(2.0), HELIX, twisted_cubic(), salkowski(0.5),
     ], ids=lambda s: s.family)
     def test_matches_arclength_finite_differences(self, spec):
         total = curves.total_arclength(spec)
         for s in np.linspace(0.1 * total, 0.9 * total, 5):
-            t = curves.at_arclength(spec, float(s))
-            us = frames.unit_speed_jet(spec.jet(t))
+            mf = frames.modified_frame(spec, float(s))
             pos = lambda x: curves.position_at_arclength(spec, x)
-            for order, exact in ((1, us.r1), (2, us.r2), (3, us.r3)):
+            for order, exact in ((1, mf.T), (2, mf.N), (3, frames.frame_ode_rhs(mf)[1])):
                 fd = numerics.diff_vec(pos, float(s), order=order)
                 assert np.allclose(fd, exact, atol=1e-6), (spec.family, order)
 
     def test_fourth_order_on_helix(self):
-        t = 0.7
-        us = frames.unit_speed_jet(HELIX.jet(t))
-        s = curves.arclength(HELIX, HELIX.t_lo, t)
-        fd = numerics.diff_vec(
-            lambda x: frames.unit_speed_jet(
-                HELIX.jet(curves.at_arclength(HELIX, x))).r1,
-            s, order=3)
-        assert np.allclose(fd, us.r4, atol=1e-6)
+        # r'''' = T''' = -(kappa^2 + tau^2) N on a helix
+        s = curves.arclength(HELIX, HELIX.t_lo, 0.7)
+        mf = frames.modified_frame(HELIX, s)
+        fd = numerics.diff_vec(lambda x: frames.modified_frame(HELIX, x).T, s, order=3)
+        assert np.allclose(fd, -(HELIX_KAPPA**2 + HELIX_TAU**2) * mf.N, atol=1e-6)
 
 
 class TestCurvatureTorsion:
@@ -60,11 +58,17 @@ class TestCurvatureTorsion:
         assert frames.torsion_general(jet) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_curvature_paths_agree(self):
-        for spec in (HELIX, twisted_cubic(), salkowski(0.5)):
+        # the cross-product formula against each family's closed-form kappa
+        closed_forms = [
+            (HELIX, lambda t: HELIX_KAPPA),
+            (salkowski(0.5), lambda t: 1.0),
+            (twisted_cubic(), lambda t: 2.0 * math.sqrt(1 + 9 * t**2 + 9 * t**4)
+             / (1 + 4 * t**2 + 9 * t**4) ** 1.5),
+        ]
+        for spec, kappa in closed_forms:
             for t in np.linspace(spec.t_lo + 0.1, spec.t_hi - 0.1, 5):
-                jet = spec.jet(float(t))
-                assert frames.curvature(jet) == pytest.approx(
-                    frames.curvature_from_tangent(jet), rel=1e-9)
+                assert frames.curvature(spec.jet(float(t))) == pytest.approx(
+                    kappa(float(t)), rel=1e-12)
 
     def test_salkowski_unit_curvature(self):
         spec = salkowski(0.5)
@@ -262,6 +266,16 @@ class TestExtremeScales:
                 frames.modified_frame(spec, 0.5 * curves.total_arclength(spec))
             with pytest.raises(DegenerateFrame, match="speed"):
                 frames.modified_frames(spec, np.linspace(0.0, curves.total_arclength(spec), 4))
+
+    @pytest.mark.parametrize("spec", EXTREME_SCALES, ids=lambda s: f"{s.family}{s.params}")
+    def test_raw_jet_refused(self, spec):
+        jet = spec.jet(0.5 * (spec.t_lo + spec.t_hi))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateFrame, match="speed"):
+                frames.curvature(jet)
+            with pytest.raises(DegenerateFrame, match="speed"):
+                frames.torsion_general(jet)
 
     @pytest.mark.parametrize("m", [1e3, 1e5])
     def test_salkowski_large_m_has_unit_curvature(self, m):

@@ -70,3 +70,29 @@ def test_to_dict_roundtrip(report):
 
 def test_every_default_entry_evaluated(report):
     assert all(e.n_evaluated > 0 for e in report.entries)
+
+
+def test_table_names_unique_and_in_report_order():
+    names = [i.name for i in validation.IDENTITIES]
+    assert len(set(names)) == len(names)
+    assert names == IDENTITY_NAMES == [
+        "frame-ode", "metric-relations", "darboux-alignment", "darboux-rotation",
+        "lancret-angle",
+        "tangent-ind-covderiv", "normal-ind-covderiv", "binormal-ind-covderiv",
+        "pole-ind-covderiv",
+        "tangent-ind-tangent", "normal-ind-tangent", "binormal-ind-tangent",
+        "pole-ind-tangent",
+        "geodesic-tangent", "geodesic-normal", "geodesic-binormal", "geodesic-pole",
+        "geodesic-binormal-unweighted", "geodesic-sphere-det",
+        "involute-tangent", "involute-binormal", "involute-normal",
+        "frame-coincidence", "unit-speed", "kappa-zero-extension",
+    ]
+
+
+@pytest.mark.parametrize("name", ["metric-relations", "geodesic-binormal-unweighted",
+                                  "geodesic-sphere-det", "involute-normal",
+                                  "kappa-zero-extension"])
+def test_single_entry_matches_full_run(report, name):
+    # whole-entry verdicts give the same entry alone as in the full suite
+    full = next(e for e in report.entries if e.name == name)
+    assert run_validation(samples=12, only=[name]).entries == [full]
