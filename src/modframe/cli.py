@@ -15,9 +15,9 @@ import sys
 
 import numpy as np
 
-from . import curves, frames, indicatrix, validation
+from . import curves, frames, indicatrix, numerics, validation
 from .curves import CurveSpec
-from .errors import ModFrameError, NonConstantCurvature
+from .errors import DegenerateIndicatrix, ModFrameError, NonConstantCurvature
 from .indicatrix import IndicatrixKind
 from .numerics import ABS_TOL, FD_STEP, norm
 
@@ -130,29 +130,28 @@ def cmd_indicatrix(args) -> int:
     kind = IndicatrixKind(args.kind)
     columns = ["s", "px", "py", "pz", "speed", "tx", "ty", "tz",
                "cx", "cy", "cz", "ox", "oy", "oz", "residual", "degenerate"]
-    rows = []
-    zero3 = (0.0, 0.0, 0.0)
-    fd_margin = 4.0 * FD_STEP
+    s = _sample_range(args, spec, margin=4.0 * FD_STEP)
+    table = frames.FrameTable(spec, numerics.stencil(s))
     try:
-        for s in _sample_range(args, spec, margin=fd_margin):
-            smp = indicatrix.sample(kind, spec, float(s))
-            if smp.degenerate:
-                rows.append(dict(zip(columns, [
-                    float(s), *smp.point, smp.speed, *zero3, *zero3, *zero3,
-                    0.0, True,
-                ])))
-                continue
-            oracle = indicatrix.cov_deriv_numeric(kind, spec, float(s))
-            residual = norm(smp.cov_deriv - oracle)
-            rows.append(dict(zip(columns, [
-                float(s), *smp.point, smp.speed, *smp.unit_tangent,
-                *smp.cov_deriv, *oracle, residual, False,
-            ])))
+        smp = indicatrix.sample(kind, table, s)
+        oracle = indicatrix.cov_deriv_numeric(kind, table, s)
     except NonConstantCurvature as exc:
         print(f"error: inadmissible curve for {kind.value} indicatrix: {exc}",
               file=sys.stderr)
         return EXIT_INADMISSIBLE
-    _write_rows(args, columns, rows)
+    # Degenerate rows carry zeros in place of the tangent, the covariant
+    # derivatives and the residual.
+    live = ~smp.degenerate
+    on_live = lambda v: np.where(live[:, None], v, 0.0)
+    residual = np.where(live, norm((smp.cov_deriv - oracle).T), 0.0)
+    values = np.column_stack([s, smp.point, smp.speed, on_live(smp.unit_tangent),
+                              on_live(smp.cov_deriv), on_live(oracle), residual])
+    missing = ~np.isfinite(values).all(axis=1)
+    if missing.any():
+        raise DegenerateIndicatrix(
+            f"{kind.value} indicatrix undefined at s = {s[missing][0]:g}")
+    _write_rows(args, columns, [dict(zip(columns, [*row, bool(d)]))
+                                for row, d in zip(values.tolist(), smp.degenerate)])
     return EXIT_OK
 
 

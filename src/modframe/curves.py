@@ -313,7 +313,8 @@ def frenet_arclength_grid(
 ) -> np.ndarray:
     """Like :func:`arclength_grid` but drops samples whose parameter falls
     within ``exclude_halfwidth`` of a curvature zero."""
-    from . import frames
-    return np.array([s for s in arclength_grid(spec, n, margin) if all(
-        abs(frames.modified_frame(spec, float(s)).t - z) > exclude_halfwidth
-        for z in spec.kappa_zeros)])
+    s = arclength_grid(spec, n, margin)
+    if not spec.kappa_zeros:
+        return s
+    t = at_arclength(spec, s)
+    return s[np.all([np.abs(t - z) > exclude_halfwidth for z in spec.kappa_zeros], axis=0)]

@@ -2,18 +2,20 @@
 
 The rotation vector w = tau*T + B only satisfies X' = w x X when the
 curvature is constant, so every operation here is gated on |kappa'|.
+Each function takes one frame or a batch (fields with a leading axis of
+points); the gate refuses a batch if any of its points fails it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import frames, numerics
-from .curves import CurveSpec
 from .errors import DegenerateFrame, NonConstantCurvature
 from .frames import ModifiedFrame
-from .numerics import ABS_TOL, Vec3, cross, norm
+from .numerics import ABS_TOL, Vec3, blank, cross, norm, undefined
 
 #: Width of the |kappa'| gate below which curvature counts as constant.
 CONST_KAPPA_GATE = 1e-6
@@ -31,46 +33,53 @@ class DarbouxData:
 
 
 def _require_constant_kappa(mf: ModifiedFrame) -> None:
-    if abs(mf.kappa_prime) > CONST_KAPPA_GATE:
+    rate = np.abs(mf.kappa_prime)
+    over = rate > CONST_KAPPA_GATE
+    if np.any(over):
         raise NonConstantCurvature(
-            f"|kappa'| = {abs(mf.kappa_prime):g} exceeds the constant-curvature "
+            f"|kappa'| = {np.extract(over, rate)[0]:g} exceeds the constant-curvature "
             f"gate {CONST_KAPPA_GATE:g}"
         )
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def darboux(mf: ModifiedFrame) -> DarbouxData:
-    """Darboux data at a point of a constant-curvature curve.
+    """Darboux data of a constant-curvature curve, at one frame or a batch.
 
     phi is the quadrant-correct angle between B and w (atan2 of tau against
     kappa), and phi' = tau' * kappa / (kappa^2 + tau^2) -- the kappa' term
-    of the general quotient rule vanishes under the gate.
+    of the general quotient rule vanishes under the gate.  Undefined where
+    kappa ~ 0: one frame raises DegenerateFrame, a batch gives NaN there.
     """
-    if mf.kappa <= ABS_TOL:
-        raise DegenerateFrame("Darboux vector undefined where kappa ~ 0")
+    flat = undefined(mf.kappa <= ABS_TOL, DegenerateFrame,
+                     "Darboux vector undefined where kappa ~ 0")
     _require_constant_kappa(mf)
-    w = mf.tau * mf.T + mf.B
-    w_norm = math.hypot(mf.kappa, mf.tau)
-    phi = math.atan2(mf.tau, mf.kappa)
+    w = (mf.tau * mf.T.T + mf.B.T).T
+    w_norm = np.hypot(mf.kappa, mf.tau)
+    phi = np.arctan2(mf.tau, mf.kappa)
     phi_prime = mf.tau_prime * mf.kappa / (mf.kappa**2 + mf.tau**2)
-    return DarbouxData(w, w_norm, phi, phi_prime, w / w_norm)
+    C = (w.T / w_norm).T
+    return DarbouxData(*(blank(flat, v) for v in (w, w_norm, phi, phi_prime, C)))
 
 
-def check_alignment(spec: CurveSpec, s: float) -> float:
-    """Residual |N x N' - kappa^2 w| with N' from the finite-difference
-    oracle."""
-    mf = frames.modified_frame(spec, s)
+def check_alignment(spec, s):
+    """Residual |N x N' - kappa^2 w| at ``s`` (a float or an array) with N'
+    from the finite-difference oracle.  ``spec`` is a CurveSpec or a
+    :class:`~modframe.frames.FrameTable` that holds the oracle's stencil."""
+    at = frames.frame_table(spec, numerics.stencil(s))
+    mf = at(s)
     dd = darboux(mf)
-    fd_N = numerics.diff_vec(lambda x: frames.modified_frame(spec, x).N, s)
-    return norm(cross(mf.N, fd_N) - mf.kappa**2 * dd.w)
+    fd_N = numerics.diff_vec(lambda x: at(x).N, s)
+    return norm(cross(mf.N.T, fd_N.T) - mf.kappa**2 * dd.w.T)
 
 
-def rotation_residuals(spec: CurveSpec, s: float) -> tuple[float, float, float]:
-    """Residuals of X' = w x X for X in {T, N, B}, with X' from the
-    finite-difference oracle."""
-    mf = frames.modified_frame(spec, s)
+def rotation_residuals(spec, s):
+    """Residuals of X' = w x X for X in {T, N, B} at ``s`` (a float or an
+    array), with X' from the finite-difference oracle."""
+    at = frames.frame_table(spec, numerics.stencil(s))
+    mf = at(s)
     dd = darboux(mf)
-    out = []
-    for pick in (lambda f: f.T, lambda f: f.N, lambda f: f.B):
-        fd = numerics.diff_vec(lambda x: pick(frames.modified_frame(spec, x)), s)
-        out.append(norm(fd - cross(dd.w, pick(mf))))
-    return tuple(out)
+    return tuple(
+        norm(numerics.diff_vec(lambda x: getattr(at(x), name), s).T
+             - cross(dd.w.T, getattr(mf, name).T))
+        for name in "TNB")

@@ -7,12 +7,17 @@ Frenet frame does not.  All quantities here come from exact jets;
 oracle.  :func:`modified_frame` gives the frame at one point and caches
 it; :func:`modified_frames` gives it on a whole arclength grid in one
 array pass.  Both share one assembly from the jet.
+
+A :class:`FrameTable` holds the frames of one curve at a set of
+arclengths, from one :func:`modified_frames` call.  Every oracle in the
+library takes one in place of its CurveSpec, so a caller that runs many
+oracles along one grid computes each frame once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -20,7 +25,8 @@ import numpy as np
 from . import curves, numerics
 from .curves import CurveSpec, Jet
 from .errors import CurvatureVanishes, DegenerateFrame
-from .numerics import ABS_TOL, ReadOnlyArrays, Vec3, cross, det3, dot, norm
+from .numerics import (ABS_TOL, ReadOnlyArrays, Vec3, blank, cross, det3, dot, norm,
+                       undefined)
 
 
 @dataclass(frozen=True)
@@ -56,15 +62,21 @@ class ModifiedFrame(ReadOnlyArrays):
     t: float
     r: Vec3
 
+    def take(self, i) -> ModifiedFrame:
+        """The frames at rows ``i`` of a batch; one frame for an integer."""
+        return ModifiedFrame(*(getattr(self, f.name)[i] for f in fields(self)))
 
-def curvature(jet: Jet) -> float:
-    """kappa = |r' x r''| / |r'|^3 (any regular parametrization).  Raises
+
+def curvature(jet: Jet):
+    """kappa = |r' x r''| / |r'|^3 (any regular parametrization), at one
+    point or, for a jet of (n, 3) arrays, at each of its points.  Raises
     DegenerateFrame where the speed is beyond what the algebra can
     represent, as the frame paths do."""
+    r1, r2 = jet.r1.T, jet.r2.T  # component-first
     with np.errstate(all="ignore"):  # _check_scale refuses what overflowed
-        u = norm(cross(jet.r1, jet.r2))
-        v3 = norm(jet.r1) ** 3
-    _check_scale(jet.r1, v3)
+        u = norm(cross(r1, r2))
+        v3 = norm(r1) ** 3
+    _check_scale(r1, v3)
     return u / v3
 
 
@@ -78,11 +90,6 @@ def torsion_general(jet: Jet) -> float:
         c2 = dot(c, c)
     _check_scale(jet.r1, c2)
     return det3(jet.r1, jet.r2, jet.r3) / c2
-
-
-def _dot(a, b):
-    # dot over component-first vectors: a[0] holds every x component.
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def _check_scale(r1, divisor) -> None:
@@ -101,15 +108,15 @@ def _rates(r1, r2, r3, r4, v, v3, v5):
     # tau = det(r1,r2,r3) / |r1 x r2|^2, and the arclength derivatives of
     # kappa = |r1 x r2| / |r1|^3 and of tau (d/dt over the speed).
     u = cross(r1, r2)
-    u2 = _dot(u, u)
+    u2 = dot(u, u)
     uu = u2 * u2
     _check_scale(r1, uu)
     un = np.sqrt(u2)
     up = cross(r1, r3)
-    d = _dot(u, r3)
-    dp = _dot(u, r4)
-    kappa_prime = (_dot(u, up) / (un * v3) - 3.0 * un * _dot(r1, r2) / v5) / v
-    tau_prime = (dp / u2 - d * 2.0 * _dot(u, up) / uu) / v
+    d = dot(u, r3)
+    dp = dot(u, r4)
+    kappa_prime = (dot(u, up) / (un * v3) - 3.0 * un * dot(r1, r2) / v5) / v
+    tau_prime = (dp / u2 - d * 2.0 * dot(u, up) / uu) / v
     return d / u2, kappa_prime, tau_prime
 
 
@@ -119,13 +126,13 @@ def _assemble(jet: Jet):
     at one point or (..., 3) at many, and so are T, N and B."""
     r1, r2, r3, r4 = jet.r1.T, jet.r2.T, jet.r3.T, jet.r4.T  # component-first
     with np.errstate(all="ignore"):  # _check_scale refuses what overflowed
-        v = np.sqrt(_dot(r1, r1))
+        v = np.sqrt(dot(r1, r1))
         v3, v5 = v**3, v**5
         _check_scale(r1, v5)
-        vp = _dot(r1, r2) / v
+        vp = dot(r1, r2) / v
         T = r1 / v
         N = r2 / v**2 - r1 * (vp / v3)
-        kappa = np.sqrt(_dot(N, N))
+        kappa = np.sqrt(dot(N, N))
         B = cross(T, N)
         # tau, kappa' and tau' only where kappa > ABS_TOL; 0 elsewhere
         live = kappa > ABS_TOL
@@ -172,31 +179,71 @@ def modified_frames(spec: CurveSpec, s) -> ModifiedFrame:
     return ModifiedFrame(*_assemble(jet), t, jet.r)
 
 
-def frenet_frame(spec: CurveSpec, s: float) -> FrenetFrame:
-    """Classical Frenet frame; raises where the curvature vanishes."""
-    mf = modified_frame(spec, s)
-    if mf.kappa <= ABS_TOL:
-        raise CurvatureVanishes(
-            f"Frenet frame undefined at s = {s:g} (kappa = {mf.kappa:g})"
-        )
-    return FrenetFrame(mf.T, mf.N / mf.kappa, mf.B / mf.kappa, mf.kappa, mf.tau)
+class FrameTable:
+    """Modified frames of one curve at a fixed set of arclengths, computed
+    in one :func:`modified_frames` call and read back by arclength.
+
+    ``table(s)`` gives the frames at ``s`` (a float or an array), each of
+    which must be one of the table's arclengths bit for bit; build the
+    table from the same expressions the reader evaluates, such as
+    :func:`numerics.stencil`.  Its fields are read-only.
+    """
+
+    def __init__(self, spec: CurveSpec, s) -> None:
+        self.spec = spec
+        self.s = np.unique(np.asarray(s, dtype=float))
+        self.frames = modified_frames(spec, self.s)
+
+    def __call__(self, s) -> ModifiedFrame:
+        i = np.searchsorted(self.s, s)
+        if not np.array_equal(self.s.take(i, mode="clip"), s):
+            raise ValueError("arclength not in the frame table")
+        return self.frames.take(i)
 
 
+def frame_table(spec, s) -> FrameTable:
+    """``spec`` itself when it is a FrameTable, else the table of the
+    CurveSpec ``spec`` at the arclengths ``s``."""
+    return spec if isinstance(spec, FrameTable) else FrameTable(spec, s)
+
+
+def frames_at(spec, s) -> ModifiedFrame:
+    """Frames of ``spec`` (a CurveSpec or a FrameTable) at ``s``: the cached
+    scalar frame for one point of a CurveSpec, else a batch."""
+    if isinstance(spec, FrameTable):
+        return spec(s)
+    return modified_frame(spec, s) if np.ndim(s) == 0 else modified_frames(spec, s)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def frenet_frame(spec, s) -> FrenetFrame:
+    """Classical Frenet frame at ``s``; raises where the curvature vanishes
+    (NaN rows over a batch)."""
+    mf = frames_at(spec, s)
+    flat = undefined(mf.kappa <= ABS_TOL, CurvatureVanishes,
+                     "Frenet frame undefined at s = {:g} (kappa = {:g})", s, mf.kappa)
+    n, b = (blank(flat, (v.T / mf.kappa).T) for v in (mf.N, mf.B))
+    return FrenetFrame(mf.T, n, b, mf.kappa, mf.tau)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
 def frame_ode_rhs(mf: ModifiedFrame):
     """Right-hand sides T' = N, N' = -k^2 T + (k'/k) N + tau B,
     B' = -tau N + (k'/k) B."""
-    if mf.kappa <= ABS_TOL:
-        raise CurvatureVanishes("frame ODE coefficients need kappa > 0")
+    flat = undefined(mf.kappa <= ABS_TOL, CurvatureVanishes,
+                     "frame ODE coefficients need kappa > 0")
     ratio = mf.kappa_prime / mf.kappa
-    dT = mf.N
-    dN = -mf.kappa**2 * mf.T + ratio * mf.N + mf.tau * mf.B
-    dB = -mf.tau * mf.N + ratio * mf.B
-    return dT, dN, dB
+    T, N, B = mf.T.T, mf.N.T, mf.B.T  # component-first
+    dT = N
+    dN = -mf.kappa**2 * T + ratio * N + mf.tau * B
+    dB = -mf.tau * N + ratio * B
+    return tuple(blank(flat, v.T) for v in (dT, dN, dB))
 
 
 @dataclass(frozen=True)
 class FrameOdeResult:
-    """Residual norms of the three frame ODE rows at one point."""
+    """Residual norms of the three frame ODE rows, at one point or at
+    each point of a batch."""
 
     s: float
     residual_T: float
@@ -204,34 +251,33 @@ class FrameOdeResult:
     residual_B: float
 
     @property
-    def max_residual(self) -> float:
-        return max(self.residual_T, self.residual_N, self.residual_B)
+    def max_residual(self):
+        return np.maximum(np.maximum(self.residual_T, self.residual_N), self.residual_B)
 
 
-def check_frame_ode(spec: CurveSpec, s: float) -> FrameOdeResult:
+def check_frame_ode(spec, s) -> FrameOdeResult:
     """Compare finite-difference derivatives of {T, N, B} along s with the
-    exact ODE right-hand sides."""
-    mf = modified_frame(spec, s)
-    dT, dN, dB = frame_ode_rhs(mf)
-    fd_T = numerics.diff_vec(lambda x: modified_frame(spec, x).T, s)
-    fd_N = numerics.diff_vec(lambda x: modified_frame(spec, x).N, s)
-    fd_B = numerics.diff_vec(lambda x: modified_frame(spec, x).B, s)
-    return FrameOdeResult(
-        s, norm(fd_T - dT), norm(fd_N - dN), norm(fd_B - dB)
-    )
+    exact ODE right-hand sides, at ``s`` (a float or an array)."""
+    at = frame_table(spec, numerics.stencil(s))
+    exact = frame_ode_rhs(at(s))
+    residuals = [norm((numerics.diff_vec(lambda x: getattr(at(x), name), s) - d).T)
+                 for name, d in zip("TNB", exact)]
+    return FrameOdeResult(s, *residuals)
 
 
-def metric_residual(spec: CurveSpec, s: float) -> float:
+def metric_residual(spec, s):
     """Worst deviation from <T,T> = 1, <N,N> = <B,B> = kappa^2 and pairwise
     orthogonality; kappa^2 taken from the cross-product formula so the two
     curvature paths check each other."""
-    mf = modified_frame(spec, s)
-    k2 = curvature(spec.jet(mf.t)) ** 2
-    return max(
-        abs(dot(mf.T, mf.T) - 1.0),
-        abs(dot(mf.N, mf.N) - k2),
-        abs(dot(mf.B, mf.B) - k2),
-        abs(dot(mf.T, mf.N)),
-        abs(dot(mf.T, mf.B)),
-        abs(dot(mf.N, mf.B)),
-    )
+    mf = frames_at(spec, s)
+    base = spec.spec if isinstance(spec, FrameTable) else spec
+    k2 = curvature(base.jet(mf.t)) ** 2
+    T, N, B = mf.T.T, mf.N.T, mf.B.T
+    return np.maximum.reduce([
+        np.abs(dot(T, T) - 1.0),
+        np.abs(dot(N, N) - k2),
+        np.abs(dot(B, B) - k2),
+        np.abs(dot(T, N)),
+        np.abs(dot(T, B)),
+        np.abs(dot(N, B)),
+    ])

@@ -4,25 +4,24 @@ Each curvature is available three ways: a closed form, a Gauss-equation
 oracle built from the finite-difference covariant derivative, and (for
 the unit-sphere indicatrices) an independent determinant formula.  The
 binormal case additionally carries a variant that expands the norm as if
-N and B were unit vectors; it disagrees with the oracle whenever
-kappa != 1 and is reported as an expected discrepancy, never silently
-dropped.
+N and B were unit vectors; its square exceeds the closed form's by
+exactly 2 at every kappa, so it disagrees with the oracle everywhere, and
+it is reported as an expected discrepancy, never silently dropped.
+Every function takes one point or a batch, as the indicatrix module does.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import frames
-from .curves import CurveSpec
+from . import frames, numerics
 from .darboux import DarbouxData, darboux
-from .errors import DegenerateIndicatrix, NotOnUnitSphere, TorsionVanishes
+from .errors import CurvatureVanishes, DegenerateIndicatrix, NotOnUnitSphere, TorsionVanishes
 from .frames import ModifiedFrame
 from .indicatrix import IndicatrixKind, cov_deriv_numeric, indicatrix_point
-from .numerics import ABS_TOL, Vec3, det3, norm
+from .numerics import ABS_TOL, blank, det3, norm, undefined
 
 #: Parameter spacing of the 5-point sample the determinant oracle
 #: differentiates.
@@ -31,7 +30,8 @@ SPHERE_STEP = 1e-3
 
 @dataclass(frozen=True)
 class GeodesicReport:
-    """Closed-form, variant and oracle geodesic curvatures at one point."""
+    """Closed-form, variant and oracle geodesic curvatures at one point,
+    or at each point of a batch."""
 
     kind: IndicatrixKind
     s: float
@@ -42,9 +42,10 @@ class GeodesicReport:
     residual_unweighted: float | None
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def geodesic_curvature_closed(
     kind: IndicatrixKind, mf: ModifiedFrame, dd: DarbouxData | None = None
-) -> float:
+):
     """Closed-form geodesic curvature (a nonnegative norm).
 
     tangent:  |tau| / kappa
@@ -55,100 +56,119 @@ def geodesic_curvature_closed(
     if dd is None and kind is not IndicatrixKind.TANGENT:
         dd = darboux(mf)
     k = mf.kappa
+    flat = undefined(k <= ABS_TOL, CurvatureVanishes, "geodesic curvature needs kappa > 0")
     if kind is IndicatrixKind.TANGENT:
-        return abs(mf.tau) / k
-    if kind is IndicatrixKind.NORMAL:
-        return math.hypot(dd.phi_prime / (k * dd.w_norm), (k * k - 1.0) / k)
-    if kind is IndicatrixKind.BINORMAL:
-        if abs(mf.tau) <= ABS_TOL:
-            raise TorsionVanishes("binormal geodesic curvature needs tau != 0")
-        return math.hypot(1.0 / mf.tau, (k * k - 1.0) / k)
-    if abs(dd.phi_prime) <= ABS_TOL:
-        raise DegenerateIndicatrix("pole geodesic curvature needs phi' != 0")
-    return dd.w_norm / abs(dd.phi_prime)
+        gamma = np.abs(mf.tau) / k
+    elif kind is IndicatrixKind.NORMAL:
+        gamma = np.hypot(dd.phi_prime / (k * dd.w_norm), (k * k - 1.0) / k)
+    elif kind is IndicatrixKind.BINORMAL:
+        flat = flat | undefined(np.abs(mf.tau) <= ABS_TOL, TorsionVanishes,
+                                "binormal geodesic curvature needs tau != 0")
+        gamma = np.hypot(1.0 / mf.tau, (k * k - 1.0) / k)
+    else:
+        flat = flat | undefined(np.abs(dd.phi_prime) <= ABS_TOL, DegenerateIndicatrix,
+                                "pole geodesic curvature needs phi' != 0")
+        gamma = dd.w_norm / np.abs(dd.phi_prime)
+    return blank(flat, gamma)
 
 
-def geodesic_curvature_binormal_unweighted(mf: ModifiedFrame) -> float:
+@np.errstate(divide="ignore", invalid="ignore")
+def geodesic_curvature_binormal_unweighted(mf: ModifiedFrame):
     """Variant sqrt(1/tau^2 + 1/kappa^2 + kappa^2) of the binormal
     geodesic curvature.
 
     This is what the norm expansion gives if N and B are treated as unit
     vectors; since |B| = kappa it drops the kappa^2 weight on the binormal
-    component and disagrees with the numeric oracle whenever kappa != 1.
+    component.  Its square exceeds the closed form's by exactly 2, so it
+    disagrees with the numeric oracle at every kappa, kappa = 1 included.
     Kept so validation can report the discrepancy explicitly.
     """
-    if abs(mf.tau) <= ABS_TOL:
-        raise TorsionVanishes("binormal geodesic curvature needs tau != 0")
+    flat = undefined(np.abs(mf.tau) <= ABS_TOL, TorsionVanishes,
+                     "binormal geodesic curvature needs tau != 0")
     k = mf.kappa
-    return math.sqrt(1.0 / mf.tau**2 + 1.0 / k**2 + k * k)
+    return blank(flat, np.sqrt(1.0 / mf.tau**2 + 1.0 / k**2 + k * k))
 
 
-def geodesic_curvature_oracle(kind: IndicatrixKind, spec: CurveSpec, s: float) -> float:
+def geodesic_curvature_oracle(kind: IndicatrixKind, spec, s):
     """Gauss-equation oracle: |D_num + point| with the covariant derivative
     from finite differences and the indicatrix position as the sphere
-    normal term."""
-    mf = frames.modified_frame(spec, s)
+    normal term.  ``spec`` is a CurveSpec or a
+    :class:`~modframe.frames.FrameTable` that holds the oracle's stencil."""
+    at = frames.frame_table(spec, numerics.stencil(s))
+    mf = at(s)
     dd = darboux(mf) if kind is not IndicatrixKind.TANGENT else None
     point = indicatrix_point(kind, mf, dd)
-    d_num = cov_deriv_numeric(kind, spec, s)
-    return norm(d_num + point)
+    return norm((cov_deriv_numeric(kind, at, s) + point).T)
 
 
-def geodesic_report(kind: IndicatrixKind, spec: CurveSpec, s: float) -> GeodesicReport:
-    mf = frames.modified_frame(spec, s)
+def geodesic_report(kind: IndicatrixKind, spec, s) -> GeodesicReport:
+    at = frames.frame_table(spec, numerics.stencil(s))
+    mf = at(s)
     dd = darboux(mf) if kind is not IndicatrixKind.TANGENT else None
     closed = geodesic_curvature_closed(kind, mf, dd)
-    oracle = geodesic_curvature_oracle(kind, spec, s)
+    oracle = geodesic_curvature_oracle(kind, at, s)
     unweighted = None
     residual_unweighted = None
     if kind is IndicatrixKind.BINORMAL:
         unweighted = geodesic_curvature_binormal_unweighted(mf)
-        residual_unweighted = abs(unweighted - oracle)
+        residual_unweighted = np.abs(unweighted - oracle)
     return GeodesicReport(
-        kind, s, closed, unweighted, oracle, abs(closed - oracle), residual_unweighted
+        kind, s, closed, unweighted, oracle, np.abs(closed - oracle), residual_unweighted
     )
 
 
-def geodesic_curvature_sphere(points: np.ndarray, step: float) -> float:
+def geodesic_curvature_sphere(points: np.ndarray, step: float):
     """Signed geodesic curvature det(g, g', g'') / |g'|^3 of a unit-sphere
     curve from uniformly spaced samples.
 
-    ``points`` is an (n, 3) array sampled at parameter spacing ``step``
-    with n >= 5 and odd; fourth-order central stencils are applied at the
-    middle sample.  Independent of the Gauss-equation oracle: only the
-    raw points enter.
+    ``points`` is an (m, 3) array sampled at parameter spacing ``step``
+    with m >= 5 and odd, or an (m, n, 3) array of n such samples;
+    fourth-order central stencils are applied at the middle sample.
+    Independent of the Gauss-equation oracle: only the raw points enter.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 5 or pts.shape[0] % 2 == 0:
+    if (pts.ndim not in (2, 3) or pts.shape[-1] != 3 or pts.shape[0] < 5
+            or pts.shape[0] % 2 == 0):
         raise ValueError("need an odd number (>= 5) of 3-d points")
-    radii = np.sqrt((pts * pts).sum(axis=1))
-    if np.max(np.abs(radii - 1.0)) > ABS_TOL:
+    off = np.abs(norm(np.moveaxis(pts, -1, 0)) - 1.0)
+    if np.any(off > ABS_TOL):  # a NaN sample is degenerate, not off the sphere
         raise NotOnUnitSphere(
-            f"samples deviate from the unit sphere by {np.max(np.abs(radii - 1.0)):g}"
+            f"samples deviate from the unit sphere by {np.extract(off > ABS_TOL, off).max():g}"
         )
     i = pts.shape[0] // 2
     d1 = (-pts[i + 2] + 8 * pts[i + 1] - 8 * pts[i - 1] + pts[i - 2]) / (12 * step)
     d2 = (
         -pts[i + 2] + 16 * pts[i + 1] - 30 * pts[i] + 16 * pts[i - 1] - pts[i - 2]
     ) / (12 * step * step)
-    speed = norm(d1)
-    if speed <= ABS_TOL:
-        raise DegenerateIndicatrix("sampled spherical curve has zero speed")
-    return det3(pts[i], d1, d2) / speed**3
+    speed = norm(d1.T)
+    flat = undefined(speed <= ABS_TOL, DegenerateIndicatrix,
+                     "sampled spherical curve has zero speed")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return blank(flat, det3(pts[i].T, d1.T, d2.T) / speed**3)
 
 
-def geodesic_curvature_sphere_at(kind: IndicatrixKind, spec: CurveSpec, s: float) -> float:
+def sphere_stencil(s) -> np.ndarray:
+    """The arclengths s + j*SPHERE_STEP, j = -2..2, at which
+    :func:`geodesic_curvature_sphere_at` samples the indicatrix around
+    ``s``: one row per j."""
+    return np.array([s + j * SPHERE_STEP for j in range(-2, 3)])
+
+
+def geodesic_curvature_sphere_at(kind: IndicatrixKind, spec, s):
     """Determinant oracle evaluated on a local 5-point sample of a
-    unit-sphere indicatrix (tangent or pole kinds only)."""
+    unit-sphere indicatrix (tangent or pole kinds only), at ``s`` (a float
+    or an array).  ``spec`` is a CurveSpec or a
+    :class:`~modframe.frames.FrameTable` that holds :func:`sphere_stencil`."""
     if kind not in (IndicatrixKind.TANGENT, IndicatrixKind.POLE):
         raise NotOnUnitSphere(
             f"{kind.value} indicatrix does not lie on the unit sphere"
         )
+    xs = sphere_stencil(s)
+    at = frames.frame_table(spec, xs)
 
-    def point_at(x: float) -> Vec3:
-        mf = frames.modified_frame(spec, x)
+    def point_at(x):
+        mf = at(x)
         dd = darboux(mf) if kind is IndicatrixKind.POLE else None
         return indicatrix_point(kind, mf, dd)
 
-    pts = np.array([point_at(s + j * SPHERE_STEP) for j in range(-2, 3)])
-    return geodesic_curvature_sphere(pts, SPHERE_STEP)
+    return geodesic_curvature_sphere(np.array([point_at(x) for x in xs]), SPHERE_STEP)

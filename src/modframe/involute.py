@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frames
-from .curves import CurveSpec, arclength_grid
+from .curves import arclength_grid
 from .darboux import darboux
-from .errors import DegenerateFrame, DegenerateIndicatrix
 from .indicatrix import IndicatrixKind, indicatrix_tangent, pole_tangent_direction
 from .numerics import ABS_TOL, dot
 
@@ -51,40 +50,41 @@ class InvoluteReport:
     precondition_note: str
 
 
-def involute_inner(pair: InvolutePair, spec: CurveSpec, s: float) -> float:
+def involute_inner(pair: InvolutePair, spec, s):
     """Orthogonality defect between the pair's indicatrix tangent and the
-    pole curve's tangent at base arclength ``s``."""
-    mf = frames.modified_frame(spec, s)
+    pole curve's tangent at base arclength ``s`` (a float, or an array
+    with NaN where a tangent is undefined)."""
+    mf = frames.frames_at(spec, s)
     dd = darboux(mf)
     t_x = indicatrix_tangent(_KIND[pair], mf, dd)
     t_c = pole_tangent_direction(mf, dd)
+    inner = dot(t_x.T, t_c.T)
     if pair is InvolutePair.N_VS_C:
         # Pairing against the velocity phi' * T_C keeps the phi' = 0
         # (helix) limit meaningful: the pole curve is then a fixed point
         # and the defect vanishes.
-        return dd.phi_prime * dot(t_x, t_c)
-    return dot(t_x, t_c)
+        return dd.phi_prime * inner
+    return inner
 
 
-def involute_scan(pair: InvolutePair, spec: CurveSpec, n_samples: int) -> InvoluteReport:
-    """Evaluate :func:`involute_inner` on a uniform arclength grid.
+def involute_scan(pair: InvolutePair, spec, n_samples: int) -> InvoluteReport:
+    """Evaluate :func:`involute_inner` on a uniform arclength grid of
+    ``spec`` (a CurveSpec, or a :class:`~modframe.frames.FrameTable` that
+    holds that grid).
 
     Verdict is true iff every defined sample is within ABS_TOL of zero;
     samples where the frame or the indicatrix degenerates are skipped and
-    counted, and every other error propagates.
+    counted, and every error propagates.
     """
     if n_samples < 3:
         raise ValueError("need at least 3 samples")
-    inners: list[float] = []
-    skipped = 0
-    for s in arclength_grid(spec, n_samples):
-        try:
-            inners.append(abs(involute_inner(pair, spec, float(s))))
-        except (DegenerateIndicatrix, DegenerateFrame):
-            skipped += 1
-    if not inners:
+    base = spec.spec if isinstance(spec, frames.FrameTable) else spec
+    inner = np.abs(involute_inner(pair, spec, arclength_grid(base, n_samples)))
+    defined = inner[~np.isnan(inner)]
+    if not defined.size:
         return InvoluteReport(pair, n_samples, 0, float("inf"), False,
                               "no sample had both tangents defined")
-    worst = max(inners)
+    worst = float(defined.max())
+    skipped = n_samples - defined.size
     note = f"{skipped} degenerate samples skipped" if skipped else "all samples defined"
-    return InvoluteReport(pair, n_samples, len(inners), worst, worst <= ABS_TOL, note)
+    return InvoluteReport(pair, n_samples, int(defined.size), worst, worst <= ABS_TOL, note)

@@ -4,6 +4,12 @@ Everything here is a pure function: no shared mutable state, safe to call
 from any number of threads.  The finite-difference derivative is the
 independent oracle used throughout the test suite, so it is implemented
 here by hand, as is the bracketed Newton inversion of monotone maps.
+
+The vector helpers are component-first: ``v[0]`` holds every x component,
+so they take one (3,) vector or a (3, n) array of n vectors, and a
+coefficient per point broadcasts against the latter.  :func:`undefined`
+and :func:`blank` carry the degeneracy policy of every closed form: a
+single point raises, a batch marks the point with NaN.
 """
 
 from __future__ import annotations
@@ -45,12 +51,12 @@ def vec(x: float, y: float, z: float) -> Vec3:
     return np.array([x, y, z], dtype=float)
 
 
-def norm(v: Vec3) -> float:
-    return float(math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2]))
+def norm(v: Vec3):
+    return np.sqrt(dot(v, v))
 
 
-def dot(a: Vec3, b: Vec3) -> float:
-    return float(a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
+def dot(a: Vec3, b: Vec3):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def cross(a: Vec3, b: Vec3) -> Vec3:
@@ -72,45 +78,83 @@ def det3(a: Vec3, b: Vec3, c: Vec3) -> float:
 
 # Higher-order stencils cancel more digits, so their base step must grow.
 _STEP_SCALE = {1: 1.0, 2: 100.0, 3: 1000.0}
+# Central stencils by order: offsets in steps, their weights, and the
+# factor of step**order that divides the weighted sum.
+_STENCILS = {
+    1: ((1, -1), (1.0, -1.0), 2.0),
+    2: ((1, 0, -1), (1.0, -2.0, 1.0), 1.0),
+    3: ((2, 1, -1, -2), (1.0, -2.0, 2.0, -1.0), 2.0),
+}
 
 
-def _stencil(f: Callable[[float], Vec3], s: float, order: int, h: float) -> Vec3:
-    if order == 1:
-        return (f(s + h) - f(s - h)) / (2.0 * h)
-    if order == 2:
-        return (f(s + h) - 2.0 * f(s) + f(s - h)) / (h * h)
-    # order == 3
-    return (f(s + 2 * h) - 2.0 * f(s + h) + 2.0 * f(s - h) - f(s - 2 * h)) / (
-        2.0 * h**3
-    )
-
-
-def diff_vec(f: Callable[[float], Vec3], s: float, order: int = 1,
-             step: float | None = None) -> Vec3:
-    """Central-difference derivative of a vector-valued map.
-
-    Richardson extrapolation over steps h and h/2 raises the leading
-    O(h^2) stencil error to O(h^4).  ``f`` must be evaluable on
-    [s - 3*step, s + 3*step].  Raises StepTooSmall when the rounding-noise
-    estimate eps * |f| / step**order exceeds the REL_TOL budget.
-    """
-    if order not in (1, 2, 3):
+def _step(order: int, step: float | None) -> float:
+    if order not in _STENCILS:
         raise ValueError(f"unsupported derivative order {order}")
     h = FD_STEP * _STEP_SCALE[order] if step is None else float(step)
     if h <= 0:
         raise ValueError("step must be positive")
-
-    scale = max(norm(f(s)), 1.0)
-    noise = 8.0 * _EPS * scale / h**order
-    if noise > REL_TOL * scale:
+    # Rounding noise 8 eps |f| / h**order against the budget REL_TOL |f|.
+    noise = 8.0 * _EPS / h**order
+    if noise > REL_TOL:
         raise StepTooSmall(
-            f"step {h:g} leaves rounding noise {noise:g} above the "
+            f"step {h:g} leaves relative rounding noise {noise:g} above the "
             f"REL_TOL budget at order {order}"
         )
+    return h
 
-    coarse = _stencil(f, s, order, h)
-    fine = _stencil(f, s, order, h / 2.0)
+
+def stencil(s, order: int = 1, step: float | None = None) -> np.ndarray:
+    """``s`` (a float or an array) and every arclength at which
+    :func:`diff_vec` with these arguments evaluates its map, as one flat
+    array: the points a finite-difference oracle at ``s`` reads."""
+    h = _step(order, step)
+    offsets = _STENCILS[order][0]
+    return np.concatenate([np.ravel(s)] + [np.ravel(s + k * hk)
+                                           for hk in (h, h / 2.0) for k in offsets])
+
+
+def diff_vec(f: Callable, s, order: int = 1, step: float | None = None):
+    """Central-difference derivative of a vector-valued map.
+
+    Richardson extrapolation over steps h and h/2 raises the leading
+    O(h^2) stencil error to O(h^4).  ``s`` is a float, with ``f`` mapping
+    a float to a (3,) vector, or an array, with ``f`` mapping an array of
+    arclengths to an (n, 3) array.  ``f`` must be evaluable on
+    [s - 3*step, s + 3*step].  Raises StepTooSmall when the relative
+    rounding noise 8 eps / step**order exceeds the REL_TOL budget.
+    """
+    h = _step(order, step)
+    offsets, weights, divisor = _STENCILS[order]
+
+    def level(hk):
+        total = sum(w * f(s + k * hk) for k, w in zip(offsets, weights))
+        return total / (divisor * hk**order)
+
+    coarse = level(h)
+    fine = level(h / 2.0)
     return (4.0 * fine - coarse) / 3.0
+
+
+def undefined(bad, error: type[Exception], message: str, *values):
+    """The mask of points where a quantity is undefined.
+
+    Over a batch, ``bad`` (one flag per point) is returned, for
+    :func:`blank` to mark those points with NaN.  At a single point
+    (``bad`` a bool) the point raises ``error`` instead, with ``message``
+    formatted with ``values``.
+    """
+    if np.ndim(bad) == 0 and bad:
+        raise error(message.format(*values))
+    return bad
+
+
+def blank(bad, value):
+    """``value`` with NaN at the points where ``bad`` holds: one entry per
+    point of a (n,) array, one row of an (n, 3) array."""
+    if not np.any(bad):
+        return value
+    return np.where(np.reshape(bad, np.shape(bad) + (1,) * (np.ndim(value) - np.ndim(bad))),
+                    np.nan, value)
 
 
 def outside(x, lo, hi):

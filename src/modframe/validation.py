@@ -12,15 +12,15 @@ instead of counting as a failure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
+import numpy as np
+
 from . import curves, frames, geodesic, indicatrix, involute, numerics
 from .curves import CurveSpec
 from .darboux import check_alignment, darboux, rotation_residuals
-from .errors import DegenerateIndicatrix, TorsionVanishes
 from .indicatrix import IndicatrixKind
 from .involute import InvolutePair
 from .numerics import ABS_TOL, dot, norm
@@ -81,18 +81,18 @@ def default_families() -> dict[str, CurveSpec]:
     }
 
 
-def _max_over(specs, names, n, fn) -> tuple[float, int]:
+def _max_over(tables, names, n, fn) -> tuple[float, int]:
     """Worst value of ``fn`` over the named curves' grids, and the number
-    of samples it was evaluated on (degenerate samples are skipped)."""
+    of samples it was evaluated on.  ``fn(table, s)`` takes a curve's
+    frame table and its whole grid and returns one residual per sample,
+    NaN where the sample is degenerate and skipped."""
     worst, evaluated = 0.0, 0
     for name in names:
-        spec = specs[name]
-        for s in curves.arclength_grid(spec, n):
-            try:
-                worst = max(worst, fn(spec, float(s)))
-            except (DegenerateIndicatrix, TorsionVanishes):
-                continue
-            evaluated += 1
+        table = tables[name]
+        residual = fn(table, curves.arclength_grid(table.spec, n))
+        live = residual[~np.isnan(residual)]
+        worst = max(worst, float(live.max(initial=0.0)))
+        evaluated += live.size
     return worst, evaluated
 
 
@@ -111,17 +111,34 @@ def _unit_kappa(spec: CurveSpec) -> bool:
     return _const_kappa(spec) and abs(spec.constant_kappa - 1.0) < 1e-12
 
 
-# Per-sample residuals, fn(spec, s) for _max_over.  A sample that raises
-# DegenerateIndicatrix or TorsionVanishes is skipped.
+# The arclengths an identity reads frames at, points(spec, samples): its
+# grid, the finite-difference stencil around it, or the determinant
+# oracle's half-size grid with both of its stencils.
 
-def _lancret(spec, s):
-    mf = frames.modified_frame(spec, s)
+def _stencil_points(spec, samples):
+    return numerics.stencil(curves.arclength_grid(spec, samples))
+
+
+def _det_samples(samples):
+    return max(samples // 2, 4)
+
+
+def _det_points(spec, samples):
+    grid = curves.arclength_grid(spec, _det_samples(samples))
+    return np.concatenate([numerics.stencil(grid), geodesic.sphere_stencil(grid).ravel()])
+
+
+# Per-sample residuals, fn(table, s) for _max_over: one value per sample
+# of the grid s, NaN where the sample is skipped as degenerate.
+
+def _lancret(table, s):
+    mf = table(s)
     dd = darboux(mf)
-    return max(
-        abs(math.sin(dd.phi) * dd.w_norm - mf.tau),
-        abs(math.cos(dd.phi) * dd.w_norm - mf.kappa),
-        abs(dd.w_norm - math.hypot(mf.kappa, mf.tau)),
-    )
+    return np.maximum.reduce([
+        np.abs(np.sin(dd.phi) * dd.w_norm - mf.tau),
+        np.abs(np.cos(dd.phi) * dd.w_norm - mf.kappa),
+        np.abs(dd.w_norm - np.hypot(mf.kappa, mf.tau)),
+    ])
 
 
 def _darboux_for(kind, mf):
@@ -129,119 +146,120 @@ def _darboux_for(kind, mf):
     return darboux(mf) if kind is not IndicatrixKind.TANGENT else None
 
 
-def _cov_residual(kind, spec, s):
-    mf = frames.modified_frame(spec, s)
+def _cov_residual(kind, table, s):
+    mf = table(s)
     closed = indicatrix.cov_deriv_closed(kind, mf, _darboux_for(kind, mf))
-    numeric = indicatrix.cov_deriv_numeric(kind, spec, s)
-    return norm(closed - numeric)
+    numeric = indicatrix.cov_deriv_numeric(kind, table, s)
+    return norm((closed - numeric).T)
 
 
-def _tangent_residual(kind, spec, s):
-    mf = frames.modified_frame(spec, s)
+def _tangent_residual(kind, table, s):
+    mf = table(s)
     dd = _darboux_for(kind, mf)
     closed = indicatrix.indicatrix_tangent(kind, mf, dd)
     rate = indicatrix._signed_rate(kind, mf, dd)
-    if abs(rate) <= 1e-6:
-        raise DegenerateIndicatrix("skip near-degenerate sample")
 
     def point_at(x):
-        f = frames.modified_frame(spec, x)
+        f = table(x)
         return indicatrix.indicatrix_point(kind, f, _darboux_for(kind, f))
 
-    fd = numerics.diff_vec(point_at, s) / rate
-    return norm(closed - fd)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fd = numerics.diff_vec(point_at, s).T / rate
+    # skip near-degenerate samples
+    return np.where(np.abs(rate) <= 1e-6, np.nan, norm(closed.T - fd))
 
 
-def _binormal_gap(spec, s):
-    rep = geodesic.geodesic_report(IndicatrixKind.BINORMAL, spec, s)
-    if not (abs(rep.gamma_oracle) > 0 and frames.modified_frame(spec, s).kappa != 1.0):
-        raise DegenerateIndicatrix("no gap where kappa = 1 or the oracle vanishes")
-    return rep.residual_unweighted
+def _binormal_gap(table, s):
+    # skip where the oracle vanishes
+    rep = geodesic.geodesic_report(IndicatrixKind.BINORMAL, table, s)
+    return np.where(rep.gamma_oracle > 0, rep.residual_unweighted, np.nan)
 
 
-def _det_residual(kind, spec, s):
-    det = geodesic.geodesic_curvature_sphere_at(kind, spec, s)
-    oracle = geodesic.geodesic_curvature_oracle(kind, spec, s)
-    return abs(abs(det) - oracle)
+def _det_residual(kind, table, s):
+    det = geodesic.geodesic_curvature_sphere_at(kind, table, s)
+    oracle = geodesic.geodesic_curvature_oracle(kind, table, s)
+    return np.abs(np.abs(det) - oracle)
 
 
-def _coincidence(spec, s):
-    mf = frames.modified_frame(spec, s)
-    ff = frames.frenet_frame(spec, s)
-    return max(norm(mf.T - ff.t_vec), norm(mf.N - ff.n_vec * ff.kappa),
-               norm(mf.B - ff.b_vec * ff.kappa),
-               norm(mf.N - ff.n_vec) if abs(ff.kappa - 1) < 1e-12 else 0.0)
+def _coincidence(table, s):
+    mf = table(s)
+    ff = frames.frenet_frame(table, s)
+    n, b = ff.n_vec.T, ff.b_vec.T
+    unit = np.abs(ff.kappa - 1) < 1e-12
+    return np.maximum.reduce([
+        norm(mf.T.T - ff.t_vec.T), norm(mf.N.T - n * ff.kappa), norm(mf.B.T - b * ff.kappa),
+        np.where(unit, norm(mf.N.T - n), 0.0)])
 
 
-def _unit_speed(spec, s):
-    fd = numerics.diff_vec(lambda x: curves.position_at_arclength(spec, x), s)
-    return abs(norm(fd) - 1.0)
+def _unit_speed(table, s):
+    fd = numerics.diff_vec(lambda x: table(x).r, s)
+    return np.abs(norm(fd.T) - 1.0)
 
 
-def _kappa_gap(spec, s):
-    mf = frames.modified_frame(spec, s)
-    k2 = frames.curvature(spec.jet(mf.t)) ** 2
-    return max(abs(dot(mf.N, mf.N) - k2), abs(dot(mf.B, mf.B) - k2))
+def _kappa_gap(table, s):
+    mf = table(s)
+    k2 = frames.curvature(table.spec.jet(mf.t)) ** 2
+    N, B = mf.N.T, mf.B.T
+    return np.maximum(np.abs(dot(N, N) - k2), np.abs(dot(B, B) - k2))
 
 
-# Whole-entry verdicts, fn(specs, names, samples).  Each returns
+# Whole-entry verdicts, fn(tables, names, samples).  Each returns
 # (residual, n_evaluated, passed, note), with passed None to judge the
-# residual against the tolerance, or None to leave the entry out.
+# residual against the tolerance.
 
-def _metric_relations(specs, names, samples):
+def _metric_relations(tables, names, samples):
     worst, evaluated = 0.0, 0
-    for spec in map(specs.get, names):
-        for s in curves.frenet_arclength_grid(spec, samples):
-            worst = max(worst, frames.metric_residual(spec, float(s)))
-            evaluated += 1
+    for table in map(tables.get, names):
+        residual = frames.metric_residual(
+            table, curves.frenet_arclength_grid(table.spec, samples))
+        worst = max(worst, float(residual.max(initial=0.0)))
+        evaluated += residual.size
     return worst, evaluated, None, ""
 
 
-def _binormal_unweighted(specs, names, samples):
-    return (*_max_over(specs, names, samples, _binormal_gap), True,
+def _binormal_unweighted(tables, names, samples):
+    return (*_max_over(tables, names, samples, _binormal_gap), True,
             "known algebraic discrepancy; oracle arbitrates")
 
 
-def _sphere_det(specs, names, samples):
+def _sphere_det(tables, names, samples):
     # the tangent indicatrix wherever kappa > 0, the pole on constant kappa
-    results = [_max_over(specs, [f for f in names if assumes(specs[f])],
-                         max(samples // 2, 4), partial(_det_residual, kind))
+    results = [_max_over(tables, [f for f in names if assumes(tables[f].spec)],
+                         _det_samples(samples), partial(_det_residual, kind))
                for assumes, kind in ((_nonzero_kappa, IndicatrixKind.TANGENT),
                                      (_const_kappa, IndicatrixKind.POLE))]
     return max(w for w, _ in results), sum(n for _, n in results), None, ""
 
 
-def _involute_defect(pair, specs, names, samples):
-    reps = [r for r in (involute.involute_scan(pair, specs[f], samples) for f in names)
+def _involute_defect(pair, tables, names, samples):
+    reps = [r for r in (involute.involute_scan(pair, tables[f], samples) for f in names)
             if r.n_defined]
     return (max((r.max_abs_inner for r in reps), default=0.0),
             sum(r.n_defined for r in reps), None, "")
 
 
-def _involute_normal(specs, names, samples):
-    helices = [specs[f] for f in names if specs[f].family == "helix"]
+def _involute_normal(tables, names, samples):
+    helices = [tables[f] for f in names if tables[f].spec.family == "helix"]
     if not helices:
-        return None
-    helix_reps = [involute.involute_scan(InvolutePair.N_VS_C, sp, samples)
-                  for sp in helices]
+        return 0.0, 0, None, ""
+    helix_reps = [involute.involute_scan(InvolutePair.N_VS_C, t, samples) for t in helices]
     helix_defect = max(r.max_abs_inner for r in helix_reps)
     evaluated = sum(r.n_defined for r in helix_reps)
     note = "helix defect vanishes with phi'"
     ok = helix_defect <= 1e-9
-    for sp in [specs[f] for f in names if specs[f].family == "salkowski"]:
-        salk_rep = involute.involute_scan(InvolutePair.N_VS_C, sp, samples)
+    for t in [tables[f] for f in names if tables[f].spec.family == "salkowski"]:
+        salk_rep = involute.involute_scan(InvolutePair.N_VS_C, t, samples)
         ok = ok and salk_rep.max_abs_inner > 1e-3
         evaluated += salk_rep.n_defined
         note += f"; varying-torsion defect reaches {salk_rep.max_abs_inner:.3g}"
     return helix_defect, evaluated, ok, note
 
 
-def _kappa_zero_extension(specs, names, samples):
-    if not names:
-        return None
-    worst, evaluated = _max_over(specs, names, samples, _kappa_gap)
+def _kappa_zero_extension(tables, names, samples):
+    worst, evaluated = _max_over(tables, names, samples, _kappa_gap)
+    # The frame at the zero itself is asked for alone: one scalar frame.
     at_zeros = [frames.modified_frame(sp, curves.arclength(sp, sp.t_lo, t0))
-                for sp in map(specs.get, names) for t0 in sp.kappa_zeros]
+                for sp in (tables[f].spec for f in names) for t0 in sp.kappa_zeros]
     vanish = all(norm(mf.N) <= 1e-6 and norm(mf.B) <= 1e-6 for mf in at_zeros)
     return worst, evaluated, worst <= 1e-7 and vanish, "N = B = 0 at the zero itself"
 
@@ -250,15 +268,17 @@ def _kappa_zero_extension(specs, names, samples):
 class Identity:
     """One identity of the suite: it runs on the curves for which
     ``assumes`` holds, either as a per-sample ``residual`` (judged against
-    ``tolerance``) or as one ``verdict`` on the whole entry."""
+    ``tolerance``) or as one ``verdict`` on the whole entry, and reads
+    frames at the arclengths ``points(spec, samples)``."""
 
     name: str
     description: str
     tolerance: float
     assumes: Callable[[CurveSpec], bool]
-    residual: Callable[[CurveSpec, float], float] | None = None
-    verdict: Callable[..., tuple | None] | None = None
+    residual: Callable[[frames.FrameTable, np.ndarray], np.ndarray] | None = None
+    verdict: Callable[..., tuple] | None = None
     expected_discrepancy: bool = False
+    points: Callable[[CurveSpec, int], np.ndarray] = _stencil_points
 
 
 def _per_kind(name, description, residual):
@@ -276,47 +296,53 @@ IDENTITIES: list[Identity] = [
     Identity("frame-ode",
              "finite-difference frame derivatives match the derivative matrix",
              1e-5, _nonzero_kappa,
-             residual=lambda spec, s: frames.check_frame_ode(spec, s).max_residual),
+             residual=lambda table, s: frames.check_frame_ode(table, s).max_residual),
     Identity("metric-relations", "frame inner products equal (1, k^2, k^2, 0, 0, 0)",
-             1e-9, lambda spec: True, verdict=_metric_relations),
+             1e-9, lambda spec: True, verdict=_metric_relations,
+             points=curves.arclength_grid),
     Identity("darboux-alignment", "N x N' = k^2 w against the finite-difference N'",
-             1e-5, _const_kappa, residual=lambda spec, s: check_alignment(spec, s)),
+             1e-5, _const_kappa, residual=lambda table, s: check_alignment(table, s)),
     Identity("darboux-rotation",
              "X' = w x X for X in {T, N, B} on constant-curvature curves",
-             1e-5, _const_kappa, residual=lambda spec, s: max(rotation_residuals(spec, s))),
+             1e-5, _const_kappa,
+             residual=lambda table, s: np.maximum.reduce(rotation_residuals(table, s))),
     Identity("lancret-angle", "sin(phi)|w| = tau and cos(phi)|w| = kappa",
-             1e-9, _const_kappa, residual=_lancret),
+             1e-9, _const_kappa, residual=_lancret, points=curves.arclength_grid),
     *_per_kind("{}-ind-covderiv",
                "{}-indicatrix covariant derivative, closed vs oracle", _cov_residual),
     *_per_kind("{}-ind-tangent",
                "{}-indicatrix unit tangent vs differentiated point", _tangent_residual),
     *_per_kind("geodesic-{}", "{}-indicatrix geodesic curvature, closed vs oracle",
-               lambda kind, spec, s: geodesic.geodesic_report(kind, spec, s).residual_closed),
+               lambda kind, table, s:
+               geodesic.geodesic_report(kind, table, s).residual_closed),
     Identity("geodesic-binormal-unweighted",
              "unit-norm expansion of the binormal geodesic curvature differs "
-             "from the oracle whenever kappa != 1",
+             "from the oracle at every kappa (its square is 2 too large)",
              1e-5, _const_kappa, verdict=_binormal_unweighted,
              expected_discrepancy=True),
     Identity("geodesic-sphere-det",
              "determinant oracle agrees with the Gauss-equation oracle on the "
              "unit-sphere indicatrices",
-             1e-5, _nonzero_kappa, verdict=_sphere_det),
+             1e-5, _nonzero_kappa, verdict=_sphere_det, points=_det_points),
     Identity("involute-tangent",
              "pole-curve tangent orthogonal to the tangent indicatrix tangent",
-             1e-9, _const_kappa, verdict=partial(_involute_defect, InvolutePair.T_VS_C)),
+             1e-9, _const_kappa, verdict=partial(_involute_defect, InvolutePair.T_VS_C),
+             points=curves.arclength_grid),
     Identity("involute-binormal",
              "pole-curve tangent orthogonal to the binormal indicatrix tangent",
-             1e-9, _const_kappa, verdict=partial(_involute_defect, InvolutePair.B_VS_C)),
+             1e-9, _const_kappa, verdict=partial(_involute_defect, InvolutePair.B_VS_C),
+             points=curves.arclength_grid),
     Identity("involute-normal",
              "normal-indicatrix involute defect is zero exactly for helices",
-             1e-9, _const_kappa, verdict=_involute_normal),
+             1e-9, _const_kappa, verdict=_involute_normal, points=curves.arclength_grid),
     Identity("frame-coincidence", "modified frame equals the Frenet frame where kappa = 1",
-             1e-9, _unit_kappa, residual=_coincidence),
+             1e-9, _unit_kappa, residual=_coincidence, points=curves.arclength_grid),
     Identity("unit-speed", "arclength reparametrization has unit speed",
              1e-6, lambda spec: True, residual=_unit_speed),
     Identity("kappa-zero-extension",
              "|N|^2 and |B|^2 extend continuously through the curvature zero",
-             1e-7, lambda spec: bool(spec.kappa_zeros), verdict=_kappa_zero_extension),
+             1e-7, lambda spec: bool(spec.kappa_zeros), verdict=_kappa_zero_extension,
+             points=curves.arclength_grid),
 ]
 
 IDENTITY_NAMES = [i.name for i in IDENTITIES]
@@ -331,20 +357,24 @@ def run_validation(
     """Run every identity suite and collect a report.
 
     ``tolerance_override`` replaces each identity's default residual
-    tolerance; ``only`` restricts to the named identities.
+    tolerance; ``only`` restricts to the named identities.  Each curve's
+    frames come from one :class:`~modframe.frames.FrameTable` that holds
+    every arclength the chosen identities read on it.
     """
     specs = families if families is not None else default_families()
+    chosen = [i for i in IDENTITIES if only is None or i.name in only]
+    tables = {}
+    for f, spec in specs.items():
+        points = [i.points(spec, samples) for i in chosen if i.assumes(spec)]
+        if points:
+            tables[f] = frames.FrameTable(spec, np.concatenate(points))
     report = ValidationReport()
-    for ident in IDENTITIES:
-        if only is not None and ident.name not in only:
-            continue
+    for ident in chosen:
         names = [f for f, spec in specs.items() if ident.assumes(spec)]
         if ident.residual is not None:
-            result = (*_max_over(specs, names, samples, ident.residual), None, "")
+            result = (*_max_over(tables, names, samples, ident.residual), None, "")
         else:
-            result = ident.verdict(specs, names, samples)
-            if result is None:
-                continue
+            result = ident.verdict(tables, names, samples)
         residual, n_evaluated, passed, note = result
         tol = tolerance_override if tolerance_override is not None else ident.tolerance
         if passed is None:

@@ -1,0 +1,198 @@
+"""Every function with an array form agrees with its scalar form.
+
+Closed forms take a batched frame from ``modified_frames`` or one frame
+from ``modified_frame``; oracles take an array of arclengths or one.
+Where the scalar form raises, the batch marks that row with NaN, except
+for the constant-curvature gate, which refuses the whole batch.
+"""
+
+import dataclasses
+import enum
+
+import numpy as np
+import pytest
+
+from modframe import curves, frames, geodesic, indicatrix, involute, numerics
+from modframe.darboux import check_alignment, darboux, rotation_residuals
+from modframe.errors import (
+    CurvatureVanishes,
+    DegenerateFrame,
+    DegenerateIndicatrix,
+    ModFrameError,
+    NonConstantCurvature,
+    TorsionVanishes,
+)
+from modframe.indicatrix import IndicatrixKind
+from modframe.involute import InvolutePair
+from modframe.validation import default_families
+
+# the six default families, and a straight line (kappa = 0 everywhere)
+FAMILIES = {**default_families(), "line": curves.line()}
+
+
+def _grid(spec):
+    grid = curves.arclength_grid(spec, 9)
+    if spec.kappa_zeros:  # land exactly on the curvature zero too
+        grid = np.sort(np.append(grid, curves.arclength(spec, spec.t_lo, 0.0)))
+    return grid
+
+
+def _fields(result):
+    # The per-point parts of a result, in a fixed order.
+    if dataclasses.is_dataclass(result):
+        result = [v for v in vars(result).values() if not isinstance(v, enum.Enum)]
+    return list(result) if isinstance(result, tuple | list) else [result]
+
+
+def _close(a, b):
+    # a == b or |a - b| <= 1e-13 max(1, |b|), elementwise
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return np.all((a == b) | (np.abs(a - b) <= 1e-13 * np.maximum(1.0, np.abs(b))))
+
+
+def _agree(batch_fn, scalar_fn, spec):
+    """Compare ``batch_fn(spec, grid)`` row by row with ``scalar_fn(spec, s)``
+    and return the exception types the scalar form raised."""
+    grid = _grid(spec)
+    try:
+        batch = _fields(batch_fn(spec, grid))
+    except NonConstantCurvature:
+        with pytest.raises(NonConstantCurvature):
+            for s in grid:
+                scalar_fn(spec, float(s))
+        return {NonConstantCurvature}
+    raised = set()
+    for i, s in enumerate(grid):
+        try:
+            one = _fields(scalar_fn(spec, float(s)))
+        except ModFrameError as exc:
+            raised.add(type(exc))
+            assert any(np.isnan(np.asarray(b, dtype=float)[i]).any()
+                       for b in batch if b is not None), (s, exc)
+            continue
+        for b, o in zip(batch, one, strict=True):
+            if b is None:  # a field of other kinds, as in the scalar form
+                assert o is None
+            elif o is None:  # a degenerate sample's tangent: NaN in the batch
+                assert np.isnan(b[i]).all()
+            else:
+                assert _close(np.asarray(b)[i], o), (s, b[i], o)
+    return raised
+
+
+def _closed(fn):
+    # A closed form on the batched frames, and on the scalar frame.
+    return (lambda spec, s: fn(frames.modified_frames(spec, s)),
+            lambda spec, s: fn(frames.modified_frame(spec, s)))
+
+
+def _oracle(fn):
+    return fn, fn
+
+
+def _curve_fn(s):
+    # products only: s**3 rounds differently on numpy scalars and arrays
+    return np.stack([np.sin(s), np.cos(3.0 * s), s * s * s], axis=-1)
+
+
+CASES = {
+    "curvature": _oracle(lambda spec, s: frames.curvature(spec.jet(curves.at_arclength(spec, s)))),
+    "frame_ode_rhs": _closed(frames.frame_ode_rhs),
+    "darboux": _closed(darboux),
+    "pole_tangent_direction": _closed(
+        lambda mf: indicatrix.pole_tangent_direction(mf, darboux(mf))),
+    "geodesic_curvature_binormal_unweighted": _closed(
+        geodesic.geodesic_curvature_binormal_unweighted),
+    "diff_vec": _oracle(lambda spec, s: numerics.diff_vec(_curve_fn, s)),
+    "check_frame_ode": _oracle(frames.check_frame_ode),
+    "metric_residual": _oracle(frames.metric_residual),
+    "frenet_frame": _oracle(frames.frenet_frame),
+    "check_alignment": _oracle(check_alignment),
+    "rotation_residuals": _oracle(rotation_residuals),
+    **{f"involute_inner-{p.value}": _oracle(
+        lambda spec, s, p=p: involute.involute_inner(p, spec, s)) for p in InvolutePair},
+}
+for _k in IndicatrixKind:
+    CASES.update({
+        f"indicatrix_point-{_k.value}": _closed(
+            lambda mf, k=_k: indicatrix.indicatrix_point(k, mf)),
+        f"indicatrix_speed-{_k.value}": _closed(
+            lambda mf, k=_k: indicatrix.indicatrix_speed(k, mf)),
+        f"indicatrix_tangent-{_k.value}": _closed(
+            lambda mf, k=_k: indicatrix.indicatrix_tangent(k, mf)),
+        f"cov_deriv_closed-{_k.value}": _closed(
+            lambda mf, k=_k: indicatrix.cov_deriv_closed(k, mf)),
+        f"geodesic_curvature_closed-{_k.value}": _closed(
+            lambda mf, k=_k: geodesic.geodesic_curvature_closed(k, mf)),
+        f"cov_deriv_numeric-{_k.value}": _oracle(
+            lambda spec, s, k=_k: indicatrix.cov_deriv_numeric(k, spec, s)),
+        f"geodesic_curvature_oracle-{_k.value}": _oracle(
+            lambda spec, s, k=_k: geodesic.geodesic_curvature_oracle(k, spec, s)),
+        f"geodesic_report-{_k.value}": _oracle(
+            lambda spec, s, k=_k: geodesic.geodesic_report(k, spec, s)),
+        f"sample-{_k.value}": _oracle(
+            lambda spec, s, k=_k: indicatrix.sample(k, spec, s)),
+    })
+for _k in (IndicatrixKind.TANGENT, IndicatrixKind.POLE):
+    CASES[f"geodesic_curvature_sphere_at-{_k.value}"] = _oracle(
+        lambda spec, s, k=_k: geodesic.geodesic_curvature_sphere_at(k, spec, s))
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_batched_equals_scalar(name):
+    for spec in FAMILIES.values():
+        _agree(*CASES[name], spec)
+
+
+@pytest.mark.parametrize("name, family, raised", [
+    # the planar cubic's curvature zero
+    ("frame_ode_rhs", "planar_cubic", {CurvatureVanishes}),
+    ("cov_deriv_closed-tangent", "planar_cubic", {CurvatureVanishes}),
+    ("frenet_frame", "planar_cubic", {CurvatureVanishes}),
+    ("check_frame_ode", "planar_cubic", {CurvatureVanishes}),
+    # phi' = 0 on the helix: the pole indicatrix is a point
+    ("indicatrix_tangent-pole", "helix", {DegenerateIndicatrix}),
+    ("cov_deriv_closed-pole", "helix", {DegenerateIndicatrix}),
+    ("geodesic_curvature_closed-pole", "helix", {DegenerateIndicatrix}),
+    ("cov_deriv_numeric-pole", "helix", {DegenerateIndicatrix}),
+    # tau = 0 on the circles
+    ("indicatrix_tangent-binormal", "circle1", {DegenerateIndicatrix}),
+    ("cov_deriv_closed-binormal", "circle1", {TorsionVanishes}),
+    ("geodesic_curvature_closed-binormal", "circle2", {TorsionVanishes}),
+    ("geodesic_curvature_binormal_unweighted", "circle2", {TorsionVanishes}),
+    # no Darboux data on a straight line
+    ("darboux", "line", {DegenerateFrame}),
+    ("sample-normal", "line", {DegenerateFrame}),
+    ("geodesic_curvature_closed-tangent", "line", {CurvatureVanishes}),
+    # the gate refuses a varying curvature, point and batch alike
+    ("darboux", "twisted_cubic", {NonConstantCurvature}),
+    # and where nothing degenerates, nothing is masked
+    ("cov_deriv_numeric-pole", "salkowski", set()),
+])
+def test_degeneracy_mask_matches_scalar_exceptions(name, family, raised):
+    assert _agree(*CASES[name], FAMILIES[family]) == raised
+
+
+def test_scan_matches_scalar_loop():
+    for spec in (FAMILIES["helix"], FAMILIES["circle1"], FAMILIES["salkowski"]):
+        for pair in InvolutePair:
+            rep = involute.involute_scan(pair, spec, 9)
+            inners = []
+            for s in curves.arclength_grid(spec, 9):
+                try:
+                    inners.append(abs(involute.involute_inner(pair, spec, float(s))))
+                except ModFrameError:
+                    continue
+            assert rep.n_defined == len(inners)
+            assert _close(rep.max_abs_inner, max(inners, default=np.inf))
+
+
+def test_table_refuses_an_arclength_it_does_not_hold():
+    spec = FAMILIES["salkowski"]
+    table = frames.FrameTable(spec, [0.1, 0.2, 0.3])
+    assert table(0.2).kappa == table(np.array([0.1, 0.2])).kappa[1]
+    with pytest.raises(ValueError):
+        table(0.25)
+    with pytest.raises(ValueError):
+        frames.check_frame_ode(table, 0.2)  # its stencil is not in the table

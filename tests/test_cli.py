@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from modframe import cli, frames
+from modframe import frames, indicatrix, validation
 from modframe.cli import (
     EXIT_INADMISSIBLE,
     EXIT_OK,
@@ -13,6 +13,7 @@ from modframe.cli import (
     main,
     parse_curve,
 )
+from modframe.numerics import norm
 
 
 def run(capsys, *argv):
@@ -134,6 +135,40 @@ class TestIndicatrix:
             for col in ("px", "py", "pz", "speed", "tx", "cx", "ox"):
                 assert row[col].lower() not in ("nan", "inf", "-inf")
 
+    @pytest.mark.parametrize("curve, kind", [
+        ("salkowski:0.5", "pole"), ("helix:2,1", "pole"), ("circle:1", "binormal"),
+        ("twistedcubic", "tangent"), ("planarcubic", "tangent"),
+    ])
+    def test_rows_match_scalar_samples(self, capsys, curve, kind):
+        # 33 rows put one on the planar cubic's curvature zero
+        code, out, err = run(capsys, "indicatrix", "--curve", curve, "--kind", kind,
+                             "--samples", "33")
+        assert code == EXIT_OK
+        spec, kind = parse_curve(curve), indicatrix.IndicatrixKind(kind)
+        for row in csv.DictReader(io.StringIO(out)):
+            s = float(row["s"])
+            smp = indicatrix.sample(kind, spec, s)
+            assert row["degenerate"] == str(smp.degenerate)
+            expected = [*smp.point, smp.speed]
+            if not smp.degenerate:
+                oracle = indicatrix.cov_deriv_numeric(kind, spec, s)
+                expected += [*smp.unit_tangent, *smp.cov_deriv, *oracle,
+                             norm(smp.cov_deriv - oracle)]
+            got = [float(row[c]) for c in list(row)[1:1 + len(expected)]]
+            for g, e in zip(got, expected):
+                assert abs(g - e) <= 1e-13 * max(1.0, abs(e)), (row["s"], g, e)
+
+    @pytest.mark.parametrize("curve, kind", [
+        ("line", "normal"), ("circle:1e12", "pole"), ("helix:0.01,1e-13", "binormal"),
+    ])
+    def test_undefined_rows_refused(self, capsys, curve, kind):
+        # no Darboux data at kappa ~ 0; a binormal covariant derivative
+        # that divides by tau ~ 0 at a nonzero rate
+        code, out, err = run(capsys, "indicatrix", "--curve", curve, "--kind", kind,
+                             "--samples", "5")
+        assert code == EXIT_INADMISSIBLE
+        assert out == "" and err.startswith("error:")
+
     def test_inadmissible_curve(self, capsys):
         code, out, err = run(capsys, "indicatrix", "--curve", "twistedcubic",
                              "--kind", "normal", "--samples", "4")
@@ -183,6 +218,17 @@ class TestValidate:
             assert entries[name]["note"] == "not applicable: no sample evaluated"
         # the two evaluated identities pass and carry the verdict
         assert code == EXIT_OK
+
+    def test_straight_line_lists_every_identity(self, capsys):
+        code, out, err = run(capsys, "validate", "--samples", "6", "--curve", "line")
+        names = [e["name"] for e in json.loads(out)["report"]["entries"]]
+        assert names == validation.IDENTITY_NAMES and len(names) == 25
+        code, out, err = run(capsys, "validate", "--samples", "6", "--curve", "line",
+                             "--only", "involute-normal")
+        [entry] = json.loads(out)["report"]["entries"]
+        assert entry["n_evaluated"] == 0
+        assert entry["note"] == "not applicable: no sample evaluated"
+        assert code == EXIT_VALIDATION_FAILED
 
     def test_tiny_curvature_counts_as_zero(self, capsys):
         # kappa = 1e-12 <= ABS_TOL: the curve is picked like a straight line,

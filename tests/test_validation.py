@@ -96,3 +96,22 @@ def test_single_entry_matches_full_run(report, name):
     # whole-entry verdicts give the same entry alone as in the full suite
     full = next(e for e in report.entries if e.name == name)
     assert run_validation(samples=12, only=[name]).entries == [full]
+
+
+def test_skipped_samples_count_nowhere(report):
+    # 12 samples per curve; a degenerate sample (the pole of a helix or a
+    # circle, the binormal of a circle) counts in no entry.  The unweighted
+    # binormal gap counts every sample of the helix and the salkowski curve.
+    assert {e.name: e.n_evaluated for e in report.entries} == {
+        "frame-ode": 60, "metric-relations": 72, "darboux-alignment": 48,
+        "darboux-rotation": 48, "lancret-angle": 48,
+        "tangent-ind-covderiv": 60, "normal-ind-covderiv": 48,
+        "binormal-ind-covderiv": 24, "pole-ind-covderiv": 12,
+        "tangent-ind-tangent": 60, "normal-ind-tangent": 48,
+        "binormal-ind-tangent": 24, "pole-ind-tangent": 12,
+        "geodesic-tangent": 60, "geodesic-normal": 48, "geodesic-binormal": 24,
+        "geodesic-pole": 12, "geodesic-binormal-unweighted": 24,
+        "geodesic-sphere-det": 36, "involute-tangent": 48, "involute-binormal": 24,
+        "involute-normal": 24, "frame-coincidence": 24, "unit-speed": 72,
+        "kappa-zero-extension": 12,
+    }
