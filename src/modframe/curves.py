@@ -155,8 +155,15 @@ def _monomials(*powers: int | None):
     def jet(p, t) -> Jet:
         return Jet(*(_vectors(t, *(term(n, k, t) for n in powers)) for k in range(5)))
 
+    # |r'|^2 = sum of n^2 t^(2n - 2), a polynomial in t^2: its
+    # coefficients, highest first, summed by Horner.
+    top, *rest = (k * k if k in powers else 0 for k in range(max(filter(None, powers)), 0, -1))
+
     def speed(p, t):
-        return np.sqrt(sum((n * t ** (n - 1)) ** 2 for n in powers if n))
+        t2, acc = t * t, top
+        for c in rest:
+            acc = acc * t2 + c
+        return np.sqrt(acc)
 
     return jet, speed
 
@@ -242,11 +249,20 @@ def _gauss(spec: CurveSpec, a, b):
 
 
 @lru_cache(maxsize=None)
-def _arclength_table(spec: CurveSpec) -> tuple[np.ndarray, np.ndarray]:
+def _arclength_table(spec: CurveSpec):
     # Cumulative lengths on a uniform grid, one Gauss-Legendre rule per
-    # panel; essentially exact for these analytic speeds.
+    # panel (essentially exact for these analytic speeds), and per panel
+    # the Hermite terms of the first guess in at_arclength: how far the
+    # exact slopes dt/ds = 1/speed at its ends exceed the secant, in units
+    # of t; 0 there (a linear guess) where a node speed is 0 or not finite.
     ts = np.linspace(spec.t_lo, spec.t_hi, _PANELS + 1)
-    return ts, np.concatenate(([0.0], np.cumsum(_gauss(spec, ts[:-1], ts[1:]))))
+    lengths = _gauss(spec, ts[:-1], ts[1:])
+    v = spec.speed(ts)
+    live = (0.0 < v) & (v < math.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bend0, bend1 = (np.where(live[:-1] & live[1:], lengths / w - np.diff(ts), 0.0)
+                        for w in (v[:-1], v[1:]))
+    return ts, np.concatenate(([0.0], np.cumsum(lengths))), bend0, bend1
 
 
 def arclength(spec: CurveSpec, t0: float, t1: float) -> float:
@@ -257,7 +273,7 @@ def arclength(spec: CurveSpec, t0: float, t1: float) -> float:
     if FAMILIES[spec.family].constant_speed:
         return spec.speed(t0) * (t1 - t0)
     # Whole panels from the table, plus one rule over each part-panel.
-    ts, cum = _arclength_table(spec)
+    ts, cum, *_ = _arclength_table(spec)
     i0, i1 = np.clip(np.searchsorted(ts, (t0, t1), side="right") - 1, 0, _PANELS - 1)
     return (float(cum[i1] - cum[i0])
             + _gauss(spec, float(ts[i1]), t1) - _gauss(spec, float(ts[i0]), t0))
@@ -282,14 +298,16 @@ def at_arclength(spec: CurveSpec, s):
             return np.clip(t, spec.t_lo, spec.t_hi)
         return min(max(t, spec.t_lo), spec.t_hi)
     # The table brackets s within one panel (the count of inner panel
-    # edges at or below s); linear interpolation across it is the first
-    # guess.
-    ts, cum = _arclength_table(spec)
+    # edges at or below s) and gives its image [c0, c1].  The first guess
+    # is the cubic Hermite interpolant of t(s) across the panel, with the
+    # exact slope dt/ds = 1/speed at both ends.
+    ts, cum, bend0, bend1 = _arclength_table(spec)
     i = np.searchsorted(cum[1:-1], s, side="right")
-    lo, hi, c0 = ts[i], ts[i + 1], cum[i]
-    guess = lo + (hi - lo) * (s - c0) / (cum[i + 1] - c0)
+    lo, hi, c0, c1 = ts[i], ts[i + 1], cum[i], cum[i + 1]
+    u = (s - c0) / (c1 - c0)
+    guess = lo + u * (hi - lo + (1.0 - u) * ((1.0 - u) * bend0[i] - u * bend1[i]))
     return numerics.invert_monotone(
-        lambda t: c0 + _gauss(spec, lo, t), spec.speed, s, lo, hi, guess)
+        lambda t: c0 + _gauss(spec, lo, t), spec.speed, s, lo, hi, guess, (c0, c1))
 
 
 def position_at_arclength(spec: CurveSpec, s: float) -> Vec3:

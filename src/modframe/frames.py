@@ -80,16 +80,19 @@ def curvature(jet: Jet):
     return u / v3
 
 
-def torsion_general(jet: Jet) -> float:
-    """tau = det(r', r'', r''') / |r' x r''|^2 for any regular parameter.
-    Raises DegenerateFrame as :func:`curvature` does."""
-    if curvature(jet) <= ABS_TOL:
-        raise CurvatureVanishes("torsion undefined where kappa ~ 0")
-    with np.errstate(all="ignore"):
-        c = cross(jet.r1, jet.r2)
+def torsion_general(jet: Jet):
+    """tau = det(r', r'', r''') / |r' x r''|^2 for any regular parameter,
+    at one point or, for a jet of (n, 3) arrays, at each of its points.
+    Raises CurvatureVanishes where kappa ~ 0 (a NaN entry over a batch),
+    and DegenerateFrame as :func:`curvature` does."""
+    flat = undefined(curvature(jet) <= ABS_TOL, CurvatureVanishes,
+                     "torsion undefined where kappa ~ 0")
+    r1, r2, r3 = jet.r1.T, jet.r2.T, jet.r3.T  # component-first
+    with np.errstate(all="ignore"):  # _check_scale refuses what overflowed
+        c = cross(r1, r2)
         c2 = dot(c, c)
-    _check_scale(jet.r1, c2)
-    return det3(jet.r1, jet.r2, jet.r3) / c2
+        _check_scale(r1, np.where(flat, 1.0, c2))
+        return blank(flat, det3(r1, r2, r3) / c2)
 
 
 def _check_scale(r1, divisor) -> None:

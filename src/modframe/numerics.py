@@ -176,16 +176,18 @@ def _misses(residual, target):
     return (abs(residual) > ABS_TOL) & (abs(residual) > 1e-12 * abs(target))
 
 
-def invert_monotone(g: Callable, dg: Callable, target, lo, hi, t0):
+def invert_monotone(g: Callable, dg: Callable, target, lo, hi, t0, image=None):
     """Solve g(t) = target for a strictly increasing g with derivative dg.
 
     Newton steps start from the guess ``t0`` and stay in a bracket that
     shrinks around the root; a step that would leave the bracket bisects
-    it instead.  Given arrays of targets, brackets and guesses (and a
-    ``g`` and ``dg`` that act elementwise), the same solve runs on every
-    element at once.
+    it instead.  ``image`` is the bracket's image (g(lo), g(hi)) when the
+    caller already knows it, and is evaluated otherwise; a target outside
+    it raises TargetOutOfRange.  Given arrays of targets, brackets and
+    guesses (and a ``g`` and ``dg`` that act elementwise), the same solve
+    runs on every element at once.
     """
-    g_lo, g_hi = g(lo), g(hi)
+    g_lo, g_hi = (g(lo), g(hi)) if image is None else image
     bad = outside(target, g_lo - ABS_TOL, g_hi + ABS_TOL)
     if bad is not None:
         raise TargetOutOfRange(f"target {bad:g} outside the image of its bracket")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,17 @@ class TestEvalJet:
             assert spec.speed(float(t)) == pytest.approx(
                 numerics.norm(jet.r1), rel=1e-12)
 
+    @pytest.mark.parametrize("spec, closed", [
+        (twisted_cubic(), lambda t: np.sqrt(1.0 + 4.0 * t**2 + 9.0 * t**4)),
+        (planar_cubic(), lambda t: np.sqrt(1.0 + 9.0 * t**4)),
+    ], ids=lambda x: getattr(x, "family", ""))
+    def test_polynomial_speed_matches_closed_form(self, spec, closed):
+        # The Horner sum in t^2 against the textbook polynomial, to 2 ulp.
+        ts = np.linspace(-1.5, 1.5, 3001)
+        assert np.all(np.abs(spec.speed(ts) - closed(ts)) <= 2.0 * np.spacing(closed(ts)))
+        for t in ts[::25].tolist():
+            assert abs(spec.speed(t) - closed(t)) <= 2.0 * np.spacing(closed(t))
+
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
     def test_array_jet_matches_point_jets(self, spec):
         ts = np.linspace(spec.t_lo, spec.t_hi, 11)
@@ -226,6 +238,73 @@ class TestAtArclength:
     def test_array_out_of_range(self):
         with pytest.raises(TargetOutOfRange):
             at_arclength(twisted_cubic(), np.array([0.1, -0.5, 0.2]))
+
+    @pytest.mark.parametrize("spec", [twisted_cubic(), salkowski(0.5)],
+                             ids=lambda s: s.family)
+    def test_inversion_work_per_point(self, spec, monkeypatch):
+        # The table gives the bracket's image and a Hermite first guess, so
+        # Newton needs two rules and the final check one: at most three
+        # evaluations of g per point, at the table edges, at both ends and
+        # inside the panels.
+        evals = []
+        invert = numerics.invert_monotone
+
+        def counted(g, *args):
+            evals.append(0)
+
+            def g_counted(t):
+                evals[-1] += 1
+                return g(t)
+            return invert(g_counted, *args)
+
+        monkeypatch.setattr(numerics, "invert_monotone", counted)
+        cum = curves._arclength_table(spec)[1]
+        total = total_arclength(spec)
+        rng = np.random.default_rng(8)
+        targets = [*cum.tolist(), 0.0, total, *rng.uniform(0.0, total, 500).tolist()]
+        for s in targets:
+            t = at_arclength(spec, s)
+            assert abs(arclength(spec, spec.t_lo, t) - s) <= 1e-12 * max(1.0, s)
+        assert len(evals) == len(targets)
+        assert max(evals) <= 3
+
+    def test_hermite_guess_falls_back_to_linear(self, monkeypatch):
+        # A node speed that is 0, infinite or NaN makes the first guess on
+        # both panels at that node the linear one, with no warning; the
+        # solve still lands on the root.
+        spec = salkowski(0.4567)  # used by no other test, so no table is cached
+        nodes = {10: 0.0, 20: math.inf, 30: math.nan}
+        speed = curves.CurveSpec.speed
+
+        def broken(self, t):
+            v = speed(self, t)
+            if np.shape(t) == (curves._PANELS + 1,):
+                v = v.copy()
+                for k, x in nodes.items():
+                    v[k] = x
+            return v
+
+        guesses = []
+        invert = numerics.invert_monotone
+
+        def recorded(g, dg, target, lo, hi, t0, *args):
+            guesses.append(t0)
+            return invert(g, dg, target, lo, hi, t0, *args)
+
+        monkeypatch.setattr(curves.CurveSpec, "speed", broken)
+        monkeypatch.setattr(numerics, "invert_monotone", recorded)
+        try:
+            ts, cum, *_ = curves._arclength_table(spec)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for i in (9, 10, 19, 20, 29, 30, 40):
+                    s = cum[i] + 0.3 * (cum[i + 1] - cum[i])
+                    t = at_arclength(spec, float(s))
+                    linear = ts[i] + (s - cum[i]) / (cum[i + 1] - cum[i]) * (ts[i + 1] - ts[i])
+                    assert (guesses[-1] == linear) == (i != 40), i
+                    assert abs(arclength(spec, spec.t_lo, t) - s) <= 1e-12 * max(1.0, s)
+        finally:
+            curves._arclength_table.cache_clear()
 
     def test_empty_interval_needs_no_rule(self, monkeypatch):
         calls = []

@@ -81,6 +81,30 @@ class TestCurvatureTorsion:
         with pytest.raises(CurvatureVanishes):
             frames.torsion_general(jet)
 
+    @pytest.mark.parametrize("spec", [HELIX, twisted_cubic()], ids=lambda s: s.family)
+    def test_torsion_on_a_batched_jet_matches_the_frame(self, spec):
+        grid = np.linspace(0.0, curves.total_arclength(spec), 17)
+        batch = frames.modified_frames(spec, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tau = frames.torsion_general(spec.jet(batch.t))
+        assert tau.shape == grid.shape
+        assert np.allclose(tau, batch.tau, rtol=1e-13, atol=0.0)
+        for t, one in zip(batch.t, tau):
+            assert frames.torsion_general(spec.jet(float(t))) == one
+
+    def test_torsion_on_a_batched_jet_blanks_the_curvature_zero(self):
+        # kappa = 6|t| / (1 + 9t^4)^1.5: zero at t = 0 and below ABS_TOL at
+        # t = 1e-12, where the scalar call raises.
+        ts = np.array([-0.5, 0.0, 1e-12, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tau = frames.torsion_general(planar_cubic().jet(ts))
+        assert np.array_equal(np.isnan(tau), [False, True, True, False])
+        assert np.array_equal(tau[[0, 3]], [0.0, 0.0])
+        with pytest.raises(CurvatureVanishes):
+            frames.torsion_general(planar_cubic().jet(1e-12))
+
     def test_kappa_prime_matches_finite_differences(self):
         spec = twisted_cubic()
         for s in np.linspace(0.5, 2.0, 5):
