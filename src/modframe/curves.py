@@ -12,6 +12,7 @@ Finite differences are never used here; they live in
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -137,7 +138,9 @@ def _vectors(t, *xyz) -> Vec3:
 
 def _helix_jet(p, t) -> Jet:
     a, b = p
-    ct, st = np.cos(t), np.sin(t)
+    # math.cos and math.sin: the fast one-point case (see _salkowski_jet)
+    cos, sin = (np.cos, np.sin) if isinstance(t, np.ndarray) else (math.cos, math.sin)
+    ct, st = cos(t), sin(t)
     return Jet(
         _vectors(t, a * ct, a * st, b * t),
         _vectors(t, -a * st, a * ct, b),
@@ -149,11 +152,14 @@ def _helix_jet(p, t) -> Jet:
 
 def _monomials(*powers: int | None):
     """(jet, speed) of t -> (t**n for n in powers); None is a zero component."""
-    def term(n, k, t):
-        return 0.0 if n is None or k > n else math.perm(n, k) * t ** (n - k)
+    # d^k/dt^k t**n = perm(n, k) * t**(n - k): per order k, per component,
+    # that (factor, power), or None for a zero term.
+    terms = [[None if n is None or k > n else (math.perm(n, k), n - k) for n in powers]
+             for k in range(5)]
 
     def jet(p, t) -> Jet:
-        return Jet(*(_vectors(t, *(term(n, k, t) for n in powers)) for k in range(5)))
+        return Jet(*(_vectors(t, *(0.0 if c is None else c[0] * t ** c[1] for c in row))
+                     for row in terms))
 
     # |r'|^2 = sum of n^2 t^(2n - 2), a polynomial in t^2: its
     # coefficients, highest first, summed by Horner.
@@ -163,7 +169,7 @@ def _monomials(*powers: int | None):
         t2, acc = t * t, top
         for c in rest:
             acc = acc * t2 + c
-        return np.sqrt(acc)
+        return np.sqrt(acc) if isinstance(acc, np.ndarray) else math.sqrt(acc)
 
     return jet, speed
 
@@ -198,7 +204,9 @@ def _salkowski_jet(p, t) -> Jet:
 
 def _salkowski_speed(p, t):
     c, a = _salkowski_ca(p[0])
-    return a * np.abs(np.cos(c * t))
+    if isinstance(t, np.ndarray):
+        return a * np.abs(np.cos(c * t))
+    return a * abs(math.cos(c * t))
 
 
 @dataclass(frozen=True)
@@ -251,18 +259,20 @@ def _gauss(spec: CurveSpec, a, b):
 @lru_cache(maxsize=None)
 def _arclength_table(spec: CurveSpec):
     # Cumulative lengths on a uniform grid, one Gauss-Legendre rule per
-    # panel (essentially exact for these analytic speeds), and per panel
-    # the Hermite terms of the first guess in at_arclength: how far the
-    # exact slopes dt/ds = 1/speed at its ends exceed the secant, in units
-    # of t; 0 there (a linear guess) where a node speed is 0 or not finite.
+    # panel (essentially exact for these analytic speeds), and one row per
+    # panel of what at_arclength reads: its ends t0, t1, their lengths
+    # c0, c1 and the Hermite terms of the first guess, how far the exact
+    # slopes dt/ds = 1/speed at its ends exceed the secant, in units of t;
+    # 0 there (a linear guess) where a node speed is 0 or not finite.
     ts = np.linspace(spec.t_lo, spec.t_hi, _PANELS + 1)
     lengths = _gauss(spec, ts[:-1], ts[1:])
+    cum = np.concatenate(([0.0], np.cumsum(lengths)))
     v = spec.speed(ts)
     live = (0.0 < v) & (v < math.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         bend0, bend1 = (np.where(live[:-1] & live[1:], lengths / w - np.diff(ts), 0.0)
                         for w in (v[:-1], v[1:]))
-    return ts, np.concatenate(([0.0], np.cumsum(lengths))), bend0, bend1
+    return ts, cum, np.column_stack((ts[:-1], ts[1:], cum[:-1], cum[1:], bend0, bend1))
 
 
 def arclength(spec: CurveSpec, t0: float, t1: float) -> float:
@@ -301,11 +311,15 @@ def at_arclength(spec: CurveSpec, s):
     # edges at or below s) and gives its image [c0, c1].  The first guess
     # is the cubic Hermite interpolant of t(s) across the panel, with the
     # exact slope dt/ds = 1/speed at both ends.
-    ts, cum, bend0, bend1 = _arclength_table(spec)
-    i = np.searchsorted(cum[1:-1], s, side="right")
-    lo, hi, c0, c1 = ts[i], ts[i + 1], cum[i], cum[i + 1]
+    _, cum, panels = _arclength_table(spec)
+    if isinstance(s, np.ndarray):
+        i = np.searchsorted(cum[1:-1], s, side="right")
+        lo, hi, c0, c1, bend0, bend1 = panels[i].T
+    else:  # one point, on Python floats
+        i = bisect.bisect_right(cum, s, 1, _PANELS) - 1
+        lo, hi, c0, c1, bend0, bend1 = panels[i].tolist()
     u = (s - c0) / (c1 - c0)
-    guess = lo + u * (hi - lo + (1.0 - u) * ((1.0 - u) * bend0[i] - u * bend1[i]))
+    guess = lo + u * (hi - lo + (1.0 - u) * ((1.0 - u) * bend0 - u * bend1))
     return numerics.invert_monotone(
         lambda t: c0 + _gauss(spec, lo, t), spec.speed, s, lo, hi, guess, (c0, c1))
 

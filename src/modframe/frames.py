@@ -4,9 +4,9 @@ The modified frame {T, N, B} = {t, kappa*n, kappa*b} stays defined where
 the curvature vanishes (N and B go to zero there), while the classical
 Frenet frame does not.  All quantities here come from exact jets;
 :func:`check_frame_ode` compares them against the finite-difference
-oracle.  :func:`modified_frame` gives the frame at one point and caches
-it; :func:`modified_frames` gives it on a whole arclength grid in one
-array pass.  Both share one assembly from the jet.
+oracle.  :func:`modified_frame` gives the frame at one point, computed on
+Python floats, and caches it; :func:`modified_frames` gives it on a whole
+arclength grid in one array pass.  Both share one assembly from the jet.
 
 A :class:`FrameTable` holds the frames of one curve at a set of
 arclengths, from one :func:`modified_frames` call.  Every oracle in the
@@ -98,6 +98,8 @@ def torsion_general(jet: Jet):
 def _check_scale(r1, divisor) -> None:
     # A divisor of the assembly that overflowed or underflowed: the frame
     # algebra cannot represent a curve moving at this speed.
+    if isinstance(divisor, float) and 0.0 < divisor < math.inf:
+        return
     ok = np.logical_and(0.0 < divisor, divisor < math.inf)
     if not ok.all():
         speed = np.hypot(np.hypot(r1[0], r1[1]), r1[2])  # free of overflow
@@ -107,15 +109,38 @@ def _check_scale(r1, divisor) -> None:
         )
 
 
+# The assembly's own helpers, for 3-lists of floats at one point and
+# (3, n) arrays over a batch alike.
+
+def _cross(a, b) -> list:
+    # numerics.cross as a list of its three components
+    return [a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0]]
+
+
+def _sqrt(x):
+    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
+
+
+def _pow(x, n: int):
+    # x**n, inf where a float overflows (as an array overflows), so that
+    # _check_scale refuses it
+    try:
+        return x**n
+    except OverflowError:
+        return math.inf
+
+
 def _rates(r1, r2, r3, r4, v, v3, v5):
     # tau = det(r1,r2,r3) / |r1 x r2|^2, and the arclength derivatives of
     # kappa = |r1 x r2| / |r1|^3 and of tau (d/dt over the speed).
-    u = cross(r1, r2)
+    u = _cross(r1, r2)
     u2 = dot(u, u)
     uu = u2 * u2
     _check_scale(r1, uu)
-    un = np.sqrt(u2)
-    up = cross(r1, r3)
+    un = _sqrt(u2)
+    up = _cross(r1, r3)
     d = dot(u, r3)
     dp = dot(u, r4)
     kappa_prime = (dot(u, up) / (un * v3) - 3.0 * un * dot(r1, r2) / v5) / v
@@ -126,28 +151,31 @@ def _rates(r1, r2, r3, r4, v, v3, v5):
 def _assemble(jet: Jet):
     """T, N, B, kappa, tau, kappa' and tau' from a jet in any parameter:
     the one assembly behind both frame paths.  The jet's vectors are (3,)
-    at one point or (..., 3) at many, and so are T, N and B."""
-    r1, r2, r3, r4 = jet.r1.T, jet.r2.T, jet.r3.T, jet.r4.T  # component-first
+    at one point, worked on as 3-lists of floats, or (..., 3) at many,
+    worked on as (3, ...) arrays; T, N and B come back in the jet's shape."""
+    one = jet.r1.ndim == 1
+    r1, r2, r3, r4 = (x.tolist() if one else x.T for x in (jet.r1, jet.r2, jet.r3, jet.r4))
     with np.errstate(all="ignore"):  # _check_scale refuses what overflowed
-        v = np.sqrt(dot(r1, r1))
-        v3, v5 = v**3, v**5
+        v = _sqrt(dot(r1, r1))
+        v3, v5 = _pow(v, 3), _pow(v, 5)
         _check_scale(r1, v5)
         vp = dot(r1, r2) / v
-        T = r1 / v
-        N = r2 / v**2 - r1 * (vp / v3)
-        kappa = np.sqrt(dot(N, N))
-        B = cross(T, N)
+        T = [x / v for x in r1]
+        v2, c = v**2, vp / v3
+        N = [a / v2 - b * c for a, b in zip(r2, r1)]
+        kappa = _sqrt(dot(N, N))
+        B = _cross(T, N)
         # tau, kappa' and tau' only where kappa > ABS_TOL; 0 elsewhere
         live = kappa > ABS_TOL
-        if not isinstance(live, np.ndarray):
+        if one:
             rates = _rates(r1, r2, r3, r4, v, v3, v5) if live else (0.0, 0.0, 0.0)
         else:
             rates = np.zeros((3,) + live.shape)
             rates[:, live] = _rates(*(r[:, live] for r in (r1, r2, r3, r4)),
                                     v[live], v3[live], v5[live])
-    # Back to (..., 3).  A (3,) vector is returned as is: its transpose
-    # would be a view, and a cached frame would hold two arrays per vector.
-    T, N, B = (x if x.ndim == 1 else x.T for x in (T, N, B))
+    # Back to the jet's shape: (3,) arrays that own their memory at one
+    # point, (..., 3) views of (3, ...) arrays over a batch.
+    T, N, B = (np.array(x) if one else np.array(x).T for x in (T, N, B))
     return (T, N, B, kappa, *rates)
 
 
@@ -162,8 +190,7 @@ def modified_frame(spec: CurveSpec, s: float) -> ModifiedFrame:
     """
     t = curves.at_arclength(spec, s)
     jet = spec.jet(t)
-    T, N, B, *scalars = _assemble(jet)
-    return ModifiedFrame(T, N, B, *map(float, scalars), t, jet.r)
+    return ModifiedFrame(*_assemble(jet), t, jet.r)
 
 
 def modified_frames(spec: CurveSpec, s) -> ModifiedFrame:

@@ -6,8 +6,9 @@ independent oracle used throughout the test suite, so it is implemented
 here by hand, as is the bracketed Newton inversion of monotone maps.
 
 The vector helpers are component-first: ``v[0]`` holds every x component,
-so they take one (3,) vector or a (3, n) array of n vectors, and a
-coefficient per point broadcasts against the latter.  :func:`undefined`
+so they take one (3,) vector, a (3, n) array of n vectors, or 3 floats
+in a list (:func:`dot` then returns a float), and a coefficient per
+point broadcasts against the (3, n) array.  :func:`undefined`
 and :func:`blank` carry the degeneracy policy of every closed form: a
 single point raises, a batch marks the point with NaN.
 """
@@ -44,7 +45,7 @@ class ReadOnlyArrays:
     def __post_init__(self) -> None:
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+                value.setflags(write=False)
 
 
 def vec(x: float, y: float, z: float) -> Vec3:
@@ -185,7 +186,9 @@ def invert_monotone(g: Callable, dg: Callable, target, lo, hi, t0, image=None):
     caller already knows it, and is evaluated otherwise; a target outside
     it raises TargetOutOfRange.  Given arrays of targets, brackets and
     guesses (and a ``g`` and ``dg`` that act elementwise), the same solve
-    runs on every element at once.
+    runs on every element at once.  A solution that misses its target
+    raises NotMonotone; at a single target that check reuses the last
+    Newton residual when the solution is that iterate.
     """
     g_lo, g_hi = (g(lo), g(hi)) if image is None else image
     bad = outside(target, g_lo - ABS_TOL, g_hi + ABS_TOL)
@@ -199,14 +202,19 @@ def invert_monotone(g: Callable, dg: Callable, target, lo, hi, t0, image=None):
     elif target >= g_hi:
         return float(hi)
     else:
-        t = float(_newton(g, dg, target, lo, hi, t0))
-        missed = _misses(g(t) - target, target)
+        t, residual = _newton(g, dg, target, lo, hi, t0)
+        t = float(t)
+        if residual is None:  # g was never evaluated at the root itself
+            residual = g(t) - target
+        missed = _misses(residual, target)
     if missed:
         raise NotMonotone("bracketing converged to a point that misses the target")
     return t
 
 
 def _newton(g, dg, target, lo, hi, t0):
+    # The root and g(root) - target, when the last iterate was the root
+    # itself (its step rounded away), else None.
     t = min(max(t0, lo), hi)
     for _ in range(_MAX_NEWTON):
         r = g(t) - target
@@ -214,11 +222,12 @@ def _newton(g, dg, target, lo, hi, t0):
         d = dg(t)
         step = r / d if d > 0.0 else math.inf
         if _converged(step, t):
-            return min(max(t - step, lo), hi)
+            root = min(max(t - step, lo), hi)
+            return root, (r if root == t else None)
         t -= step
         if not lo < t < hi:
             t = 0.5 * (lo + hi)
-    return t
+    return t, None
 
 
 def _newton_elementwise(g, dg, target, lo, hi, t0, g_lo, g_hi):

@@ -74,7 +74,7 @@ class TestFrames:
                 assert abs(g - e) <= 1e-13 * max(1.0, abs(e)), row["s"]
 
     @pytest.mark.parametrize("curve", ["circle:1e300", "helix:1e200,1e200",
-                                       "circle:1e-160", "circle:1e-200"])
+                                       "circle:1e-160", "circle:1e-200", "circle:1e70"])
     def test_extreme_scale_refused(self, capsys, curve):
         code, out, err = run(capsys, "frames", "--curve", curve, "--samples", "4")
         assert code == EXIT_INADMISSIBLE

@@ -223,6 +223,10 @@ DEFAULT_FAMILIES = [line(), circle(2.0), HELIX, twisted_cubic(), planar_cubic(),
                     salkowski(0.5)]
 #: Curves whose speed over- or underflows the powers the frame algebra divides by.
 EXTREME_SCALES = [circle(1e300), helix(1e200, 1e200), circle(1e-160), circle(1e-200)]
+#: Curves where only |r'|**3 or |r'|**5 leaves the float range.  A Python
+#: float power that overflows raises OverflowError, which must not escape
+#: the one-point path in place of the refusal.
+POWER_SCALES = [helix(1e120, 0.0), circle(1e70), circle(1e-65), helix(1e-70, 1e-70)]
 
 
 def _close(a, b, rel):
@@ -282,14 +286,18 @@ class TestModifiedFrames:
 
 
 class TestExtremeScales:
-    @pytest.mark.parametrize("spec", EXTREME_SCALES, ids=lambda s: f"{s.family}{s.params}")
+    @pytest.mark.parametrize("spec", EXTREME_SCALES + POWER_SCALES,
+                             ids=lambda s: f"{s.family}{s.params}")
     def test_both_paths_refuse(self, spec):
+        total = curves.total_arclength(spec)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateFrame, match="speed"):
-                frames.modified_frame(spec, 0.5 * curves.total_arclength(spec))
+                frames.modified_frame(spec, 0.5 * total)
             with pytest.raises(DegenerateFrame, match="speed"):
-                frames.modified_frames(spec, np.linspace(0.0, curves.total_arclength(spec), 4))
+                frames.modified_frames(spec, np.linspace(0.0, total, 4))
+            with pytest.raises(DegenerateFrame, match="speed"):
+                curves.position_at_arclength(spec, 0.25 * total)
 
     @pytest.mark.parametrize("spec", EXTREME_SCALES, ids=lambda s: f"{s.family}{s.params}")
     def test_raw_jet_refused(self, spec):

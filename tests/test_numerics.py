@@ -95,6 +95,23 @@ class TestInvertMonotone:
             invert_monotone(lambda t: math.sin(10 * t), lambda t: 10 * math.cos(10 * t),
                             0.5, 0.0, 3.0, 1.5)
 
+    @pytest.mark.parametrize("offset, evals", [(1e-5, 1), (5e-3, 2)])
+    def test_overstated_slope_misses(self, offset, evals):
+        # dg overstates the slope 1e12-fold, so Newton's first step is below
+        # its stop rule and it stops offset away from the root.  When that
+        # step rounds away (offset 1e-5) the root is the iterate itself, and
+        # the final check reuses its residual; otherwise (5e-3) it evaluates
+        # g again.  Either way the check sees the miss.
+        at = []
+
+        def g(t):
+            at.append(t)
+            return t
+
+        with pytest.raises(NotMonotone):
+            invert_monotone(g, lambda t: 1e12, 0.5, 0.0, 1.0, 0.5 + offset, (0.0, 1.0))
+        assert len(at) == evals
+
     def test_elementwise_matches_scalar(self):
         # products only, so g gives the same bits on floats and on arrays
         g, dg = (lambda t: t * t * t + t), (lambda t: 3.0 * t * t + 1.0)
