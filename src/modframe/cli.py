@@ -77,23 +77,20 @@ def _write(args, text: str) -> None:
             fh.write(text)
 
 
-def _write_rows(args, columns: list[str], rows: list[dict]) -> None:
-    payload_rows = [{c: r[c] for c in columns} for r in rows]
+def _write_rows(args, columns: list[str], rows: list[list]) -> None:
+    """Write rows, each a list of values in column order, as CSV or JSON."""
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for r in payload_rows:
-            writer.writerow(
-                [_fmt(v) if isinstance(v, float) else v for v in r.values()]
-            )
+        writer.writerows([_fmt(v) if isinstance(v, float) else v for v in r] for r in rows)
         text = buf.getvalue()
     else:
         text = _json({
             "curve": getattr(args, "curve_text", None),
             "samples": getattr(args, "samples", None),
             "range": list(getattr(args, "s_range", ()) or ()) or None,
-        }, payload_rows)
+        }, [dict(zip(columns, r)) for r in rows])
     _write(args, text)
 
 
@@ -121,7 +118,7 @@ def cmd_frames(args) -> int:
     s = _sample_range(args, spec)
     mf = frames.modified_frames(spec, s)
     table = np.column_stack([s, mf.r, mf.T, mf.N, mf.B, mf.kappa, mf.tau, mf.kappa_prime])
-    _write_rows(args, columns, [dict(zip(columns, row)) for row in table.tolist()])
+    _write_rows(args, columns, table.tolist())
     return EXIT_OK
 
 
@@ -150,8 +147,8 @@ def cmd_indicatrix(args) -> int:
     if missing.any():
         raise DegenerateIndicatrix(
             f"{kind.value} indicatrix undefined at s = {s[missing][0]:g}")
-    _write_rows(args, columns, [dict(zip(columns, [*row, bool(d)]))
-                                for row, d in zip(values.tolist(), smp.degenerate)])
+    _write_rows(args, columns, [[*row, d] for row, d in
+                                zip(values.tolist(), smp.degenerate.tolist())])
     return EXIT_OK
 
 
@@ -173,8 +170,8 @@ def cmd_validate(args) -> int:
     if args.format == "csv":
         columns = ["name", "max_residual", "tolerance", "passed", "n_evaluated",
                    "expected_discrepancy", "note"]
-        rows = [{c: e.to_dict()[c] for c in columns} for e in report.entries]
-        _write_rows(args, columns, rows)
+        _write_rows(args, columns, [[d[c] for c in columns]
+                                    for d in (e.to_dict() for e in report.entries)])
     else:
         config = {"samples": args.samples, "tolerance": args.tolerance, "only": only}
         _write(args, _json(config, [], report.to_dict()))

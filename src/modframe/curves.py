@@ -122,7 +122,7 @@ def salkowski(m: float) -> CurveSpec:
         raise ValueError("salkowski m = 0 degenerates to constant torsion")
     if abs(abs(m) - 1.0 / math.sqrt(3.0)) < 1e-12:
         raise ValueError("salkowski m = +-1/sqrt(3) is excluded")
-    u_max = math.pi / (2.0 * abs(_salkowski_ca(m)[0]))
+    u_max = math.pi / (2.0 * abs(_salkowski_terms(float(m))[2][0]))
     return CurveSpec("salkowski", (float(m),), 0.1 * u_max, 0.9 * u_max)
 
 
@@ -174,36 +174,51 @@ def _monomials(*powers: int | None):
     return jet, speed
 
 
-def _salkowski_ca(m: float) -> tuple[float, float]:
-    # (c, a): the speed is a*|cos(c*t)| and the torsion tan(c*t).
-    return m / math.sqrt(1.0 + m * m), 1.0 / math.sqrt(1.0 + m * m)
+@lru_cache(maxsize=None)
+def _salkowski_terms(m: float):
+    """(frequencies, factors, (c, a)) of the salkowski curve with parameter m.
+
+    The speed is a*|cos(c*t)| and the torsion tan(c*t).  x = sum A cos(w t)
+    and y = sum A sin(w t) over the frequencies 1, 1 + 2c and 1 - 2c, and
+    z = A cos(2c t).  ``factors[k]`` holds A w**k of the four terms, the
+    amplitudes of the k-th derivative.  Raises ValueError where 1 + m*m
+    overflows, so that c and a cannot be represented.
+    """
+    c, a = m / math.sqrt(1.0 + m * m), 1.0 / math.sqrt(1.0 + m * m)
+    if a == 0.0:
+        raise ValueError(f"salkowski m = {m:g} is too large: c and a cannot be represented")
+    w1 = 1.0 + 2.0 * c
+    w2 = 1.0 - 2.0 * c
+    freqs = (1.0, w1, w2, 2.0 * c)
+    amps = (-a / 2.0, -a * (1.0 - c) / (4.0 * w1), -a * (1.0 + c) / (4.0 * w2),
+            -a * a / (4.0 * c))
+    return freqs, tuple(tuple(A * w**k for A, w in zip(amps, freqs)) for k in range(5)), (c, a)
 
 
 def _salkowski_jet(p, t) -> Jet:
-    # Per component: cosine terms (amplitude, frequency, phase), so the
-    # k-th derivative is sum A w^k cos(w t + phase + k pi/2) -- exact at
-    # every order.  math.cos is the fast one-point case of np.cos (the two
-    # agree bit for bit).
-    c, a = _salkowski_ca(p[0])
-    w1 = 1.0 + 2.0 * c
-    w2 = 1.0 - 2.0 * c
-    x = [(-a / 2.0, 1.0, 0.0),
-         (-a * (1.0 - c) / (4.0 * w1), w1, 0.0),
-         (-a * (1.0 + c) / (4.0 * w2), w2, 0.0)]
-    y = [(A, w, -math.pi / 2.0) for A, w, _ in x]
-    z = [(-a * a / (4.0 * c), 2.0 * c, 0.0)]
-    cos = np.cos if isinstance(t, np.ndarray) else math.cos
+    # cos and sin of the four angles w t, once each; math.cos and math.sin
+    # are the fast one-point case of np.cos and np.sin (the two agree bit
+    # for bit).  d/dt takes (cos, sin)(w t) to w (-sin, cos)(w t), so order
+    # k reads the k-th quarter turn of (cos, sin): for x and z, and for y.
+    freqs, factors, _ = _salkowski_terms(p[0])
+    cos, sin = (np.cos, np.sin) if isinstance(t, np.ndarray) else (math.cos, math.sin)
+    angles = [w * t for w in freqs]
+    c = [cos(x) for x in angles]
+    s = [sin(x) for x in angles]
+    nc = [-x for x in c]
+    ns = [-x for x in s]
+    turns = ((c, s), (ns, c), (nc, ns), (s, nc))
 
     def column(k: int) -> Vec3:
-        shift = k * math.pi / 2.0
-        return _vectors(t, *(sum(A * w**k * cos(w * t + ph + shift) for A, w, ph in comp)
-                             for comp in (x, y, z)))
+        (A0, A1, A2, Az), (u, v) = factors[k], turns[k % 4]
+        return _vectors(t, A0 * u[0] + A1 * u[1] + A2 * u[2],
+                        A0 * v[0] + A1 * v[1] + A2 * v[2], Az * u[3])
 
     return Jet(*(column(k) for k in range(5)))
 
 
 def _salkowski_speed(p, t):
-    c, a = _salkowski_ca(p[0])
+    c, a = _salkowski_terms(p[0])[2]
     if isinstance(t, np.ndarray):
         return a * np.abs(np.cos(c * t))
     return a * abs(math.cos(c * t))

@@ -16,6 +16,7 @@ oracles along one grid computes each frame once.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -148,6 +149,10 @@ def _rates(r1, r2, r3, r4, v, v3, v5):
     return d / u2, kappa_prime, tau_prime
 
 
+# The error-state context of a one-point assembly: none, see _assemble.
+_FLOATS = contextlib.nullcontext()
+
+
 def _assemble(jet: Jet):
     """T, N, B, kappa, tau, kappa' and tau' from a jet in any parameter:
     the one assembly behind both frame paths.  The jet's vectors are (3,)
@@ -155,7 +160,10 @@ def _assemble(jet: Jet):
     worked on as (3, ...) arrays; T, N and B come back in the jet's shape."""
     one = jet.r1.ndim == 1
     r1, r2, r3, r4 = (x.tolist() if one else x.T for x in (jet.r1, jet.r2, jet.r3, jet.r4))
-    with np.errstate(all="ignore"):  # _check_scale refuses what overflowed
+    # _check_scale refuses what overflowed.  Python floats never touch
+    # numpy's error state: _pow catches the one float overflow that raises,
+    # and _check_scale runs before every division.
+    with _FLOATS if one else np.errstate(all="ignore"):
         v = _sqrt(dot(r1, r1))
         v3, v5 = _pow(v, 3), _pow(v, 5)
         _check_scale(r1, v5)

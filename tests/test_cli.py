@@ -270,6 +270,16 @@ class TestUsageErrors:
             main(["frames", "--curve", "nope"])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("m", ["1e155", "-1e300"])
+    def test_unrepresentable_salkowski_parameter(self, capsys, m):
+        # 1 + m*m overflows: a usage error with one error line, no traceback
+        with pytest.raises(SystemExit) as exc:
+            main(["frames", "--curve", f"salkowski:{m}", "--samples", "2"])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+        assert "too large" in err and "Traceback" not in err
+
     def test_too_few_samples(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frames", "--curve", "circle:1", "--samples", "1"])

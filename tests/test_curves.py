@@ -38,6 +38,11 @@ def test_factory_validation():
         salkowski(1.0 / math.sqrt(3.0))
     with pytest.raises(ValueError):
         salkowski(0.0)
+    # 1 + m*m overflows beyond |m| ~ 1.34e154, so c and a cannot be represented
+    for m in (1e155, -1e155, 1e300):
+        with pytest.raises(ValueError, match="too large"):
+            salkowski(m)
+    assert salkowski(1e150).t_hi > salkowski(1e150).t_lo
 
 
 @pytest.mark.parametrize("factory, params, arg", [
@@ -137,6 +142,38 @@ class TestEvalJet:
                 assert getattr(batch, name).shape == (len(ts), 3)
                 assert np.allclose(getattr(batch, name)[i], getattr(one, name),
                                    rtol=1e-15, atol=1e-15), (name, t)
+
+    @pytest.mark.parametrize("m", [0.1, 0.5, 3.0, 100.0])
+    def test_salkowski_jet_matches_cosine_sum(self, m):
+        # The jet from cos and sin of four angles against the textbook form:
+        # per component a sum of A w^k cos(w t + phase + k pi/2), 35 terms
+        # over the five orders.  Each order must agree to 1e-14 of its
+        # largest component over the grid, at floats and over an array.
+        c = m / math.sqrt(1.0 + m * m)
+        a = 1.0 / math.sqrt(1.0 + m * m)
+        w1, w2 = 1.0 + 2.0 * c, 1.0 - 2.0 * c
+        x = [(-a / 2.0, 1.0, 0.0),
+             (-a * (1.0 - c) / (4.0 * w1), w1, 0.0),
+             (-a * (1.0 + c) / (4.0 * w2), w2, 0.0)]
+        y = [(A, w, -math.pi / 2.0) for A, w, _ in x]
+        z = [(-a * a / (4.0 * c), 2.0 * c, 0.0)]
+
+        def reference(t):
+            return np.array([[sum(A * w**k * math.cos(w * t + ph + k * math.pi / 2.0)
+                                  for A, w, ph in comp) for comp in (x, y, z)]
+                             for k in range(5)])
+
+        spec = salkowski(m)
+        ts = np.linspace(spec.t_lo, spec.t_hi, 41)
+        expected = np.array([reference(t) for t in ts.tolist()])  # (point, order, xyz)
+        bound = 1e-14 * np.abs(expected).max(axis=(0, 2))[:, None]
+        batch = spec.jet(ts)
+        orders = ("r", "r1", "r2", "r3", "r4")
+        for i, t in enumerate(ts.tolist()):
+            one = spec.jet(t)
+            for k, name in enumerate(orders):
+                assert np.all(np.abs(getattr(one, name) - expected[i, k]) <= bound[k]), (name, t)
+                assert np.all(np.abs(getattr(batch, name)[i] - expected[i, k]) <= bound[k]), (name, t)
 
     def test_array_out_of_range(self):
         with pytest.raises(OutOfRange):

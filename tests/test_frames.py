@@ -322,6 +322,34 @@ class TestExtremeScales:
             assert abs(mf.kappa - 1.0) <= 1e-9
             assert math.isfinite(mf.tau) and mf.tau > 0.0
 
+    # The one-point assembly enters no np.errstate: it works on Python
+    # floats, where only a power can raise (caught by frames._pow) and
+    # _check_scale runs before every division.  So numpy's error state,
+    # even set to raise, changes nothing at one point.
+    @pytest.mark.parametrize("spec", EXTREME_SCALES + POWER_SCALES,
+                             ids=lambda s: f"{s.family}{s.params}")
+    def test_one_point_refusal_ignores_error_state(self, spec):
+        s = 0.5 * curves.total_arclength(spec)
+        with np.errstate(all="raise"):
+            with pytest.raises(DegenerateFrame, match="speed"):
+                frames.modified_frame.__wrapped__(spec, s)
+
+    @pytest.mark.parametrize("spec", [twisted_cubic(), salkowski(0.5), salkowski(1000.0),
+                                      planar_cubic()], ids=lambda s: f"{s.family}{s.params}")
+    def test_one_point_frames_ignore_error_state(self, spec):
+        points = np.linspace(0.0, curves.total_arclength(spec), 33).tolist()
+        if spec.kappa_zeros:  # last, the curvature zero: N = B = 0 there
+            points.append(curves.arclength(spec, spec.t_lo, 0.0))
+        uncached = frames.modified_frame.__wrapped__
+        for s in points:
+            with np.errstate(all="raise"):
+                mf = uncached(spec, s)
+            plain = uncached(spec, s)
+            for f in ("T", "N", "B", "kappa", "tau", "kappa_prime", "tau_prime", "t", "r"):
+                assert np.array_equal(getattr(mf, f), getattr(plain, f)), (f, s)
+        if spec.kappa_zeros:
+            assert mf.kappa <= numerics.ABS_TOL and not mf.N.any() and not mf.B.any()
+
     @pytest.mark.xfail(strict=True, reason=(
         "the salkowski jet cancels two cosine terms of amplitude ~a/2 in x and y, "
         "so tau loses ~m^2 relative digits (3e-6 at m = 1e3, 1e-2 at m = 1e5)"))
