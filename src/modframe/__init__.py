@@ -29,7 +29,6 @@ from .frames import (
 )
 from .geodesic import (
     GeodesicReport,
-    geodesic_curvature_closed,
     geodesic_curvature_oracle,
     geodesic_curvature_sphere,
     geodesic_report,
@@ -39,11 +38,12 @@ from .indicatrix import (
     IndicatrixSample,
     cov_deriv_closed,
     cov_deriv_numeric,
+    geodesic_curvature_closed,
     indicatrix_point,
     indicatrix_speed,
     indicatrix_tangent,
 )
-from .involute import InvolutePair, InvoluteReport, involute_inner, involute_scan
+from .involute import InvoluteReport, involute_inner, involute_scan
 from .numerics import Vec3, cross, diff_vec, invert_monotone, vec
 from .validation import ValidationReport, run_validation
 
@@ -62,7 +62,7 @@ __all__ = [
     "cov_deriv_numeric",
     "GeodesicReport", "geodesic_curvature_closed", "geodesic_curvature_oracle",
     "geodesic_curvature_sphere", "geodesic_report",
-    "InvolutePair", "InvoluteReport", "involute_inner", "involute_scan",
+    "InvoluteReport", "involute_inner", "involute_scan",
     "cross", "diff_vec", "invert_monotone", "vec",
     "ValidationReport", "run_validation",
     "errors",

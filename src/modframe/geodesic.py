@@ -1,6 +1,7 @@
 """Geodesic curvatures of the four spherical indicatrices.
 
-Each curvature is available three ways: a closed form, a Gauss-equation
+Each curvature is available three ways: the closed form
+:func:`~modframe.indicatrix.geodesic_curvature_closed`, a Gauss-equation
 oracle built from the finite-difference covariant derivative, and (for
 the unit-sphere indicatrices) an independent determinant formula.  The
 binormal case additionally carries a variant that expands the norm as if
@@ -17,10 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frames, numerics
-from .darboux import DarbouxData, darboux
-from .errors import CurvatureVanishes, DegenerateIndicatrix, NotOnUnitSphere, TorsionVanishes
+from .errors import DegenerateIndicatrix, NotOnUnitSphere, TorsionVanishes
 from .frames import ModifiedFrame
-from .indicatrix import IndicatrixKind, cov_deriv_numeric, indicatrix_point
+from .indicatrix import (
+    KINDS,
+    IndicatrixKind,
+    cov_deriv_numeric,
+    geodesic_curvature_closed,
+    indicatrix_point,
+)
 from .numerics import ABS_TOL, blank, det3, norm, undefined
 
 #: Parameter spacing of the 5-point sample the determinant oracle
@@ -40,36 +46,6 @@ class GeodesicReport:
     gamma_oracle: float
     residual_closed: float
     residual_unweighted: float | None
-
-
-@np.errstate(divide="ignore", invalid="ignore")
-def geodesic_curvature_closed(
-    kind: IndicatrixKind, mf: ModifiedFrame, dd: DarbouxData | None = None
-):
-    """Closed-form geodesic curvature (a nonnegative norm).
-
-    tangent:  |tau| / kappa
-    normal:   sqrt((phi'/(kappa |w|))^2 + ((kappa^2 - 1)/kappa)^2)
-    binormal: sqrt(1/tau^2 + (kappa^2 - 1)^2 / kappa^2)
-    pole:     |w| / |phi'|
-    """
-    if dd is None and kind is not IndicatrixKind.TANGENT:
-        dd = darboux(mf)
-    k = mf.kappa
-    flat = undefined(k <= ABS_TOL, CurvatureVanishes, "geodesic curvature needs kappa > 0")
-    if kind is IndicatrixKind.TANGENT:
-        gamma = np.abs(mf.tau) / k
-    elif kind is IndicatrixKind.NORMAL:
-        gamma = np.hypot(dd.phi_prime / (k * dd.w_norm), (k * k - 1.0) / k)
-    elif kind is IndicatrixKind.BINORMAL:
-        flat = flat | undefined(np.abs(mf.tau) <= ABS_TOL, TorsionVanishes,
-                                "binormal geodesic curvature needs tau != 0")
-        gamma = np.hypot(1.0 / mf.tau, (k * k - 1.0) / k)
-    else:
-        flat = flat | undefined(np.abs(dd.phi_prime) <= ABS_TOL, DegenerateIndicatrix,
-                                "pole geodesic curvature needs phi' != 0")
-        gamma = dd.w_norm / np.abs(dd.phi_prime)
-    return blank(flat, gamma)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -95,21 +71,17 @@ def geodesic_curvature_oracle(kind: IndicatrixKind, spec, s):
     normal term.  ``spec`` is a CurveSpec or a
     :class:`~modframe.frames.FrameTable` that holds the oracle's stencil."""
     at = frames.frame_table(spec, numerics.stencil(s))
-    mf = at(s)
-    dd = darboux(mf) if kind is not IndicatrixKind.TANGENT else None
-    point = indicatrix_point(kind, mf, dd)
+    point = indicatrix_point(kind, at(s))
     return norm((cov_deriv_numeric(kind, at, s) + point).T)
 
 
 def geodesic_report(kind: IndicatrixKind, spec, s) -> GeodesicReport:
     at = frames.frame_table(spec, numerics.stencil(s))
     mf = at(s)
-    dd = darboux(mf) if kind is not IndicatrixKind.TANGENT else None
-    closed = geodesic_curvature_closed(kind, mf, dd)
+    closed = geodesic_curvature_closed(kind, mf)
     oracle = geodesic_curvature_oracle(kind, at, s)
-    unweighted = None
-    residual_unweighted = None
-    if kind is IndicatrixKind.BINORMAL:
+    unweighted = residual_unweighted = None
+    if KINDS[kind].unweighted:
         unweighted = geodesic_curvature_binormal_unweighted(mf)
         residual_unweighted = np.abs(unweighted - oracle)
     return GeodesicReport(
@@ -156,19 +128,12 @@ def sphere_stencil(s) -> np.ndarray:
 
 def geodesic_curvature_sphere_at(kind: IndicatrixKind, spec, s):
     """Determinant oracle evaluated on a local 5-point sample of a
-    unit-sphere indicatrix (tangent or pole kinds only), at ``s`` (a float
-    or an array).  ``spec`` is a CurveSpec or a
+    unit-sphere indicatrix (a kind whose row is ``on_unit_sphere``), at
+    ``s`` (a float or an array).  ``spec`` is a CurveSpec or a
     :class:`~modframe.frames.FrameTable` that holds :func:`sphere_stencil`."""
-    if kind not in (IndicatrixKind.TANGENT, IndicatrixKind.POLE):
-        raise NotOnUnitSphere(
-            f"{kind.value} indicatrix does not lie on the unit sphere"
-        )
+    if not KINDS[kind].on_unit_sphere:
+        raise NotOnUnitSphere(f"{kind.value} indicatrix does not lie on the unit sphere")
     xs = sphere_stencil(s)
     at = frames.frame_table(spec, xs)
-
-    def point_at(x):
-        mf = at(x)
-        dd = darboux(mf) if kind is IndicatrixKind.POLE else None
-        return indicatrix_point(kind, mf, dd)
-
-    return geodesic_curvature_sphere(np.array([point_at(x) for x in xs]), SPHERE_STEP)
+    points = np.array([indicatrix_point(kind, at(x)) for x in xs])
+    return geodesic_curvature_sphere(points, SPHERE_STEP)

@@ -13,7 +13,6 @@ then zero for helices and of order phi' otherwise.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,24 +24,11 @@ from .indicatrix import IndicatrixKind, indicatrix_tangent, pole_tangent_directi
 from .numerics import ABS_TOL, dot
 
 
-class InvolutePair(enum.Enum):
-    T_VS_C = "tangent"
-    B_VS_C = "binormal"
-    N_VS_C = "normal"
-
-
-_KIND = {
-    InvolutePair.T_VS_C: IndicatrixKind.TANGENT,
-    InvolutePair.B_VS_C: IndicatrixKind.BINORMAL,
-    InvolutePair.N_VS_C: IndicatrixKind.NORMAL,
-}
-
-
 @dataclass(frozen=True)
 class InvoluteReport:
     """Verdict of an orthogonality scan over an arclength grid."""
 
-    pair: InvolutePair
+    kind: IndicatrixKind
     n_samples: int
     n_defined: int
     max_abs_inner: float
@@ -50,24 +36,24 @@ class InvoluteReport:
     precondition_note: str
 
 
-def involute_inner(pair: InvolutePair, spec, s):
-    """Orthogonality defect between the pair's indicatrix tangent and the
-    pole curve's tangent at base arclength ``s`` (a float, or an array
+def involute_inner(kind: IndicatrixKind, spec, s):
+    """Orthogonality defect between the ``kind`` indicatrix's tangent and
+    the pole curve's tangent at base arclength ``s`` (a float, or an array
     with NaN where a tangent is undefined)."""
+    if kind is IndicatrixKind.POLE:
+        raise ValueError("the pole indicatrix is not paired with itself")
     mf = frames.frames_at(spec, s)
-    dd = darboux(mf)
-    t_x = indicatrix_tangent(_KIND[pair], mf, dd)
-    t_c = pole_tangent_direction(mf, dd)
-    inner = dot(t_x.T, t_c.T)
-    if pair is InvolutePair.N_VS_C:
+    t_c = pole_tangent_direction(mf)
+    inner = dot(indicatrix_tangent(kind, mf).T, t_c.T)
+    if kind is IndicatrixKind.NORMAL:
         # Pairing against the velocity phi' * T_C keeps the phi' = 0
         # (helix) limit meaningful: the pole curve is then a fixed point
         # and the defect vanishes.
-        return dd.phi_prime * inner
+        return darboux(mf).phi_prime * inner
     return inner
 
 
-def involute_scan(pair: InvolutePair, spec, n_samples: int) -> InvoluteReport:
+def involute_scan(kind: IndicatrixKind, spec, n_samples: int) -> InvoluteReport:
     """Evaluate :func:`involute_inner` on a uniform arclength grid of
     ``spec`` (a CurveSpec, or a :class:`~modframe.frames.FrameTable` that
     holds that grid).
@@ -79,12 +65,12 @@ def involute_scan(pair: InvolutePair, spec, n_samples: int) -> InvoluteReport:
     if n_samples < 3:
         raise ValueError("need at least 3 samples")
     base = spec.spec if isinstance(spec, frames.FrameTable) else spec
-    inner = np.abs(involute_inner(pair, spec, arclength_grid(base, n_samples)))
+    inner = np.abs(involute_inner(kind, spec, arclength_grid(base, n_samples)))
     defined = inner[~np.isnan(inner)]
     if not defined.size:
-        return InvoluteReport(pair, n_samples, 0, float("inf"), False,
+        return InvoluteReport(kind, n_samples, 0, float("inf"), False,
                               "no sample had both tangents defined")
     worst = float(defined.max())
     skipped = n_samples - defined.size
     note = f"{skipped} degenerate samples skipped" if skipped else "all samples defined"
-    return InvoluteReport(pair, n_samples, int(defined.size), worst, worst <= ABS_TOL, note)
+    return InvoluteReport(kind, n_samples, int(defined.size), worst, worst <= ABS_TOL, note)

@@ -21,8 +21,7 @@ import numpy as np
 from . import curves, frames, geodesic, indicatrix, involute, numerics
 from .curves import CurveSpec
 from .darboux import check_alignment, darboux, rotation_residuals
-from .indicatrix import IndicatrixKind
-from .involute import InvolutePair
+from .indicatrix import KINDS, IndicatrixKind
 from .numerics import ABS_TOL, dot, norm
 
 
@@ -111,6 +110,11 @@ def _unit_kappa(spec: CurveSpec) -> bool:
     return _const_kappa(spec) and abs(spec.constant_kappa - 1.0) < 1e-12
 
 
+def _admits(kind: IndicatrixKind) -> Callable[[CurveSpec], bool]:
+    # The curves an indicatrix's closed forms hold on.
+    return _const_kappa if KINDS[kind].constant_kappa else _nonzero_kappa
+
+
 # The arclengths an identity reads frames at, points(spec, samples): its
 # grid, the finite-difference stencil around it, or the determinant
 # oracle's half-size grid with both of its stencils.
@@ -141,37 +145,25 @@ def _lancret(table, s):
     ])
 
 
-def _darboux_for(kind, mf):
-    # The tangent indicatrix needs no Darboux data.
-    return darboux(mf) if kind is not IndicatrixKind.TANGENT else None
-
-
 def _cov_residual(kind, table, s):
-    mf = table(s)
-    closed = indicatrix.cov_deriv_closed(kind, mf, _darboux_for(kind, mf))
+    closed = indicatrix.cov_deriv_closed(kind, table(s))
     numeric = indicatrix.cov_deriv_numeric(kind, table, s)
     return norm((closed - numeric).T)
 
 
 def _tangent_residual(kind, table, s):
     mf = table(s)
-    dd = _darboux_for(kind, mf)
-    closed = indicatrix.indicatrix_tangent(kind, mf, dd)
-    rate = indicatrix._signed_rate(kind, mf, dd)
-
-    def point_at(x):
-        f = table(x)
-        return indicatrix.indicatrix_point(kind, f, _darboux_for(kind, f))
-
+    closed = indicatrix.indicatrix_tangent(kind, mf)
+    rate = indicatrix._signed_rate(kind, mf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        fd = numerics.diff_vec(point_at, s).T / rate
+        fd = numerics.diff_vec(lambda x: indicatrix.indicatrix_point(kind, table(x)), s).T / rate
     # skip near-degenerate samples
     return np.where(np.abs(rate) <= 1e-6, np.nan, norm(closed.T - fd))
 
 
 def _binormal_gap(table, s):
     # skip where the oracle vanishes
-    rep = geodesic.geodesic_report(IndicatrixKind.BINORMAL, table, s)
+    rep = geodesic.geodesic_report(IndicatrixKind("binormal"), table, s)
     return np.where(rep.gamma_oracle > 0, rep.residual_unweighted, np.nan)
 
 
@@ -223,32 +215,32 @@ def _binormal_unweighted(tables, names, samples):
 
 
 def _sphere_det(tables, names, samples):
-    # the tangent indicatrix wherever kappa > 0, the pole on constant kappa
-    results = [_max_over(tables, [f for f in names if assumes(tables[f].spec)],
+    # every indicatrix on the unit sphere, on the curves it admits
+    results = [_max_over(tables, [f for f in names if _admits(kind)(tables[f].spec)],
                          _det_samples(samples), partial(_det_residual, kind))
-               for assumes, kind in ((_nonzero_kappa, IndicatrixKind.TANGENT),
-                                     (_const_kappa, IndicatrixKind.POLE))]
+               for kind, row in KINDS.items() if row.on_unit_sphere]
     return max(w for w, _ in results), sum(n for _, n in results), None, ""
 
 
-def _involute_defect(pair, tables, names, samples):
-    reps = [r for r in (involute.involute_scan(pair, tables[f], samples) for f in names)
+def _involute_defect(kind, tables, names, samples):
+    reps = [r for r in (involute.involute_scan(kind, tables[f], samples) for f in names)
             if r.n_defined]
     return (max((r.max_abs_inner for r in reps), default=0.0),
             sum(r.n_defined for r in reps), None, "")
 
 
 def _involute_normal(tables, names, samples):
+    normal = IndicatrixKind("normal")
     helices = [tables[f] for f in names if tables[f].spec.family == "helix"]
     if not helices:
         return 0.0, 0, None, ""
-    helix_reps = [involute.involute_scan(InvolutePair.N_VS_C, t, samples) for t in helices]
+    helix_reps = [involute.involute_scan(normal, t, samples) for t in helices]
     helix_defect = max(r.max_abs_inner for r in helix_reps)
     evaluated = sum(r.n_defined for r in helix_reps)
     note = "helix defect vanishes with phi'"
     ok = helix_defect <= 1e-9
     for t in [tables[f] for f in names if tables[f].spec.family == "salkowski"]:
-        salk_rep = involute.involute_scan(InvolutePair.N_VS_C, t, samples)
+        salk_rep = involute.involute_scan(normal, t, samples)
         ok = ok and salk_rep.max_abs_inner > 1e-3
         evaluated += salk_rep.n_defined
         note += f"; varying-torsion defect reaches {salk_rep.max_abs_inner:.3g}"
@@ -282,10 +274,8 @@ class Identity:
 
 
 def _per_kind(name, description, residual):
-    # One row per indicatrix: the tangent indicatrix needs kappa > 0 only,
-    # the other three constant curvature.
-    return [Identity(name.format(k.value), description.format(k.value), 1e-5,
-                     _nonzero_kappa if k is IndicatrixKind.TANGENT else _const_kappa,
+    # One row per indicatrix, on the curves it admits.
+    return [Identity(name.format(k.value), description.format(k.value), 1e-5, _admits(k),
                      residual=partial(residual, k))
             for k in IndicatrixKind]
 
@@ -326,11 +316,11 @@ IDENTITIES: list[Identity] = [
              1e-5, _nonzero_kappa, verdict=_sphere_det, points=_det_points),
     Identity("involute-tangent",
              "pole-curve tangent orthogonal to the tangent indicatrix tangent",
-             1e-9, _const_kappa, verdict=partial(_involute_defect, InvolutePair.T_VS_C),
+             1e-9, _const_kappa, verdict=partial(_involute_defect, IndicatrixKind("tangent")),
              points=curves.arclength_grid),
     Identity("involute-binormal",
              "pole-curve tangent orthogonal to the binormal indicatrix tangent",
-             1e-9, _const_kappa, verdict=partial(_involute_defect, InvolutePair.B_VS_C),
+             1e-9, _const_kappa, verdict=partial(_involute_defect, IndicatrixKind("binormal")),
              points=curves.arclength_grid),
     Identity("involute-normal",
              "normal-indicatrix involute defect is zero exactly for helices",

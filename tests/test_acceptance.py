@@ -23,7 +23,6 @@ from modframe.curves import (
 )
 from modframe.darboux import check_alignment, darboux, rotation_residuals
 from modframe.indicatrix import IndicatrixKind
-from modframe.involute import InvolutePair
 from modframe.numerics import norm
 
 HELIX = helix(2.0, 1.0)
@@ -96,10 +95,9 @@ def test_04_covariant_derivatives():
                      IndicatrixKind.POLE):
             for s in arclength_grid(spec, 32):
                 mf = frames.modified_frame(spec, float(s))
-                dd = darboux(mf)
-                if indicatrix.indicatrix_speed(kind, mf, dd) <= 1e-8:
+                if indicatrix.indicatrix_speed(kind, mf) <= 1e-8:
                     continue
-                closed = indicatrix.cov_deriv_closed(kind, mf, dd)
+                closed = indicatrix.cov_deriv_closed(kind, mf)
                 oracle = indicatrix.cov_deriv_numeric(kind, spec, float(s))
                 worst = max(worst, norm(closed - oracle))
     mf0 = frames.modified_frame(HELIX, 0.0)
@@ -122,7 +120,7 @@ def test_05_geodesic_curvatures():
     for s in arclength_grid(SALK, 32):
         mfs = frames.modified_frame(SALK, float(s))
         dd = darboux(mfs)
-        g_c = geodesic.geodesic_curvature_closed(IndicatrixKind.POLE, mfs, dd)
+        g_c = geodesic.geodesic_curvature_closed(IndicatrixKind.POLE, mfs)
         pole_ok = pole_ok and abs(g_c * abs(dd.phi_prime) - dd.w_norm) < 1e-5
 
     det_worst = 0.0
@@ -155,12 +153,12 @@ def test_07_involutes():
     ok = True
     details = []
     for spec, label in ((HELIX, "helix"), (SALK, "salkowski")):
-        for pair in (InvolutePair.T_VS_C, InvolutePair.B_VS_C):
+        for pair in (IndicatrixKind.TANGENT, IndicatrixKind.BINORMAL):
             rep = involute.involute_scan(pair, spec, 32)
             ok = ok and rep.max_abs_inner < 1e-9
             details.append(f"{label}/{pair.value} {rep.max_abs_inner:.2g}")
-    rep_h = involute.involute_scan(InvolutePair.N_VS_C, HELIX, 32)
-    rep_s = involute.involute_scan(InvolutePair.N_VS_C, SALK, 32)
+    rep_h = involute.involute_scan(IndicatrixKind.NORMAL, HELIX, 32)
+    rep_s = involute.involute_scan(IndicatrixKind.NORMAL, SALK, 32)
     ok = ok and rep_h.max_abs_inner < 1e-9 and rep_s.max_abs_inner > 1e-3
     details.append(f"normal helix {rep_h.max_abs_inner:.2g} vs "
                    f"salkowski {rep_s.max_abs_inner:.2g}")

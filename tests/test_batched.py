@@ -23,11 +23,12 @@ from modframe.errors import (
     TorsionVanishes,
 )
 from modframe.indicatrix import IndicatrixKind
-from modframe.involute import InvolutePair
 from modframe.validation import default_families
 
 # the six default families, and a straight line (kappa = 0 everywhere)
 FAMILIES = {**default_families(), "line": curves.line()}
+# the indicatrices an involute scan pairs with the pole curve
+PAIRED = [k for k in IndicatrixKind if k is not IndicatrixKind.POLE]
 
 
 def _grid(spec):
@@ -100,8 +101,7 @@ CASES = {
     "curvature": _oracle(lambda spec, s: frames.curvature(spec.jet(curves.at_arclength(spec, s)))),
     "frame_ode_rhs": _closed(frames.frame_ode_rhs),
     "darboux": _closed(darboux),
-    "pole_tangent_direction": _closed(
-        lambda mf: indicatrix.pole_tangent_direction(mf, darboux(mf))),
+    "pole_tangent_direction": _closed(indicatrix.pole_tangent_direction),
     "geodesic_curvature_binormal_unweighted": _closed(
         geodesic.geodesic_curvature_binormal_unweighted),
     "diff_vec": _oracle(lambda spec, s: numerics.diff_vec(_curve_fn, s)),
@@ -110,8 +110,8 @@ CASES = {
     "frenet_frame": _oracle(frames.frenet_frame),
     "check_alignment": _oracle(check_alignment),
     "rotation_residuals": _oracle(rotation_residuals),
-    **{f"involute_inner-{p.value}": _oracle(
-        lambda spec, s, p=p: involute.involute_inner(p, spec, s)) for p in InvolutePair},
+    **{f"involute_inner-{k.value}": _oracle(
+        lambda spec, s, k=k: involute.involute_inner(k, spec, s)) for k in PAIRED},
 }
 for _k in IndicatrixKind:
     CASES.update({
@@ -169,14 +169,44 @@ def test_batched_equals_scalar(name):
     ("darboux", "twisted_cubic", {NonConstantCurvature}),
     # and where nothing degenerates, nothing is masked
     ("cov_deriv_numeric-pole", "salkowski", set()),
+    # on a straight line, kappa = 0 is checked before any Darboux data is built
+    ("cov_deriv_closed-normal", "line", {CurvatureVanishes}),
+    ("cov_deriv_closed-binormal", "line", {CurvatureVanishes}),
+    ("cov_deriv_closed-pole", "line", {CurvatureVanishes}),
+    ("geodesic_curvature_closed-normal", "line", {CurvatureVanishes}),
+    ("geodesic_curvature_closed-binormal", "line", {CurvatureVanishes}),
+    ("geodesic_curvature_closed-pole", "line", {CurvatureVanishes}),
+    ("indicatrix_point-pole", "line", {DegenerateFrame}),
 ])
 def test_degeneracy_mask_matches_scalar_exceptions(name, family, raised):
     assert _agree(*CASES[name], FAMILIES[family]) == raised
 
 
+def test_one_point_at_the_curvature_zero():
+    # The gate refuses a batch of the whole planar cubic, so _agree never
+    # reaches its zero; ask each closed form there at one point.
+    spec = FAMILIES["planar_cubic"]
+    s = float(curves.arclength(spec, spec.t_lo, 0.0))
+    expected = {  # tangent, normal, binormal, pole
+        "indicatrix_point": (None, None, None, DegenerateFrame),
+        "indicatrix_speed": (None, None, None, DegenerateFrame),
+        "indicatrix_tangent": (DegenerateIndicatrix,) * 3 + (DegenerateFrame,),
+        "cov_deriv_closed": (CurvatureVanishes,) * 4,
+        "geodesic_curvature_closed": (CurvatureVanishes,) * 4,
+    }
+    for form, errors in expected.items():
+        for kind, error in zip(IndicatrixKind, errors, strict=True):
+            try:
+                CASES[f"{form}-{kind.value}"][1](spec, s)
+                raised = None
+            except ModFrameError as exc:
+                raised = type(exc)
+            assert raised is error, (form, kind, raised)
+
+
 def test_scan_matches_scalar_loop():
     for spec in (FAMILIES["helix"], FAMILIES["circle1"], FAMILIES["salkowski"]):
-        for pair in InvolutePair:
+        for pair in PAIRED:
             rep = involute.involute_scan(pair, spec, 9)
             inners = []
             for s in curves.arclength_grid(spec, 9):

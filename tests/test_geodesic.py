@@ -46,7 +46,7 @@ class TestClosedForms:
         for s in _grid(spec):
             mf = frames.modified_frame(spec, s)
             dd = darboux(mf)
-            gc = geodesic.geodesic_curvature_closed(IndicatrixKind.POLE, mf, dd)
+            gc = geodesic.geodesic_curvature_closed(IndicatrixKind.POLE, mf)
             assert gc * abs(dd.phi_prime) == pytest.approx(dd.w_norm, rel=1e-9)
             assert gc == pytest.approx(1.0 / m, rel=1e-9)
 
@@ -126,9 +126,8 @@ class TestSphereDeterminantOracle:
             det_val = abs(geodesic.geodesic_curvature_sphere_at(
                 IndicatrixKind.POLE, spec, float(s)))
             mf = frames.modified_frame(spec, float(s))
-            dd = darboux(mf)
             closed = geodesic.geodesic_curvature_closed(
-                IndicatrixKind.POLE, mf, dd)
+                IndicatrixKind.POLE, mf)
             assert det_val == pytest.approx(closed, abs=1e-5)
 
     def test_normal_indicatrix_rejected(self):

@@ -5,7 +5,6 @@ import pytest
 
 from modframe import frames, indicatrix
 from modframe.curves import arclength_grid, circle, helix, salkowski, twisted_cubic
-from modframe.darboux import darboux
 from modframe.errors import DegenerateIndicatrix, NonConstantCurvature
 from modframe.indicatrix import IndicatrixKind
 from modframe.numerics import norm
@@ -39,7 +38,6 @@ class TestPointsAndSpeeds:
 
     def test_helix_speeds(self):
         mf = frames.modified_frame(HELIX, 0.0)
-        dd = darboux(mf)
         k, t = 0.4, 0.2
         w = math.hypot(k, t)
         expect = {
@@ -49,7 +47,7 @@ class TestPointsAndSpeeds:
             IndicatrixKind.POLE: 0.0,
         }
         for kind, val in expect.items():
-            assert indicatrix.indicatrix_speed(kind, mf, dd) == pytest.approx(
+            assert indicatrix.indicatrix_speed(kind, mf) == pytest.approx(
                 val, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
@@ -60,15 +58,13 @@ class TestPointsAndSpeeds:
 
         def point_at(x):
             mf = frames.modified_frame(spec, x)
-            dd = darboux(mf) if kind is not IndicatrixKind.TANGENT else None
-            return indicatrix.indicatrix_point(kind, mf, dd)
+            return indicatrix.indicatrix_point(kind, mf)
 
         for s in _grid(spec, 5):
             mf = frames.modified_frame(spec, s)
-            dd = darboux(mf) if kind is not IndicatrixKind.TANGENT else None
             fd = numerics.diff_vec(point_at, s)
             assert norm(fd) == pytest.approx(
-                indicatrix.indicatrix_speed(kind, mf, dd), abs=1e-7)
+                indicatrix.indicatrix_speed(kind, mf), abs=1e-7)
 
 
 class TestTangents:
@@ -77,8 +73,7 @@ class TestTangents:
         spec = salkowski(0.5)
         for s in _grid(spec, 6):
             mf = frames.modified_frame(spec, s)
-            dd = darboux(mf)
-            t = indicatrix.indicatrix_tangent(kind, mf, dd)
+            t = indicatrix.indicatrix_tangent(kind, mf)
             assert norm(t) == pytest.approx(1.0, abs=1e-10)
 
     def test_tangent_kind_on_varying_curvature(self):
@@ -97,11 +92,10 @@ class TestTangents:
     def test_pole_tangent_degenerate_on_helix(self):
         # phi' = 0: the pole curve is a point, its tangent is undefined
         mf = frames.modified_frame(HELIX, 0.0)
-        dd = darboux(mf)
         with pytest.raises(DegenerateIndicatrix):
-            indicatrix.indicatrix_tangent(IndicatrixKind.POLE, mf, dd)
+            indicatrix.indicatrix_tangent(IndicatrixKind.POLE, mf)
         # but the limit direction is still available and unit
-        assert norm(indicatrix.pole_tangent_direction(mf, dd)) == pytest.approx(
+        assert norm(indicatrix.pole_tangent_direction(mf)) == pytest.approx(
             1.0, abs=1e-12)
 
 
@@ -111,8 +105,7 @@ class TestCovariantDerivatives:
         spec = salkowski(0.5)
         for s in _grid(spec, 6):
             mf = frames.modified_frame(spec, s)
-            dd = darboux(mf)
-            closed = indicatrix.cov_deriv_closed(kind, mf, dd)
+            closed = indicatrix.cov_deriv_closed(kind, mf)
             oracle = indicatrix.cov_deriv_numeric(kind, spec, s)
             assert norm(closed - oracle) < 1e-5, (kind, s)
 
@@ -122,8 +115,7 @@ class TestCovariantDerivatives:
     def test_closed_matches_numeric_helix(self, kind):
         for s in _grid(HELIX, 6):
             mf = frames.modified_frame(HELIX, s)
-            dd = darboux(mf)
-            closed = indicatrix.cov_deriv_closed(kind, mf, dd)
+            closed = indicatrix.cov_deriv_closed(kind, mf)
             oracle = indicatrix.cov_deriv_numeric(kind, HELIX, s)
             assert norm(closed - oracle) < 1e-5
 

@@ -27,3 +27,8 @@ def test_traced_validation_matches_and_is_seen():
     assert raw["counters"]["validation.samples_attempted"] > 0
     assert raw["calls"]["frames.modified_frame"] >= 1
     assert raw["calls"]["numerics.invert_monotone"] >= 1
+    # the functions behind the per-layer metrics of BENCHMARK.json
+    for name in ("darboux.darboux", "indicatrix.cov_deriv_closed",
+                 "indicatrix.cov_deriv_numeric", "geodesic.geodesic_report",
+                 "geodesic.geodesic_curvature_sphere_at", "involute.involute_scan"):
+        assert raw["calls"].get(name, 0) >= 1, name
