@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import curves, frames, indicatrix, numerics, validation
+from . import curves, frames, indicatrix, validation
 from .curves import CurveSpec
 from .errors import DegenerateIndicatrix, ModFrameError, NonConstantCurvature
 from .indicatrix import IndicatrixKind
@@ -57,6 +57,16 @@ def _parse_range(text: str) -> tuple[float, float]:
     if lo >= hi:
         raise argparse.ArgumentTypeError("range must have lo < hi")
     return lo, hi
+
+
+def _parse_tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"tolerance must be a number, got {text!r}") from exc
+    if not 0.0 <= tol < np.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return tol
 
 
 def _fmt(x) -> str:
@@ -128,10 +138,9 @@ def cmd_indicatrix(args) -> int:
     columns = ["s", "px", "py", "pz", "speed", "tx", "ty", "tz",
                "cx", "cy", "cz", "ox", "oy", "oz", "residual", "degenerate"]
     s = _sample_range(args, spec, margin=4.0 * FD_STEP)
-    table = frames.FrameTable(spec, numerics.stencil(s))
     try:
-        smp = indicatrix.sample(kind, table, s)
-        oracle = indicatrix.cov_deriv_numeric(kind, table, s)
+        smp = indicatrix.sample(kind, spec, s)
+        oracle = indicatrix.cov_deriv_numeric(kind, spec, s)
     except NonConstantCurvature as exc:
         print(f"error: inadmissible curve for {kind.value} indicatrix: {exc}",
               file=sys.stderr)
@@ -210,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--curve", type=parse_curve, default=None,
                        help="restrict validation to one curve")
     p_val.add_argument("--samples", type=int, default=32)
-    p_val.add_argument("--tolerance", type=float, default=None,
+    p_val.add_argument("--tolerance", type=_parse_tolerance, default=None,
                        help="override every identity's residual tolerance")
     p_val.add_argument("--only", default=None,
                        help="comma-separated identity names to run")

@@ -145,8 +145,7 @@ def indicatrix_tangent(kind: IndicatrixKind, mf: ModifiedFrame) -> Vec3:
     elif kind is IndicatrixKind.BINORMAL:
         tangent = -N / mf.kappa
     elif kind is IndicatrixKind.NORMAL:
-        dd = darboux(mf)
-        tangent = -np.cos(dd.phi) * mf.T.T + (np.sin(dd.phi) / mf.kappa) * mf.B.T
+        tangent = 0.0 - pole_tangent_direction(mf).T  # zeros stay +0.0
     else:
         return blank(flat, pole_tangent_direction(mf))
     return blank(flat, tangent.T)

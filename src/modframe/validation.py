@@ -3,16 +3,16 @@
 Runs every closed-form identity against its numerical oracle across the
 built-in curve families and collects the residuals into a machine
 readable report.  The identities are the rows of :data:`IDENTITIES`: each
-names the curves it assumes and how it is evaluated, and
-:func:`run_validation` is one loop over them.  One entry, the unweighted
-binormal geodesic curvature, is a known algebraic discrepancy: it is
-reported with its measured gap and marked ``expected_discrepancy``
-instead of counting as a failure.
+names the curves it assumes and how it is measured, and
+:func:`run_validation` is one loop over them that judges every entry.
+One entry, the unweighted binormal geodesic curvature, is a known
+algebraic discrepancy: it is reported with its measured gap and marked
+``expected_discrepancy`` instead of being judged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -41,16 +41,7 @@ class ValidationEntry:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "n_evaluated": self.n_evaluated,
-            "expected_discrepancy": self.expected_discrepancy,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -59,11 +50,10 @@ class ValidationReport:
 
     @property
     def passed(self) -> bool:
-        """Every judged entry passed, and some entry evaluated a sample.
-        Expected discrepancies and not-applicable entries are not judged."""
+        """Every evaluated entry passed, and some entry evaluated a sample.
+        Not-applicable entries are left out; expected discrepancies pass."""
         return any(e.n_evaluated for e in self.entries) and all(
-            e.passed for e in self.entries
-            if e.n_evaluated and not e.expected_discrepancy)
+            e.passed for e in self.entries if e.n_evaluated)
 
     def to_dict(self) -> dict:
         return {"passed": self.passed, "entries": [e.to_dict() for e in self.entries]}
@@ -195,9 +185,9 @@ def _kappa_gap(table, s):
     return np.maximum(np.abs(dot(N, N) - k2), np.abs(dot(B, B) - k2))
 
 
-# Whole-entry verdicts, fn(tables, names, samples).  Each returns
-# (residual, n_evaluated, passed, note), with passed None to judge the
-# residual against the tolerance.
+# Whole-entry measurements, fn(tables, names, samples).  Each returns
+# (residual, n_evaluated, holds, note): holds is the identity's condition
+# besides its tolerance, True where it has none.
 
 def _metric_relations(tables, names, samples):
     worst, evaluated = 0.0, 0
@@ -206,12 +196,7 @@ def _metric_relations(tables, names, samples):
             table, curves.frenet_arclength_grid(table.spec, samples))
         worst = max(worst, float(residual.max(initial=0.0)))
         evaluated += residual.size
-    return worst, evaluated, None, ""
-
-
-def _binormal_unweighted(tables, names, samples):
-    return (*_max_over(tables, names, samples, _binormal_gap), True,
-            "known algebraic discrepancy; oracle arbitrates")
+    return worst, evaluated, True, ""
 
 
 def _sphere_det(tables, names, samples):
@@ -219,32 +204,29 @@ def _sphere_det(tables, names, samples):
     results = [_max_over(tables, [f for f in names if _admits(kind)(tables[f].spec)],
                          _det_samples(samples), partial(_det_residual, kind))
                for kind, row in KINDS.items() if row.on_unit_sphere]
-    return max(w for w, _ in results), sum(n for _, n in results), None, ""
+    return max(w for w, _ in results), sum(n for _, n in results), True, ""
 
 
 def _involute_defect(kind, tables, names, samples):
     reps = [r for r in (involute.involute_scan(kind, tables[f], samples) for f in names)
             if r.n_defined]
     return (max((r.max_abs_inner for r in reps), default=0.0),
-            sum(r.n_defined for r in reps), None, "")
+            sum(r.n_defined for r in reps), True, "")
 
 
 def _involute_normal(tables, names, samples):
-    normal = IndicatrixKind("normal")
-    helices = [tables[f] for f in names if tables[f].spec.family == "helix"]
-    if not helices:
-        return 0.0, 0, None, ""
-    helix_reps = [involute.involute_scan(normal, t, samples) for t in helices]
-    helix_defect = max(r.max_abs_inner for r in helix_reps)
-    evaluated = sum(r.n_defined for r in helix_reps)
-    note = "helix defect vanishes with phi'"
-    ok = helix_defect <= 1e-9
-    for t in [tables[f] for f in names if tables[f].spec.family == "salkowski"]:
-        salk_rep = involute.involute_scan(normal, t, samples)
-        ok = ok and salk_rep.max_abs_inner > 1e-3
-        evaluated += salk_rep.n_defined
-        note += f"; varying-torsion defect reaches {salk_rep.max_abs_inner:.3g}"
-    return helix_defect, evaluated, ok, note
+    # judged on helices; on a varying-torsion curve it must not vanish
+    scan = lambda family: [involute.involute_scan(IndicatrixKind("normal"), tables[f], samples)
+                           for f in names if tables[f].spec.family == family]
+    helix_reps = scan("helix")
+    if not helix_reps:
+        return 0.0, 0, True, ""
+    salk_reps = scan("salkowski")
+    note = "helix defect vanishes with phi'" + "".join(
+        f"; varying-torsion defect reaches {r.max_abs_inner:.3g}" for r in salk_reps)
+    return (max(r.max_abs_inner for r in helix_reps),
+            sum(r.n_defined for r in helix_reps + salk_reps),
+            all(r.max_abs_inner > 1e-3 for r in salk_reps), note)
 
 
 def _kappa_zero_extension(tables, names, samples):
@@ -253,23 +235,24 @@ def _kappa_zero_extension(tables, names, samples):
     at_zeros = [frames.modified_frame(sp, curves.arclength(sp, sp.t_lo, t0))
                 for sp in (tables[f].spec for f in names) for t0 in sp.kappa_zeros]
     vanish = all(norm(mf.N) <= 1e-6 and norm(mf.B) <= 1e-6 for mf in at_zeros)
-    return worst, evaluated, worst <= 1e-7 and vanish, "N = B = 0 at the zero itself"
+    return worst, evaluated, vanish, "N = B = 0 at the zero itself"
 
 
 @dataclass(frozen=True)
 class Identity:
     """One identity of the suite: it runs on the curves for which
-    ``assumes`` holds, either as a per-sample ``residual`` (judged against
-    ``tolerance``) or as one ``verdict`` on the whole entry, and reads
-    frames at the arclengths ``points(spec, samples)``."""
+    ``assumes`` holds, either as a per-sample ``residual`` or as one
+    ``measure`` of the whole entry, judged against ``tolerance``, and
+    reads frames at the arclengths ``points(spec, samples)``."""
 
     name: str
     description: str
     tolerance: float
     assumes: Callable[[CurveSpec], bool]
     residual: Callable[[frames.FrameTable, np.ndarray], np.ndarray] | None = None
-    verdict: Callable[..., tuple] | None = None
+    measure: Callable[..., tuple] | None = None
     expected_discrepancy: bool = False
+    note: str = ""
     points: Callable[[CurveSpec, int], np.ndarray] = _stencil_points
 
 
@@ -288,7 +271,7 @@ IDENTITIES: list[Identity] = [
              1e-5, _nonzero_kappa,
              residual=lambda table, s: frames.check_frame_ode(table, s).max_residual),
     Identity("metric-relations", "frame inner products equal (1, k^2, k^2, 0, 0, 0)",
-             1e-9, lambda spec: True, verdict=_metric_relations,
+             1e-9, lambda spec: True, measure=_metric_relations,
              points=curves.arclength_grid),
     Identity("darboux-alignment", "N x N' = k^2 w against the finite-difference N'",
              1e-5, _const_kappa, residual=lambda table, s: check_alignment(table, s)),
@@ -308,30 +291,30 @@ IDENTITIES: list[Identity] = [
     Identity("geodesic-binormal-unweighted",
              "unit-norm expansion of the binormal geodesic curvature differs "
              "from the oracle at every kappa (its square is 2 too large)",
-             1e-5, _const_kappa, verdict=_binormal_unweighted,
-             expected_discrepancy=True),
+             1e-5, _const_kappa, residual=_binormal_gap, expected_discrepancy=True,
+             note="known algebraic discrepancy; oracle arbitrates"),
     Identity("geodesic-sphere-det",
              "determinant oracle agrees with the Gauss-equation oracle on the "
              "unit-sphere indicatrices",
-             1e-5, _nonzero_kappa, verdict=_sphere_det, points=_det_points),
+             1e-5, _nonzero_kappa, measure=_sphere_det, points=_det_points),
     Identity("involute-tangent",
              "pole-curve tangent orthogonal to the tangent indicatrix tangent",
-             1e-9, _const_kappa, verdict=partial(_involute_defect, IndicatrixKind("tangent")),
+             1e-9, _const_kappa, measure=partial(_involute_defect, IndicatrixKind("tangent")),
              points=curves.arclength_grid),
     Identity("involute-binormal",
              "pole-curve tangent orthogonal to the binormal indicatrix tangent",
-             1e-9, _const_kappa, verdict=partial(_involute_defect, IndicatrixKind("binormal")),
+             1e-9, _const_kappa, measure=partial(_involute_defect, IndicatrixKind("binormal")),
              points=curves.arclength_grid),
     Identity("involute-normal",
              "normal-indicatrix involute defect is zero exactly for helices",
-             1e-9, _const_kappa, verdict=_involute_normal, points=curves.arclength_grid),
+             1e-9, _const_kappa, measure=_involute_normal, points=curves.arclength_grid),
     Identity("frame-coincidence", "modified frame equals the Frenet frame where kappa = 1",
              1e-9, _unit_kappa, residual=_coincidence, points=curves.arclength_grid),
     Identity("unit-speed", "arclength reparametrization has unit speed",
              1e-6, lambda spec: True, residual=_unit_speed),
     Identity("kappa-zero-extension",
              "|N|^2 and |B|^2 extend continuously through the curvature zero",
-             1e-7, lambda spec: bool(spec.kappa_zeros), verdict=_kappa_zero_extension,
+             1e-7, lambda spec: bool(spec.kappa_zeros), measure=_kappa_zero_extension,
              points=curves.arclength_grid),
 ]
 
@@ -346,10 +329,11 @@ def run_validation(
 ) -> ValidationReport:
     """Run every identity suite and collect a report.
 
-    ``tolerance_override`` replaces each identity's default residual
-    tolerance; ``only`` restricts to the named identities.  Each curve's
-    frames come from one :class:`~modframe.frames.FrameTable` that holds
-    every arclength the chosen identities read on it.
+    An entry passes when its residual is within ``tolerance_override``
+    (else its own tolerance) and its extra condition holds; expected
+    discrepancies pass.  ``only`` restricts to the named identities.
+    Each curve's frames come from one :class:`~modframe.frames.FrameTable`
+    that holds every arclength the chosen identities read on it.
     """
     specs = families if families is not None else default_families()
     chosen = [i for i in IDENTITIES if only is None or i.name in only]
@@ -361,14 +345,11 @@ def run_validation(
     report = ValidationReport()
     for ident in chosen:
         names = [f for f, spec in specs.items() if ident.assumes(spec)]
-        if ident.residual is not None:
-            result = (*_max_over(tables, names, samples, ident.residual), None, "")
-        else:
-            result = ident.verdict(tables, names, samples)
-        residual, n_evaluated, passed, note = result
+        residual, n_evaluated, holds, note = (
+            ident.measure(tables, names, samples) if ident.residual is None
+            else (*_max_over(tables, names, samples, ident.residual), True, ident.note))
         tol = tolerance_override if tolerance_override is not None else ident.tolerance
-        if passed is None:
-            passed = residual <= tol
+        passed = ident.expected_discrepancy or (residual <= tol and holds)
         if not n_evaluated:
             passed, note = False, "not applicable: no sample evaluated"
         report.entries.append(ValidationEntry(

@@ -201,6 +201,10 @@ class TestValidate:
         assert code == EXIT_VALIDATION_FAILED
         doc = json.loads(out)
         assert doc["report"]["passed"] is False
+        # the override reaches an entry with an extra condition too
+        code, out, err = run(capsys, "validate", "--curve", "planarcubic",
+                             "--only", "kappa-zero-extension", "--tolerance", "1e-30")
+        assert code == EXIT_VALIDATION_FAILED
 
     def test_single_curve(self, capsys):
         code, out, err = run(capsys, "validate", "--samples", "6",
@@ -279,6 +283,15 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
         assert "too large" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--samples", "8", "--tolerance", tol])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+        assert "finite" in err and "Traceback" not in err
 
     def test_too_few_samples(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -26,6 +26,10 @@ def test_expected_discrepancy_entry(report):
     assert entry.passed
     # the gap is real and well above tolerance, not a rounding artifact
     assert entry.max_residual > 1e-2
+    # reported but not judged: under any tolerance it still passes, and
+    # a report of it alone passes too
+    rep = run_validation(samples=8, only=[entry.name], tolerance_override=1e-30)
+    assert rep.entries[0].passed and rep.passed
 
 
 def test_only_filter():
@@ -55,6 +59,11 @@ def test_curves_chosen_by_property_not_key():
 def test_tolerance_override_can_fail():
     rep = run_validation(samples=8, only=["frame-ode"],
                          tolerance_override=1e-18)
+    assert not rep.passed
+    # the override also reaches an entry with an extra condition
+    rep = run_validation(samples=8, only=["kappa-zero-extension"],
+                         tolerance_override=1e-30)
+    assert rep.entries[0].n_evaluated and not rep.entries[0].passed
     assert not rep.passed
 
 
@@ -89,11 +98,9 @@ def test_table_names_unique_and_in_report_order():
     ]
 
 
-@pytest.mark.parametrize("name", ["metric-relations", "geodesic-binormal-unweighted",
-                                  "geodesic-sphere-det", "involute-normal",
-                                  "kappa-zero-extension"])
+@pytest.mark.parametrize("name", IDENTITY_NAMES)
 def test_single_entry_matches_full_run(report, name):
-    # whole-entry verdicts give the same entry alone as in the full suite
+    # every entry, and so its verdict, is the same alone as in the full suite
     full = next(e for e in report.entries if e.name == name)
     assert run_validation(samples=12, only=[name]).entries == [full]
 
