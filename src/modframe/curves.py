@@ -3,11 +3,15 @@
 Everything the library knows about a family sits in one row of
 :data:`FAMILIES`: its arity and factory, a closed-form jet (position and
 parameter-derivatives up to order 4), an exact speed, and the properties
-validation selects curves by.  Arclength comes from one Gauss-Legendre
-table per curve, so the frame formulas can assume unit speed.  Jets,
-speeds and arclength inversion take a float or an array of points.
-Finite differences are never used here; they live in
-:mod:`modframe.numerics` as the independent cross-check.
+validation selects curves by.  Arclength comes from one table per curve,
+so the frame formulas can assume unit speed: cumulative lengths at 257
+parameter nodes (a 16-node Gauss-Legendre rule per panel) and, per panel,
+a degree-9 length polynomial from the degree-8 Chebyshev interpolant of
+the speed, which :func:`at_arclength` inverts; the build refuses one that
+misses its panel's Gauss length.  Jets, speeds and arclength inversion
+take a float or an array of points; a float's jet is Python floats until
+:meth:`CurveSpec.jet` wraps it.  Finite differences are never used here;
+they live in :mod:`modframe.numerics` as the independent cross-check.
 """
 
 from __future__ import annotations
@@ -21,12 +25,16 @@ from typing import Callable
 import numpy as np
 
 from . import numerics
-from .errors import OutOfRange, TargetOutOfRange
-from .numerics import ABS_TOL, ReadOnlyArrays, Vec3, vec
+from .errors import OutOfRange, TargetOutOfRange, UnresolvedArclength
+from .numerics import ABS_TOL, ReadOnlyArrays, Vec3
 
 _RANGE_SLACK = 1e-9
 _PANELS = 256
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# Chebyshev nodes of a panel's length polynomial, and the bound on its
+# miss of the panel's Gauss length, relative to that length.
+_FIT_NODES = 9
+_FIT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,6 +58,12 @@ class CurveSpec:
     def jet(self, t) -> Jet:
         """Exact position and derivatives of the curve at parameter ``t``,
         a float or an array of parameters."""
+        return Jet(*(np.asarray(v, dtype=float) for v in self.jet_components(t)))
+
+    def jet_components(self, t) -> tuple:
+        """The five vectors of :meth:`jet` as the family computes them:
+        3-tuples of Python floats at a float ``t``, (..., 3) arrays at an
+        array of parameters."""
         bad = numerics.outside(t, self.t_lo - _RANGE_SLACK, self.t_hi + _RANGE_SLACK)
         if bad is not None:
             raise OutOfRange(
@@ -126,22 +140,22 @@ def salkowski(m: float) -> CurveSpec:
     return CurveSpec("salkowski", (float(m),), 0.1 * u_max, 0.9 * u_max)
 
 
-def _vectors(t, *xyz) -> Vec3:
-    # One 3-vector per parameter: (3,) for a float t, (..., 3) for an
-    # array t, with constant components broadcast.
+def _vectors(t, *xyz):
+    # One 3-vector per parameter: the 3-tuple of floats for a float t,
+    # (..., 3) for an array t, with constant components broadcast.
     if not isinstance(t, np.ndarray):
-        return vec(*xyz)
+        return xyz
     out = np.empty(t.shape + (3,))
     out[..., 0], out[..., 1], out[..., 2] = xyz
     return out
 
 
-def _helix_jet(p, t) -> Jet:
+def _helix_jet(p, t) -> tuple:
     a, b = p
     # math.cos and math.sin: the fast one-point case (see _salkowski_jet)
     cos, sin = (np.cos, np.sin) if isinstance(t, np.ndarray) else (math.cos, math.sin)
     ct, st = cos(t), sin(t)
-    return Jet(
+    return (
         _vectors(t, a * ct, a * st, b * t),
         _vectors(t, -a * st, a * ct, b),
         _vectors(t, -a * ct, -a * st, 0.0),
@@ -157,9 +171,9 @@ def _monomials(*powers: int | None):
     terms = [[None if n is None or k > n else (math.perm(n, k), n - k) for n in powers]
              for k in range(5)]
 
-    def jet(p, t) -> Jet:
-        return Jet(*(_vectors(t, *(0.0 if c is None else c[0] * t ** c[1] for c in row))
-                     for row in terms))
+    def jet(p, t) -> tuple:
+        return tuple(_vectors(t, *(0.0 if c is None else c[0] * t ** c[1] for c in row))
+                     for row in terms)
 
     # |r'|^2 = sum of n^2 t^(2n - 2), a polynomial in t^2: its
     # coefficients, highest first, summed by Horner.
@@ -195,7 +209,7 @@ def _salkowski_terms(m: float):
     return freqs, tuple(tuple(A * w**k for A, w in zip(amps, freqs)) for k in range(5)), (c, a)
 
 
-def _salkowski_jet(p, t) -> Jet:
+def _salkowski_jet(p, t) -> tuple:
     # cos and sin of the four angles w t, once each; math.cos and math.sin
     # are the fast one-point case of np.cos and np.sin (the two agree bit
     # for bit).  d/dt takes (cos, sin)(w t) to w (-sin, cos)(w t), so order
@@ -209,12 +223,12 @@ def _salkowski_jet(p, t) -> Jet:
     ns = [-x for x in s]
     turns = ((c, s), (ns, c), (nc, ns), (s, nc))
 
-    def column(k: int) -> Vec3:
+    def column(k: int):
         (A0, A1, A2, Az), (u, v) = factors[k], turns[k % 4]
         return _vectors(t, A0 * u[0] + A1 * u[1] + A2 * u[2],
                         A0 * v[0] + A1 * v[1] + A2 * v[2], Az * u[3])
 
-    return Jet(*(column(k) for k in range(5)))
+    return tuple(column(k) for k in range(5))
 
 
 def _salkowski_speed(p, t):
@@ -229,15 +243,17 @@ class Family:
     """One curve family: how to build it, evaluate it, and what it is.
 
     ``jet(params, t)`` and ``speed(params, t)`` are exact, for a float
-    ``t`` or an array of them.  ``constant_kappa(params)`` is the curvature
-    when it is the same at every point and None otherwise;
+    ``t`` or an array of them; the jet is the five vectors of a
+    :class:`Jet`, 3-tuples of floats at a float ``t``.
+    ``constant_kappa(params)`` is the curvature when it is the same at
+    every point and None otherwise;
     ``kappa_zeros`` lists the parameters of isolated curvature zeros.
     """
 
     name: str
     arity: int
     factory: Callable[..., CurveSpec]
-    jet: Callable[[tuple, float | np.ndarray], Jet]
+    jet: Callable[[tuple, float | np.ndarray], tuple]
     speed: Callable
     constant_speed: bool
     constant_kappa: Callable[[tuple], float | None]
@@ -272,22 +288,91 @@ def _gauss(spec: CurveSpec, a, b):
 
 
 @lru_cache(maxsize=None)
+def _length_fit() -> tuple[np.ndarray, np.ndarray]:
+    """The Chebyshev nodes x_j = cos(theta_j), theta_j = pi (j + 1/2) / 9,
+    of [-1, 1], and the (9, 9) matrix that takes the speeds there to the
+    monomial coefficients, highest power first, of P(u)/(u + 1), with P
+    the integral from -1 of their degree-8 interpolant.  On a panel
+    [t0, t1] with u = (t - mid)/half, the length from t0 is
+    half P(u) = (t - t0) P(u)/(u + 1): P(u)/(u + 1) is the mean speed."""
+    n = _FIT_NODES
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    # The interpolant's Chebyshev coefficients are the cosine sums
+    # a_k = (2/9) sum_j f_j cos(k theta_j), with a_0 halved: row j holds
+    # the a_k of f = e_j.
+    cheb = (2.0 / n) * np.cos(np.outer(theta, np.arange(n)))
+    cheb[:, 0] *= 0.5
+    # Row k of T: the monomial coefficients of T_k, lowest power first,
+    # from T_{k+1} = 2u T_k - T_{k-1}.
+    T = np.zeros((n, n))
+    T[0, 0] = T[1, 1] = 1.0
+    for i in range(1, n - 1):
+        T[i + 1, 1:] = 2.0 * T[i, :-1]
+        T[i + 1] -= T[i - 1]
+    # The integral of u^k from -1, over u + 1:
+    # (u^(k+1) - (-1)^(k+1)) / ((k + 1)(u + 1)) = sum over j <= k of
+    # (-1)^(k-j) u^j / (k + 1), row k of D.
+    k, j = np.indices((n, n))
+    D = np.tril((1.0 - 2.0 * ((k - j) % 2)) / (k + 1))
+    # einsum rather than @ here and in the table: a matrix product starts
+    # BLAS's gemm, whose buffers cost about 0.3 MB of resident memory.
+    return np.cos(theta), np.einsum("ij,jk,kl->il", cheb, T, D)[:, ::-1]
+
+
+def _horner(coef, u):
+    """The polynomial with coefficients ``coef``, highest power first, at
+    ``u``; floats and arrays alike, elementwise."""
+    acc = coef[0]
+    for a in coef[1:]:
+        acc = acc * u + a
+    return acc
+
+
+@lru_cache(maxsize=None)
 def _arclength_table(spec: CurveSpec):
-    # Cumulative lengths on a uniform grid, one Gauss-Legendre rule per
-    # panel (essentially exact for these analytic speeds), and one row per
-    # panel of what at_arclength reads: its ends t0, t1, their lengths
-    # c0, c1 and the Hermite terms of the first guess, how far the exact
-    # slopes dt/ds = 1/speed at its ends exceed the secant, in units of t;
-    # 0 there (a linear guess) where a node speed is 0 or not finite.
+    """(ts, cum, panels): 257 uniform parameter nodes, the cumulative
+    lengths there from one 16-node Gauss-Legendre rule per panel, and one
+    row per panel of what :func:`at_arclength` reads.
+
+    A row holds the panel's ends t0, t1, their lengths c0, c1, the
+    Hermite terms of the first guess (how far the exact slopes
+    dt/ds = 1/speed at the ends exceed the secant, in units of t; 0, a
+    linear guess, where a node speed is 0 or not finite), its midpoint
+    and half-width, and the 9 coefficients of the mean speed m of
+    :func:`_length_fit`: the length from t0 is (t - t0) m(u), a
+    polynomial of degree 9 in u = (t - mid)/half, exact at t0.
+
+    On a panel 1/256 of the range the degree-8 interpolant of these
+    analytic speeds is exact to rounding, so the polynomial meets the
+    panel's Gauss length at t1 to a few eps of it (under 19 eps on the
+    built-in families).  The build raises UnresolvedArclength where it
+    misses by more than _FIT_TOL = 1e-12 of it, the relative miss the
+    inversion's final check allows, so a speed the degree cannot resolve
+    is refused rather than inverted wrongly.
+    """
     ts = np.linspace(spec.t_lo, spec.t_hi, _PANELS + 1)
     lengths = _gauss(spec, ts[:-1], ts[1:])
     cum = np.concatenate(([0.0], np.cumsum(lengths)))
     v = spec.speed(ts)
     live = (0.0 < v) & (v < math.inf)
+    width = np.diff(ts)
     with np.errstate(divide="ignore", invalid="ignore"):
-        bend0, bend1 = (np.where(live[:-1] & live[1:], lengths / w - np.diff(ts), 0.0)
+        bend0, bend1 = (np.where(live[:-1] & live[1:], lengths / w - width, 0.0)
                         for w in (v[:-1], v[1:]))
-    return ts, cum, np.column_stack((ts[:-1], ts[1:], cum[:-1], cum[1:], bend0, bend1))
+    mid, half = 0.5 * (ts[:-1] + ts[1:]), 0.5 * width
+    nodes, fit = _length_fit()
+    coef = np.einsum("pj,jk->pk", spec.speed(mid[:, None] + half[:, None] * nodes), fit)
+    miss = np.abs(width * _horner(coef.T, 1.0) - lengths)
+    unresolved = ~(miss <= _FIT_TOL * lengths)  # NaN included
+    if unresolved.any():
+        i = int(np.argmax(unresolved))
+        raise UnresolvedArclength(
+            f"{spec.family}{spec.params}: the length polynomial of panel "
+            f"[{ts[i]:g}, {ts[i + 1]:g}] misses its Gauss length {lengths[i]:g} "
+            f"by {miss[i]:g}, above {_FIT_TOL:g} of it"
+        )
+    return ts, cum, np.column_stack((ts[:-1], ts[1:], cum[:-1], cum[1:], bend0, bend1,
+                                     mid, half, coef))
 
 
 def arclength(spec: CurveSpec, t0: float, t1: float) -> float:
@@ -312,7 +397,14 @@ def total_arclength(spec: CurveSpec) -> float:
 
 def at_arclength(spec: CurveSpec, s):
     """Parameter t with arclength(spec, t_lo, t) = s; for an array of
-    arclengths, an array of parameters from one elementwise solve."""
+    arclengths, an array of parameters from one elementwise solve.
+
+    On a curve of varying speed the length map inverted is the panel's
+    length polynomial c0 + (t - t0) m(u) from :func:`_arclength_table`,
+    with the exact speed as its derivative.  Every step of the solve is
+    elementwise, so each element of an array equals the call at that one
+    arclength bit for bit, whatever the array's size.
+    """
     total = total_arclength(spec)
     bad = numerics.outside(s, -ABS_TOL, total + ABS_TOL)
     if bad is not None:
@@ -329,14 +421,14 @@ def at_arclength(spec: CurveSpec, s):
     _, cum, panels = _arclength_table(spec)
     if isinstance(s, np.ndarray):
         i = np.searchsorted(cum[1:-1], s, side="right")
-        lo, hi, c0, c1, bend0, bend1 = panels[i].T
+        lo, hi, c0, c1, bend0, bend1, mid, half, *coef = panels[i].T
     else:  # one point, on Python floats
         i = bisect.bisect_right(cum, s, 1, _PANELS) - 1
-        lo, hi, c0, c1, bend0, bend1 = panels[i].tolist()
+        lo, hi, c0, c1, bend0, bend1, mid, half, *coef = panels[i].tolist()
     u = (s - c0) / (c1 - c0)
     guess = lo + u * (hi - lo + (1.0 - u) * ((1.0 - u) * bend0 - u * bend1))
-    return numerics.invert_monotone(
-        lambda t: c0 + _gauss(spec, lo, t), spec.speed, s, lo, hi, guess, (c0, c1))
+    return numerics.invert_monotone(lambda t: c0 + (t - lo) * _horner(coef, (t - mid) / half),
+                                    spec.speed, s, lo, hi, guess, (c0, c1))
 
 
 def position_at_arclength(spec: CurveSpec, s: float) -> Vec3:

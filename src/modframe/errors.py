@@ -17,6 +17,11 @@ class NotMonotone(ModFrameError):
     """Bracketing failed; the function is not strictly increasing."""
 
 
+class UnresolvedArclength(ModFrameError):
+    """A panel's length polynomial misses the panel's Gauss length: the
+    curve's speed varies too fast for the arclength table's degree."""
+
+
 class OutOfRange(ModFrameError):
     """Parameter value outside the curve's declared range."""
 

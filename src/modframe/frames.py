@@ -153,13 +153,15 @@ def _rates(r1, r2, r3, r4, v, v3, v5):
 _FLOATS = contextlib.nullcontext()
 
 
-def _assemble(jet: Jet):
-    """T, N, B, kappa, tau, kappa' and tau' from a jet in any parameter:
-    the one assembly behind both frame paths.  The jet's vectors are (3,)
-    at one point, worked on as 3-lists of floats, or (..., 3) at many,
-    worked on as (3, ...) arrays; T, N and B come back in the jet's shape."""
-    one = jet.r1.ndim == 1
-    r1, r2, r3, r4 = (x.tolist() if one else x.T for x in (jet.r1, jet.r2, jet.r3, jet.r4))
+def _assemble(r1, r2, r3, r4):
+    """T, N, B, kappa, tau, kappa' and tau' from the derivatives of a jet
+    in any parameter: the one assembly behind both frame paths.  They are
+    3-tuples of floats at one point (:meth:`CurveSpec.jet_components`), or
+    (..., 3) arrays at many, worked on as (3, ...) arrays; T, N and B come
+    back as (3,) or (..., 3) arrays."""
+    one = not isinstance(r1, np.ndarray)
+    if not one:
+        r1, r2, r3, r4 = r1.T, r2.T, r3.T, r4.T
     # _check_scale refuses what overflowed.  Python floats never touch
     # numpy's error state: _pow catches the one float overflow that raises,
     # and _check_scale runs before every division.
@@ -196,9 +198,7 @@ def modified_frame(spec: CurveSpec, s: float) -> ModifiedFrame:
     DegenerateFrame where the speed is beyond what the frame algebra can
     represent.
     """
-    t = curves.at_arclength(spec, s)
-    jet = spec.jet(t)
-    return ModifiedFrame(*_assemble(jet), t, jet.r)
+    return _frame_at(spec, curves.at_arclength(spec, s))
 
 
 def modified_frames(spec: CurveSpec, s) -> ModifiedFrame:
@@ -212,9 +212,14 @@ def modified_frames(spec: CurveSpec, s) -> ModifiedFrame:
     s = np.asarray(s, dtype=float)
     if s.ndim != 1:
         raise ValueError(f"modified_frames takes a 1-D array of arclengths, not {s.shape}")
-    t = curves.at_arclength(spec, s)
-    jet = spec.jet(t)
-    return ModifiedFrame(*_assemble(jet), t, jet.r)
+    return _frame_at(spec, curves.at_arclength(spec, s))
+
+
+def _frame_at(spec: CurveSpec, t) -> ModifiedFrame:
+    # The frame at parameter t, a float or an array: the family's jet
+    # goes straight to the assembly, floats and all.
+    r, *derivatives = spec.jet_components(t)
+    return ModifiedFrame(*_assemble(*derivatives), t, np.asarray(r, dtype=float))
 
 
 class FrameTable:

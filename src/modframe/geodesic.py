@@ -69,10 +69,12 @@ def geodesic_curvature_oracle(kind: IndicatrixKind, spec, s):
     """Gauss-equation oracle: |D_num + point| with the covariant derivative
     from finite differences and the indicatrix position as the sphere
     normal term.  ``spec`` is a CurveSpec or a
-    :class:`~modframe.frames.FrameTable` that holds the oracle's stencil."""
+    :class:`~modframe.frames.FrameTable` that holds the oracle's stencil.
+    The covariant derivative comes first, so that kappa ~ 0 raises
+    CurvatureVanishes, as the closed form does."""
     at = frames.frame_table(spec, numerics.stencil(s))
-    point = indicatrix_point(kind, at(s))
-    return norm((cov_deriv_numeric(kind, at, s) + point).T)
+    cov = cov_deriv_numeric(kind, at, s)
+    return norm((cov + indicatrix_point(kind, at(s))).T)
 
 
 def geodesic_report(kind: IndicatrixKind, spec, s) -> GeodesicReport:

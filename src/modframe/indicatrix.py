@@ -211,11 +211,16 @@ def cov_deriv_numeric(kind: IndicatrixKind, spec, s) -> Vec3:
     """Oracle: finite-difference T_X along s, divided by the signed rate
     ds_X/ds, at ``s`` (a float or an array).  Ground truth against which
     every closed form is validated.  ``spec`` is a CurveSpec or a
-    :class:`~modframe.frames.FrameTable` that holds the oracle's stencil."""
+    :class:`~modframe.frames.FrameTable` that holds the oracle's stencil.
+    Where kappa ~ 0 it raises CurvatureVanishes, as the closed forms do."""
     at = frames.frame_table(spec, numerics.stencil(s))
-    rate = _signed_rate(kind, at(s))
-    flat = undefined(np.abs(rate) <= ABS_TOL, DegenerateIndicatrix,
-                     "{} indicatrix has speed {:g} at s = {:g}", kind.value, np.abs(rate), s)
+    mf = at(s)
+    flat = undefined(mf.kappa <= ABS_TOL, CurvatureVanishes,
+                     "covariant derivative needs kappa > 0 at s = {:g}", s)
+    rate = _signed_rate(kind, mf)
+    flat = flat | undefined(np.abs(rate) <= ABS_TOL, DegenerateIndicatrix,
+                            "{} indicatrix has speed {:g} at s = {:g}",
+                            kind.value, np.abs(rate), s)
     fd = numerics.diff_vec(lambda x: indicatrix_tangent(kind, at(x)), s)
     return blank(flat, (fd.T / rate).T)
 

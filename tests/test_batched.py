@@ -177,6 +177,9 @@ def test_batched_equals_scalar(name):
     ("geodesic_curvature_closed-binormal", "line", {CurvatureVanishes}),
     ("geodesic_curvature_closed-pole", "line", {CurvatureVanishes}),
     ("indicatrix_point-pole", "line", {DegenerateFrame}),
+    # and so is it in the oracles, which mark the same rows with NaN
+    *((f"{form}-{kind.value}", "line", {CurvatureVanishes})
+      for form in ("cov_deriv_numeric", "geodesic_curvature_oracle") for kind in IndicatrixKind),
 ])
 def test_degeneracy_mask_matches_scalar_exceptions(name, family, raised):
     assert _agree(*CASES[name], FAMILIES[family]) == raised
@@ -191,8 +194,11 @@ def test_one_point_at_the_curvature_zero():
         "indicatrix_point": (None, None, None, DegenerateFrame),
         "indicatrix_speed": (None, None, None, DegenerateFrame),
         "indicatrix_tangent": (DegenerateIndicatrix,) * 3 + (DegenerateFrame,),
+        # the oracles refuse kappa ~ 0 as the closed forms do
         "cov_deriv_closed": (CurvatureVanishes,) * 4,
         "geodesic_curvature_closed": (CurvatureVanishes,) * 4,
+        "cov_deriv_numeric": (CurvatureVanishes,) * 4,
+        "geodesic_curvature_oracle": (CurvatureVanishes,) * 4,
     }
     for form, errors in expected.items():
         for kind, error in zip(IndicatrixKind, errors, strict=True):

@@ -17,7 +17,7 @@ from modframe.curves import (
     total_arclength,
     twisted_cubic,
 )
-from modframe.errors import OutOfRange, TargetOutOfRange
+from modframe.errors import OutOfRange, TargetOutOfRange, UnresolvedArclength
 
 ALL_FAMILIES = [
     line(),
@@ -27,6 +27,7 @@ ALL_FAMILIES = [
     planar_cubic(),
     salkowski(0.5),
 ]
+VARYING_SPEED = [twisted_cubic(), planar_cubic(), salkowski(0.5)]
 
 
 def test_factory_validation():
@@ -270,7 +271,21 @@ class TestAtArclength:
         ts = at_arclength(spec, grid)
         assert ts.shape == grid.shape
         for s, t in zip(grid, ts):
-            assert abs(t - at_arclength(spec, float(s))) <= 1e-14 * max(1.0, abs(t))
+            assert t == at_arclength(spec, float(s))
+
+    @pytest.mark.parametrize("spec", VARYING_SPEED, ids=lambda s: f"{s.family}{s.params}")
+    def test_array_equals_scalar_bit_for_bit_at_any_batch_size(self, spec):
+        # Every step of the solve is elementwise, so neither the scalar
+        # call nor the size of a batch changes the last bit of any t.
+        rng = np.random.default_rng(1993)
+        s = rng.uniform(0.0, total_arclength(spec), 2000)
+        ts = at_arclength(spec, s)
+        alone = np.array([at_arclength(spec, x) for x in s.tolist()])
+        assert alone.tobytes() == ts.tobytes()
+        cuts = np.cumsum(rng.integers(2, 12, size=s.size // 2))
+        batches = np.split(s, cuts[cuts < s.size])
+        assert {b.size for b in batches[:-1]} <= set(range(2, 12))
+        assert np.concatenate([at_arclength(spec, b) for b in batches]).tobytes() == ts.tobytes()
 
     def test_array_out_of_range(self):
         with pytest.raises(TargetOutOfRange):
@@ -347,6 +362,30 @@ class TestAtArclength:
         finally:
             curves._arclength_table.cache_clear()
 
+    def test_unresolved_length_polynomial_is_refused(self, monkeypatch):
+        # One coefficient of the fit matrix off by 1e-9 moves every panel's
+        # polynomial at its end by about 1e-9 of its length, far above the
+        # build check's bound, so the table is refused, not inverted.
+        nodes, fit = curves._length_fit()
+        bad = fit.copy()
+        bad[0, 0] += 1e-9
+        monkeypatch.setattr(curves, "_length_fit", lambda: (nodes, bad))
+        with pytest.raises(UnresolvedArclength, match="misses its Gauss length"):
+            curves._arclength_table.__wrapped__(salkowski(0.5))
+        monkeypatch.setattr(curves, "_length_fit", lambda: (nodes, fit))
+        assert curves._arclength_table.__wrapped__(salkowski(0.5))[2].shape == (256, 17)
+
+    def test_batch_from_the_start_of_a_long_curve(self):
+        # The panels of salkowski(1e-12) are 3e9 long.  The length
+        # (t - t0) m(u) is exactly c0 at a panel's start, so a batch that
+        # holds s = 0 passes the final check there, as the scalar call
+        # returns t_lo without one.
+        spec = salkowski(1e-12)
+        s = [0.0, 0.5 * total_arclength(spec), total_arclength(spec)]
+        ts = at_arclength(spec, np.array(s))
+        assert ts.tolist() == [at_arclength(spec, x) for x in s]
+        assert (ts[0], ts[-1]) == (spec.t_lo, spec.t_hi)
+
     def test_empty_interval_needs_no_rule(self, monkeypatch):
         calls = []
         speed = curves.CurveSpec.speed
@@ -371,6 +410,41 @@ class TestAtArclength:
             fd = numerics.diff_vec(
                 lambda x: curves.position_at_arclength(spec, x), float(s))
             assert numerics.norm(fd) == pytest.approx(1.0, rel=1e-6)
+
+
+class TestLengthPolynomial:
+    def test_fit_integrates_the_interpolant(self):
+        # Speeds sampled from a polynomial of degree at most 8 are
+        # interpolated exactly, so (u + 1) times the fitted mean speed is
+        # their integral from -1.
+        nodes, fit = curves._length_fit()
+        u = np.linspace(-1.0, 1.0, 7)
+        for f, integral in ((np.ones_like, lambda u: u + 1.0),
+                            (lambda x: x**8, lambda u: (u**9 + 1.0) / 9.0),
+                            (lambda x: 3.0 * x * x - x, lambda u: u**3 - 0.5 * u * u + 1.5)):
+            mean = curves._horner(f(nodes) @ fit, u)
+            assert np.allclose((u + 1.0) * mean, integral(u), rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("spec", [twisted_cubic(), planar_cubic(),
+                                      *(salkowski(m) for m in (1e-12, 1e-4, 0.5, -3.0, 1e5))],
+                             ids=lambda s: f"{s.family}{s.params}")
+    def test_matches_gauss_across_each_panel(self, spec):
+        # The length (t - t0) m(u) from the panel's start against a 16-node
+        # rule over [t0, t], at both panel ends and inside, as a fraction of
+        # the panel's length.  The interpolant is exact to rounding on
+        # these panels, and t - t0 carries the scale, so what remains is
+        # the rounding of the 9-term fit, of the 9-term Horner sum and of
+        # the 16-term rule, each a few eps of the length: under 19 eps
+        # (4.1e-15) on every curve here, whatever the range's size.  The
+        # bound allows 64 eps.
+        ts, cum, panels = curves._arclength_table(spec)
+        t0, t1, mid, half, coef = *panels[:, [0, 1, 6, 7]].T, panels[:, 8:].T
+        lengths = curves._gauss(spec, t0, t1)
+        for t in (t0, t0 + 1e-6 * half, mid - 0.7 * half, mid + 0.2 * half, mid + 0.9 * half, t1):
+            poly = (t - t0) * curves._horner(coef, (t - mid) / half)
+            miss = np.abs(poly - curves._gauss(spec, t0, t)) / lengths
+            assert np.max(miss) <= 64.0 * np.finfo(float).eps
+        assert np.array_equal(panels[:, 2:4], np.column_stack((cum[:-1], cum[1:])))
 
 
 def test_frenet_grid_excludes_curvature_zero():
