@@ -69,10 +69,6 @@ def _parse_tolerance(text: str) -> float:
     return tol
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _json(config: dict, rows: list[dict], report: dict | None = None) -> str:
     """The JSON document of every command: its config, rows and report."""
     return json.dumps({"config": config, "rows": rows, "report": report}, indent=2) + "\n"
@@ -93,7 +89,7 @@ def _write_rows(args, columns: list[str], rows: list[list]) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows([_fmt(v) if isinstance(v, float) else v for v in r] for r in rows)
+        writer.writerows(["%.17g" % v if isinstance(v, float) else v for v in r] for r in rows)
         text = buf.getvalue()
     else:
         text = _json({

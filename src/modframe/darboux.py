@@ -35,7 +35,7 @@ class DarbouxData:
 def _require_constant_kappa(mf: ModifiedFrame) -> None:
     rate = np.abs(mf.kappa_prime)
     over = rate > CONST_KAPPA_GATE
-    if np.any(over):
+    if over.any():
         raise NonConstantCurvature(
             f"|kappa'| = {np.extract(over, rate)[0]:g} exceeds the constant-curvature "
             f"gate {CONST_KAPPA_GATE:g}"

@@ -63,10 +63,6 @@ class ModifiedFrame(ReadOnlyArrays):
     t: float
     r: Vec3
 
-    def take(self, i) -> ModifiedFrame:
-        """The frames at rows ``i`` of a batch; one frame for an integer."""
-        return ModifiedFrame(*(getattr(self, f.name)[i] for f in fields(self)))
-
 
 def curvature(jet: Jet):
     """kappa = |r' x r''| / |r'|^3 (any regular parametrization), at one
@@ -226,22 +222,42 @@ class FrameTable:
     """Modified frames of one curve at a fixed set of arclengths, computed
     in one :func:`modified_frames` call and read back by arclength.
 
-    ``table(s)`` gives the frames at ``s`` (a float or an array), each of
-    which must be one of the table's arclengths bit for bit; build the
-    table from the same expressions the reader evaluates, such as
-    :func:`numerics.stencil`.  Its fields are read-only.
+    The frames are kept as one read-only (17, n) block, a column per
+    arclength and component-first rows: the three rows of T, of N and of
+    B, one row each for kappa, tau, kappa', tau' and t, and the three of
+    r, in the order of the ModifiedFrame fields.  ``table(s)`` (``s`` a
+    float or a 1-D array) takes the columns of ``s`` from the block at
+    once and returns a frame whose fields are views of that take: (m, 3)
+    vectors and (m,) scalars, or (3,) vectors and numpy scalars at a
+    float.  Each arclength read must be one of the table's bit for bit;
+    build the table from the same expressions the reader evaluates, such
+    as :func:`numerics.stencil`.  Its fields are read-only.
     """
 
     def __init__(self, spec: CurveSpec, s) -> None:
         self.spec = spec
-        self.s = np.unique(np.asarray(s, dtype=float))
-        self.frames = modified_frames(spec, self.s)
+        s = np.sort(np.asarray(s, dtype=float), axis=None)
+        keep = np.ones(s.size, dtype=bool)
+        keep[1:] = s[1:] != s[:-1]
+        self.s = s[keep]
+        mf = modified_frames(spec, self.s)
+        rows = [np.atleast_2d(getattr(mf, f.name).T) for f in fields(mf)]
+        # A field's rows in the block: an index for a scalar, a slice of
+        # three for a vector.
+        ends = np.cumsum([len(r) for r in rows]).tolist()
+        self._rows = [e - 1 if len(r) == 1 else slice(e - len(r), e)
+                      for r, e in zip(rows, ends)]
+        self._block = np.concatenate(rows)
+        self._block.setflags(write=False)
 
     def __call__(self, s) -> ModifiedFrame:
         i = np.searchsorted(self.s, s)
-        if not np.array_equal(self.s.take(i, mode="clip"), s):
+        if i.ndim > 1:
+            raise ValueError("a frame table is read at a float or a 1-D array")
+        if (self.s.take(i, mode="clip") != s).any():
             raise ValueError("arclength not in the frame table")
-        return self.frames.take(i)
+        col = self._block[:, i]
+        return ModifiedFrame(*(col[k].T for k in self._rows))
 
 
 def frame_table(spec, s) -> FrameTable:

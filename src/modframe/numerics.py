@@ -152,7 +152,7 @@ def undefined(bad, error: type[Exception], message: str, *values):
 def blank(bad, value):
     """``value`` with NaN at the points where ``bad`` holds: one entry per
     point of a (n,) array, one row of an (n, 3) array."""
-    if not np.any(bad):
+    if not (bad if isinstance(bad, bool) else bad.any()):
         return value
     return np.where(np.reshape(bad, np.shape(bad) + (1,) * (np.ndim(value) - np.ndim(bad))),
                     np.nan, value)

@@ -232,3 +232,51 @@ def test_table_refuses_an_arclength_it_does_not_hold():
         table(0.25)
     with pytest.raises(ValueError):
         frames.check_frame_ode(table, 0.2)  # its stencil is not in the table
+
+
+def _bits(x):
+    # every field of a frame as its raw bytes: -0.0 and NaN compare exactly
+    return [np.asarray(getattr(x, f.name)).tobytes() for f in dataclasses.fields(x)]
+
+
+@pytest.mark.parametrize("name", ["twisted_cubic", "salkowski"])
+def test_table_reads_equal_the_batch_bit_for_bit(name):
+    spec = FAMILIES[name]
+    s = numerics.stencil(curves.arclength_grid(spec, 9))
+    table = frames.FrameTable(spec, s)
+    assert _bits(table(s)) == _bits(frames.modified_frames(spec, s))
+    for x in s[::7]:
+        one = table(float(x))
+        assert one.T.shape == (3,) and np.ndim(one.kappa) == 0
+        assert _bits(one) == _bits(frames.modified_frames(spec, np.array([x])))
+
+
+def test_table_from_unsorted_input_with_duplicates_and_signed_zeros():
+    spec = FAMILIES["twisted_cubic"]
+    s = np.array([0.3, -0.0, 0.1, 0.3, 0.0, 0.2, 0.1, 0.0])
+    table = frames.FrameTable(spec, s)
+    assert table.s.tolist() == [0.0, 0.1, 0.2, 0.3]
+    assert _bits(table(s)) == _bits(frames.modified_frames(spec, s))
+    for x in s:
+        assert _bits(table(float(x))) == _bits(frames.modified_frames(spec, np.array([x])))
+    empty = frames.FrameTable(spec, [])(np.array([]))
+    assert empty.T.shape == (0, 3) and empty.kappa.shape == (0,)
+
+
+def test_table_refuses_a_read_of_more_than_one_axis():
+    table = frames.FrameTable(FAMILIES["helix"], [0.1, 0.2])
+    with pytest.raises(ValueError):
+        table(np.array([[0.1, 0.2]]))
+
+
+def test_table_fields_are_read_only():
+    spec = FAMILIES["salkowski"]
+    s = np.array([0.1, 0.2, 0.3])
+    table = frames.FrameTable(spec, s)
+    for mf in (table(s), table(0.2)):
+        for f in dataclasses.fields(mf):
+            value = getattr(mf, f.name)
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, f.name
+                with pytest.raises(ValueError):
+                    value[...] = 0.0

@@ -2,9 +2,10 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
-from modframe import frames, indicatrix, validation
+from modframe import curves, frames, indicatrix, validation
 from modframe.cli import (
     EXIT_INADMISSIBLE,
     EXIT_OK,
@@ -72,6 +73,20 @@ class TestFrames:
             got = [float(row[c]) for c in list(row)[1:]]
             for g, e in zip(got, expected):
                 assert abs(g - e) <= 1e-13 * max(1.0, abs(e)), row["s"]
+
+    def test_csv_cells_round_trip_bit_for_bit(self, capsys):
+        code, out, err = run(capsys, "frames", "--curve", "twistedcubic",
+                             "--samples", "64")
+        assert code == EXIT_OK
+        spec = parse_curve("twistedcubic")
+        s = np.linspace(0.0, curves.total_arclength(spec), 64)
+        mf = frames.modified_frames(spec, s)
+        expected = np.column_stack([s, mf.r, mf.T, mf.N, mf.B, mf.kappa, mf.tau,
+                                    mf.kappa_prime])
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        got = np.array([[float(cell) for cell in row] for row in rows])
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("curve", ["circle:1e300", "helix:1e200,1e200",
                                        "circle:1e-160", "circle:1e-200", "circle:1e70"])

@@ -1,5 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import modframe
 from modframe import curves, validation
 from modframe.validation import IDENTITY_NAMES, run_validation
 
@@ -122,3 +127,19 @@ def test_skipped_samples_count_nowhere(report):
         "involute-normal": 24, "frame-coincidence": 24, "unit-speed": 72,
         "kappa-zero-extension": 12,
     }
+
+
+def _fresh(code):
+    src = str(Path(modframe.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, check=True, timeout=120).stdout.strip()
+
+
+def test_validation_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on first use (numpy 2.4); the frame
+    # tables deduplicate their arclengths without it.
+    if _fresh("import sys, numpy; print('numpy.ma' in sys.modules)") == "True":
+        pytest.skip("import numpy alone loads numpy.ma")
+    code = ("import sys; from modframe.validation import run_validation; "
+            "run_validation(samples=8); print('numpy.ma' in sys.modules)")
+    assert _fresh(code) == "False"
