@@ -438,22 +438,18 @@ def position_at_arclength(spec: CurveSpec, s: float) -> Vec3:
     return frames.modified_frame(spec, s).r
 
 
-def arclength_grid(
-    spec: CurveSpec, n: int, margin: float = 0.05
-) -> np.ndarray:
-    """Uniform interior arclength samples, keeping a margin off both ends
-    so finite-difference stencils stay inside the declared range."""
+def arclength_grid(spec: CurveSpec, n: int) -> np.ndarray:
+    """``n`` uniform arclength samples, 5 % of the length off both ends so
+    finite-difference stencils stay inside the declared range."""
     total = total_arclength(spec)
-    return np.linspace(margin * total, (1.0 - margin) * total, n)
+    return np.linspace(0.05 * total, 0.95 * total, n)
 
 
-def frenet_arclength_grid(
-    spec: CurveSpec, n: int, margin: float = 0.05, exclude_halfwidth: float = 1e-3
-) -> np.ndarray:
+def frenet_arclength_grid(spec: CurveSpec, n: int) -> np.ndarray:
     """Like :func:`arclength_grid` but drops samples whose parameter falls
-    within ``exclude_halfwidth`` of a curvature zero."""
-    s = arclength_grid(spec, n, margin)
+    within 1e-3 of a curvature zero."""
+    s = arclength_grid(spec, n)
     if not spec.kappa_zeros:
         return s
     t = at_arclength(spec, s)
-    return s[np.all([np.abs(t - z) > exclude_halfwidth for z in spec.kappa_zeros], axis=0)]
+    return s[np.all([np.abs(t - z) > 1e-3 for z in spec.kappa_zeros], axis=0)]

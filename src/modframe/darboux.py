@@ -66,7 +66,7 @@ def check_alignment(spec, s):
     """Residual |N x N' - kappa^2 w| at ``s`` (a float or an array) with N'
     from the finite-difference oracle.  ``spec`` is a CurveSpec or a
     :class:`~modframe.frames.FrameTable` that holds the oracle's stencil."""
-    at = frames.frame_table(spec, numerics.stencil(s))
+    at = frames.frame_table(spec, s)
     mf = at(s)
     dd = darboux(mf)
     fd_N = numerics.diff_vec(lambda x: at(x).N, s)
@@ -76,7 +76,7 @@ def check_alignment(spec, s):
 def rotation_residuals(spec, s):
     """Residuals of X' = w x X for X in {T, N, B} at ``s`` (a float or an
     array), with X' from the finite-difference oracle."""
-    at = frames.frame_table(spec, numerics.stencil(s))
+    at = frames.frame_table(spec, s)
     mf = at(s)
     dd = darboux(mf)
     return tuple(

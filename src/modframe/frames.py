@@ -230,8 +230,8 @@ class FrameTable:
     once and returns a frame whose fields are views of that take: (m, 3)
     vectors and (m,) scalars, or (3,) vectors and numpy scalars at a
     float.  Each arclength read must be one of the table's bit for bit;
-    build the table from the same expressions the reader evaluates, such
-    as :func:`numerics.stencil`.  Its fields are read-only.
+    build the table from the same expressions the reader evaluates, as
+    :func:`frame_table` does.  Its fields are read-only.
     """
 
     def __init__(self, spec: CurveSpec, s) -> None:
@@ -261,9 +261,10 @@ class FrameTable:
 
 
 def frame_table(spec, s) -> FrameTable:
-    """``spec`` itself when it is a FrameTable, else the table of the
-    CurveSpec ``spec`` at the arclengths ``s``."""
-    return spec if isinstance(spec, FrameTable) else FrameTable(spec, s)
+    """The table an oracle at ``s`` reads: ``spec`` itself when it is a
+    FrameTable, which computes nothing, else the table of the CurveSpec
+    ``spec`` over :func:`numerics.stencil` of ``s``."""
+    return spec if isinstance(spec, FrameTable) else FrameTable(spec, numerics.stencil(s))
 
 
 def frames_at(spec, s) -> ModifiedFrame:
@@ -317,7 +318,7 @@ class FrameOdeResult:
 def check_frame_ode(spec, s) -> FrameOdeResult:
     """Compare finite-difference derivatives of {T, N, B} along s with the
     exact ODE right-hand sides, at ``s`` (a float or an array)."""
-    at = frame_table(spec, numerics.stencil(s))
+    at = frame_table(spec, s)
     exact = frame_ode_rhs(at(s))
     residuals = [norm((numerics.diff_vec(lambda x: getattr(at(x), name), s) - d).T)
                  for name, d in zip("TNB", exact)]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import frames, numerics
+from . import frames
 from .errors import DegenerateIndicatrix, NotOnUnitSphere, TorsionVanishes
 from .frames import ModifiedFrame
 from .indicatrix import (
@@ -72,13 +72,13 @@ def geodesic_curvature_oracle(kind: IndicatrixKind, spec, s):
     :class:`~modframe.frames.FrameTable` that holds the oracle's stencil.
     The covariant derivative comes first, so that kappa ~ 0 raises
     CurvatureVanishes, as the closed form does."""
-    at = frames.frame_table(spec, numerics.stencil(s))
+    at = frames.frame_table(spec, s)
     cov = cov_deriv_numeric(kind, at, s)
     return norm((cov + indicatrix_point(kind, at(s))).T)
 
 
 def geodesic_report(kind: IndicatrixKind, spec, s) -> GeodesicReport:
-    at = frames.frame_table(spec, numerics.stencil(s))
+    at = frames.frame_table(spec, s)
     mf = at(s)
     closed = geodesic_curvature_closed(kind, mf)
     oracle = geodesic_curvature_oracle(kind, at, s)
@@ -131,11 +131,11 @@ def sphere_stencil(s) -> np.ndarray:
 def geodesic_curvature_sphere_at(kind: IndicatrixKind, spec, s):
     """Determinant oracle evaluated on a local 5-point sample of a
     unit-sphere indicatrix (a kind whose row is ``on_unit_sphere``), at
-    ``s`` (a float or an array).  ``spec`` is a CurveSpec or a
-    :class:`~modframe.frames.FrameTable` that holds :func:`sphere_stencil`."""
+    ``s`` (a float or an array).  ``spec`` is a CurveSpec, tabled here over
+    :func:`sphere_stencil`, or a :class:`~modframe.frames.FrameTable` that holds it."""
     if not KINDS[kind].on_unit_sphere:
         raise NotOnUnitSphere(f"{kind.value} indicatrix does not lie on the unit sphere")
     xs = sphere_stencil(s)
-    at = frames.frame_table(spec, xs)
+    at = spec if isinstance(spec, frames.FrameTable) else frames.FrameTable(spec, xs)
     points = np.array([indicatrix_point(kind, at(x)) for x in xs])
     return geodesic_curvature_sphere(points, SPHERE_STEP)

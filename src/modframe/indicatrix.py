@@ -213,7 +213,7 @@ def cov_deriv_numeric(kind: IndicatrixKind, spec, s) -> Vec3:
     every closed form is validated.  ``spec`` is a CurveSpec or a
     :class:`~modframe.frames.FrameTable` that holds the oracle's stencil.
     Where kappa ~ 0 it raises CurvatureVanishes, as the closed forms do."""
-    at = frames.frame_table(spec, numerics.stencil(s))
+    at = frames.frame_table(spec, s)
     mf = at(s)
     flat = undefined(mf.kappa <= ABS_TOL, CurvatureVanishes,
                      "covariant derivative needs kappa > 0 at s = {:g}", s)

@@ -333,15 +333,16 @@ def run_validation(
     (else its own tolerance) and its extra condition holds; expected
     discrepancies pass.  ``only`` restricts to the named identities.
     Each curve's frames come from one :class:`~modframe.frames.FrameTable`
-    that holds every arclength the chosen identities read on it.
+    that holds every arclength the chosen identities read on it; each
+    distinct point set is built once.
     """
     specs = families if families is not None else default_families()
     chosen = [i for i in IDENTITIES if only is None or i.name in only]
     tables = {}
     for f, spec in specs.items():
-        points = [i.points(spec, samples) for i in chosen if i.assumes(spec)]
-        if points:
-            tables[f] = frames.FrameTable(spec, np.concatenate(points))
+        sets = dict.fromkeys(i.points for i in chosen if i.assumes(spec))
+        if sets:
+            tables[f] = frames.FrameTable(spec, np.concatenate([p(spec, samples) for p in sets]))
     report = ValidationReport()
     for ident in chosen:
         names = [f for f, spec in specs.items() if ident.assumes(spec)]

@@ -280,3 +280,44 @@ def test_table_fields_are_read_only():
                 assert not value.flags.writeable, f.name
                 with pytest.raises(ValueError):
                     value[...] = 0.0
+
+
+@pytest.mark.parametrize("s", [0.7, np.array([0.2, 0.7, 1.1])], ids=["float", "array"])
+def test_stencil_is_every_point_diff_vec_reads(s):
+    read = set()
+
+    def f(x):
+        read.update(np.ravel(x).tolist())
+        return np.zeros(np.shape(x) + (3,))
+
+    numerics.diff_vec(f, s)
+    # the oracle reads its frame at s itself too
+    assert set(numerics.stencil(s).tolist()) == read | set(np.ravel(s).tolist())
+
+
+# The six oracles that read a frame table at the finite-difference stencil.
+TABLE_ORACLES = [name for name in CASES if name.partition("-")[0] in (
+    "check_frame_ode", "check_alignment", "rotation_residuals",
+    "cov_deriv_numeric", "geodesic_curvature_oracle", "geodesic_report")]
+
+
+def _result_bits(result):
+    return [None if v is None else np.asarray(v, dtype=float).tobytes()
+            for v in _fields(result)]
+
+
+@pytest.mark.parametrize("name", ["helix", "salkowski"])
+@pytest.mark.parametrize("oracle", TABLE_ORACLES)
+def test_oracle_handed_a_table_builds_nothing(name, oracle, monkeypatch):
+    spec, fn = FAMILIES[name], CASES[oracle][0]
+    grid = curves.arclength_grid(spec, 9)
+    table = frames.FrameTable(spec, numerics.stencil(grid))
+    expected = _result_bits(fn(spec, grid))
+    built = []
+    stencil, init = numerics.stencil, frames.FrameTable.__init__
+    monkeypatch.setattr(numerics, "stencil",
+                        lambda *a, **k: built.append("stencil") or stencil(*a, **k))
+    monkeypatch.setattr(frames.FrameTable, "__init__",
+                        lambda self, *a: built.append("table") or init(self, *a))
+    assert _result_bits(fn(table, grid)) == expected
+    assert built == []

@@ -308,6 +308,20 @@ class TestUsageErrors:
         assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
         assert "finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["frames", "--curve", "helix:a,1"],
+        ["frames", "--curve", "helix:2,1", "--range", "1"],
+        ["frames", "--curve", "helix:2,1", "--range", "2,1"],
+        ["validate", "--tolerance", "abc"],
+    ])
+    def test_malformed_numbers_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+        assert "Traceback" not in err
+
     def test_too_few_samples(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frames", "--curve", "circle:1", "--samples", "1"])

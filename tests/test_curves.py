@@ -206,6 +206,11 @@ class TestArclength:
             exact = a / c * (math.sin(c * t1) - math.sin(c * t0))
             assert arclength(spec, t0, t1) == pytest.approx(exact, rel=1e-14, abs=1e-14)
 
+    def test_parameter_before_the_range(self):
+        spec = twisted_cubic()
+        with pytest.raises(OutOfRange):
+            arclength(spec, spec.t_lo - 1.0, spec.t_hi)
+
     def test_twisted_cubic_against_finer_rule(self):
         # Composite 24-node Gauss-Legendre on 1024 panels per interval, far
         # finer than the library's table.

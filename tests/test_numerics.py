@@ -77,6 +77,10 @@ class TestDiffVec:
         with pytest.raises(ValueError):
             diff_vec(lambda s: vec(s, 0, 0), 0.0, order=4)
 
+    def test_zero_step_rejected(self):
+        with pytest.raises(ValueError):
+            diff_vec(lambda s: vec(s, 0, 0), 0.0, step=0)
+
 
 class TestInvertMonotone:
     def test_identity(self):
@@ -111,6 +115,15 @@ class TestInvertMonotone:
         with pytest.raises(NotMonotone):
             invert_monotone(g, lambda t: 1e12, 0.5, 0.0, 1.0, 0.5 + offset, (0.0, 1.0))
         assert len(at) == evals
+
+    def test_zero_derivative_falls_back_to_bisection(self):
+        # Every Newton step is infinite, so each iteration bisects and the
+        # loop runs to its iteration limit.
+        t = invert_monotone(lambda t: t, lambda t: 0.0, 0.3, 0.0, 1.0, 0.9)
+        assert abs(t - 0.3) <= 1e-15
+        ts = invert_monotone(lambda t: t, lambda t: np.zeros_like(t), np.array([0.3, 0.7]),
+                             np.zeros(2), np.ones(2), np.full(2, 0.9))
+        assert np.all(np.abs(ts - [0.3, 0.7]) <= 1e-15)
 
     def test_elementwise_matches_scalar(self):
         # products only, so g gives the same bits on floats and on arrays
