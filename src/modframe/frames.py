@@ -42,7 +42,7 @@ class FrenetFrame(ReadOnlyArrays):
 
 
 @dataclass(frozen=True)
-class ModifiedFrame(ReadOnlyArrays):
+class ModifiedFrame:
     """Orthogonal frame {T, N, B} with |T| = 1 and |N| = |B| = kappa.
 
     kappa_prime and tau_prime are arclength derivatives computed from the
@@ -50,7 +50,8 @@ class ModifiedFrame(ReadOnlyArrays):
     At an isolated curvature zero N = B = 0 and the scalar fields that
     are undefined there (tau, kappa', tau') are reported as 0.  ``t`` is
     the curve parameter of the point and ``r`` its position.  From
-    :func:`modified_frames` every field carries a leading axis of points.
+    :func:`modified_frames` every field carries a leading axis of points;
+    its array fields are read-only from the library's producers.
     """
 
     T: Vec3
@@ -215,7 +216,10 @@ def _frame_at(spec: CurveSpec, t) -> ModifiedFrame:
     # The frame at parameter t, a float or an array: the family's jet
     # goes straight to the assembly, floats and all.
     r, *derivatives = spec.jet_components(t)
-    return ModifiedFrame(*_assemble(*derivatives), t, np.asarray(r, dtype=float))
+    values = (*_assemble(*derivatives), t, np.asarray(r, dtype=float))
+    for value in (v for v in values if isinstance(v, np.ndarray)):
+        value.setflags(write=False)
+    return ModifiedFrame(*values)
 
 
 class FrameTable:
@@ -227,11 +231,11 @@ class FrameTable:
     B, one row each for kappa, tau, kappa', tau' and t, and the three of
     r, in the order of the ModifiedFrame fields.  ``table(s)`` (``s`` a
     float or a 1-D array) takes the columns of ``s`` from the block at
-    once and returns a frame whose fields are views of that take: (m, 3)
-    vectors and (m,) scalars, or (3,) vectors and numpy scalars at a
-    float.  Each arclength read must be one of the table's bit for bit;
-    build the table from the same expressions the reader evaluates, as
-    :func:`frame_table` does.  Its fields are read-only.
+    once, flags the take read-only, and returns a frame whose fields are
+    views of it: (m, 3) vectors and (m,) scalars, or (3,) vectors and
+    numpy scalars at a float.  Each arclength read must be one of the
+    table's bit for bit; build the table from the same expressions the
+    reader evaluates, as :func:`frame_table` does.
     """
 
     def __init__(self, spec: CurveSpec, s) -> None:
@@ -257,6 +261,7 @@ class FrameTable:
         if (self.s.take(i, mode="clip") != s).any():
             raise ValueError("arclength not in the frame table")
         col = self._block[:, i]
+        col.setflags(write=False)  # every field below is a view of it
         return ModifiedFrame(*(col[k].T for k in self._rows))
 
 

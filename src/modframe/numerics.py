@@ -39,8 +39,8 @@ FD_STEP = 1e-5
 
 
 class ReadOnlyArrays:
-    """Dataclass base whose array fields turn read-only when built, so a
-    cached result cannot be changed in place by one of its callers."""
+    """Dataclass base of ``curves.Jet`` and ``frames.FrenetFrame``: their
+    array fields turn read-only when built, so no caller changes a cached one."""
 
     def __post_init__(self) -> None:
         for value in vars(self).values():
@@ -104,36 +104,40 @@ def _step(order: int, step: float | None) -> float:
     return h
 
 
+def _shifted(s, order: int, step: float | None) -> tuple[float, list]:
+    # h, and the points s + k*hk where diff_vec evaluates its map (h, then h/2)
+    h = _step(order, step)
+    return h, [s + k * hk for hk in (h, h / 2.0) for k in _STENCILS[order][0]]
+
+
 def stencil(s, order: int = 1, step: float | None = None) -> np.ndarray:
     """``s`` (a float or an array) and every arclength at which
     :func:`diff_vec` with these arguments evaluates its map, as one flat
     array: the points a finite-difference oracle at ``s`` reads."""
-    h = _step(order, step)
-    offsets = _STENCILS[order][0]
-    return np.concatenate([np.ravel(s)] + [np.ravel(s + k * hk)
-                                           for hk in (h, h / 2.0) for k in offsets])
+    return np.concatenate([np.ravel(x) for x in [s, *_shifted(s, order, step)[1]]])
 
 
 def diff_vec(f: Callable, s, order: int = 1, step: float | None = None):
     """Central-difference derivative of a vector-valued map.
 
     Richardson extrapolation over steps h and h/2 raises the leading
-    O(h^2) stencil error to O(h^4).  ``s`` is a float, with ``f`` mapping
-    a float to a (3,) vector, or an array, with ``f`` mapping an array of
-    arclengths to an (n, 3) array.  ``f`` must be evaluable on
-    [s - 3*step, s + 3*step].  Raises StepTooSmall when the relative
-    rounding noise 8 eps / step**order exceeds the REL_TOL budget.
+    O(h^2) stencil error to O(h^4).  ``s`` is a float, with ``f`` called
+    per stencil point and mapping a float to a (3,) vector, or an array,
+    with ``f`` called once on all stencil points joined into one array and
+    mapping it elementwise to an (n, 3) or (n,) array.  ``f`` must be
+    evaluable on [s - 3*step, s + 3*step].  Raises StepTooSmall when the
+    relative rounding noise 8 eps / step**order exceeds the REL_TOL budget.
     """
-    h = _step(order, step)
-    offsets, weights, divisor = _STENCILS[order]
+    h, points = _shifted(s, order, step)
+    _, weights, divisor = _STENCILS[order]
+    values = ([f(x) for x in points] if np.ndim(s) == 0
+              else np.split(f(np.concatenate(points)), len(points)))
 
-    def level(hk):
-        total = sum(w * f(s + k * hk) for k, w in zip(offsets, weights))
+    def level(j, hk):  # the weighted sum of the values at step hk
+        total = sum(w * v for w, v in zip(weights, values[j * len(weights):]))
         return total / (divisor * hk**order)
 
-    coarse = level(h)
-    fine = level(h / 2.0)
-    return (4.0 * fine - coarse) / 3.0
+    return (4.0 * level(1, h / 2.0) - level(0, h)) / 3.0
 
 
 def undefined(bad, error: type[Exception], message: str, *values):
@@ -227,12 +231,15 @@ def _newton(g, dg, target, lo, hi, t0):
         t -= step
         if not lo < t < hi:
             t = 0.5 * (lo + hi)
+            if t in (lo, hi):  # no float is left inside the bracket
+                break
     return t, None
 
 
 def _newton_elementwise(g, dg, target, lo, hi, t0, g_lo, g_hi):
     # The loop of _newton on arrays: an element leaves once it meets the
-    # stop rule, and targets at either end of the bracket never enter.
+    # stop rule or its bisection lands on an end of its bracket, and
+    # targets at either end of the bracket never enter.
     at_lo, at_hi = target <= g_lo, target >= g_hi
     t = np.minimum(np.maximum(t0, lo), hi)
     active = ~(at_lo | at_hi)
@@ -250,5 +257,5 @@ def _newton_elementwise(g, dg, target, lo, hi, t0, g_lo, g_hi):
         t_new = np.where(done, np.minimum(np.maximum(t_new, lo), hi),
                          np.where((lo < t_new) & (t_new < hi), t_new, 0.5 * (lo + hi)))
         t = np.where(active, t_new, t)
-        active &= ~done
+        active &= ~done & (t_new != lo) & (t_new != hi)
     return np.where(at_lo, lo, np.where(at_hi, hi, t))

@@ -321,3 +321,21 @@ def test_oracle_handed_a_table_builds_nothing(name, oracle, monkeypatch):
                         lambda self, *a: built.append("table") or init(self, *a))
     assert _result_bits(fn(table, grid)) == expected
     assert built == []
+
+
+# Frame-table reads per oracle call: diff_vec reads its whole stencil at once.
+TABLE_READS = {"check_frame_ode": 4, "rotation_residuals": 4, "check_alignment": 2,
+               "cov_deriv_numeric": 2, "geodesic_curvature_oracle": 3, "geodesic_report": 4}
+
+
+@pytest.mark.parametrize("name", ["helix", "salkowski"])
+@pytest.mark.parametrize("oracle", TABLE_ORACLES)
+def test_oracle_reads_its_table_a_few_times(name, oracle, monkeypatch):
+    spec, fn = FAMILIES[name], CASES[oracle][0]
+    grid = curves.arclength_grid(spec, 9)
+    table = frames.FrameTable(spec, numerics.stencil(grid))
+    reads, call = [], frames.FrameTable.__call__
+    monkeypatch.setattr(frames.FrameTable, "__call__",
+                        lambda self, s: reads.append(s) or call(self, s))
+    fn(table, grid)
+    assert len(reads) <= TABLE_READS[oracle.partition("-")[0]]

@@ -44,6 +44,27 @@ class TestCross:
         assert np.allclose(cross(a, b), -cross(b, a))
 
 
+# The reference form of diff_vec: one call of f per stencil offset, with the
+# library's default steps, weights and sums in the same order.
+_OLD_STENCILS = {
+    1: ((1, -1), (1.0, -1.0), 2.0, 1e-5),
+    2: ((1, 0, -1), (1.0, -2.0, 1.0), 1.0, 1e-3),
+    3: ((2, 1, -1, -2), (1.0, -2.0, 2.0, -1.0), 2.0, 1e-2),
+}
+
+
+def _per_offset(f, s, order):
+    offsets, weights, divisor, h = _OLD_STENCILS[order]
+
+    def level(hk):
+        total = sum(w * f(s + k * hk) for k, w in zip(offsets, weights))
+        return total / (divisor * hk**order)
+
+    coarse = level(h)
+    fine = level(h / 2.0)
+    return (4.0 * fine - coarse) / 3.0
+
+
 class TestDiffVec:
     def test_polynomial_first_derivative(self):
         f = lambda s: vec(s, s * s, s**3)
@@ -81,6 +102,19 @@ class TestDiffVec:
         with pytest.raises(ValueError):
             diff_vec(lambda s: vec(s, 0, 0), 0.0, step=0)
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("f", [
+        lambda s: np.stack([s, s * s, s * s * s], axis=-1),  # (n, 3)
+        lambda s: s * s * s - 2.0 * s,                        # (n,)
+    ], ids=["vector", "scalar"])
+    def test_array_stencil_is_one_call(self, f, order):
+        # products only, so f gives the same bits on any slice of its input
+        s = np.linspace(0.1, 2.0, 7)
+        calls = []
+        got = diff_vec(lambda x: calls.append(x.shape) or f(x), s, order=order)
+        assert calls == [(len(_OLD_STENCILS[order][0]) * 2 * s.size,)]
+        assert got.tobytes() == _per_offset(f, s, order).tobytes()
+
 
 class TestInvertMonotone:
     def test_identity(self):
@@ -117,13 +151,23 @@ class TestInvertMonotone:
         assert len(at) == evals
 
     def test_zero_derivative_falls_back_to_bisection(self):
-        # Every Newton step is infinite, so each iteration bisects and the
-        # loop runs to its iteration limit.
-        t = invert_monotone(lambda t: t, lambda t: 0.0, 0.3, 0.0, 1.0, 0.9)
+        # Every Newton step is infinite, so each iteration bisects, and the
+        # loop stops once the bracket holds two adjacent floats (about 55
+        # bisections of [0, 1]) rather than at its iteration limit.
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return t
+
+        t = invert_monotone(g, lambda t: 0.0, 0.3, 0.0, 1.0, 0.9)
         assert abs(t - 0.3) <= 1e-15
-        ts = invert_monotone(lambda t: t, lambda t: np.zeros_like(t), np.array([0.3, 0.7]),
+        assert len(calls) <= 60
+        calls.clear()
+        ts = invert_monotone(g, lambda t: np.zeros_like(t), np.array([0.3, 0.7]),
                              np.zeros(2), np.ones(2), np.full(2, 0.9))
         assert np.all(np.abs(ts - [0.3, 0.7]) <= 1e-15)
+        assert len(calls) <= 60
 
     def test_elementwise_matches_scalar(self):
         # products only, so g gives the same bits on floats and on arrays
