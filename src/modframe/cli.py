@@ -135,8 +135,9 @@ def cmd_indicatrix(args) -> int:
                "cx", "cy", "cz", "ox", "oy", "oz", "residual", "degenerate"]
     s = _sample_range(args, spec, margin=4.0 * FD_STEP)
     try:
-        smp = indicatrix.sample(kind, spec, s)
-        oracle = indicatrix.cov_deriv_numeric(kind, spec, s)
+        table = frames.frame_table(spec, s)
+        smp = indicatrix.sample(kind, table, s)
+        oracle = indicatrix.cov_deriv_numeric(kind, table, s)
     except NonConstantCurvature as exc:
         print(f"error: inadmissible curve for {kind.value} indicatrix: {exc}",
               file=sys.stderr)
@@ -191,10 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_curve=True):
-        if need_curve:
-            p.add_argument("--curve", type=parse_curve, required=True,
-                           help="family[:p1,p2], e.g. helix:2,1 or salkowski:0.5")
+    def common(p):
+        p.add_argument("--curve", type=parse_curve, required=True,
+                       help="family[:p1,p2], e.g. helix:2,1 or salkowski:0.5")
         p.add_argument("--samples", type=int, default=256)
         p.add_argument("--range", dest="s_range", type=_parse_range, default=None,
                        help="arclength range 'lo,hi' (default: full curve)")

@@ -26,9 +26,8 @@ import numpy as np
 
 from . import numerics
 from .errors import OutOfRange, TargetOutOfRange, UnresolvedArclength
-from .numerics import ABS_TOL, ReadOnlyArrays, Vec3
+from .numerics import ABS_TOL, Vec3
 
-_RANGE_SLACK = 1e-9
 _PANELS = 256
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # Chebyshev nodes of a panel's length polynomial, and the bound on its
@@ -58,13 +57,14 @@ class CurveSpec:
     def jet(self, t) -> Jet:
         """Exact position and derivatives of the curve at parameter ``t``,
         a float or an array of parameters."""
-        return Jet(*(np.asarray(v, dtype=float) for v in self.jet_components(t)))
+        return Jet(*numerics._read_only(*(np.asarray(v, dtype=float)
+                                          for v in self.jet_components(t))))
 
     def jet_components(self, t) -> tuple:
         """The five vectors of :meth:`jet` as the family computes them:
         3-tuples of Python floats at a float ``t``, (..., 3) arrays at an
         array of parameters."""
-        bad = numerics.outside(t, self.t_lo - _RANGE_SLACK, self.t_hi + _RANGE_SLACK)
+        bad = numerics.outside(t, self.t_lo - ABS_TOL, self.t_hi + ABS_TOL)
         if bad is not None:
             raise OutOfRange(
                 f"t = {bad:g} outside [{self.t_lo:g}, {self.t_hi:g}] for {self.family}"
@@ -87,9 +87,9 @@ class CurveSpec:
 
 
 @dataclass(frozen=True)
-class Jet(ReadOnlyArrays):
-    """Position and first four parameter-derivatives: (3,) vectors at one
-    point, or (..., 3) arrays at an array of parameters."""
+class Jet:
+    """Position and first four parameter-derivatives, read-only: (3,) vectors
+    at one point, or (..., 3) arrays at an array of parameters."""
 
     r: Vec3
     r1: Vec3
@@ -378,7 +378,7 @@ def _arclength_table(spec: CurveSpec):
 def arclength(spec: CurveSpec, t0: float, t1: float) -> float:
     """Arc length of the curve between parameters t0 <= t1."""
     for t in (t0, t1):
-        if not (spec.t_lo - _RANGE_SLACK <= t <= spec.t_hi + _RANGE_SLACK):
+        if not (spec.t_lo - ABS_TOL <= t <= spec.t_hi + ABS_TOL):
             raise OutOfRange(f"parameter {t:g} outside the declared range")
     if FAMILIES[spec.family].constant_speed:
         return spec.speed(t0) * (t1 - t0)

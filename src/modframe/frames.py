@@ -5,7 +5,7 @@ the curvature vanishes (N and B go to zero there), while the classical
 Frenet frame does not.  All quantities here come from exact jets;
 :func:`check_frame_ode` compares them against the finite-difference
 oracle.  :func:`modified_frame` gives the frame at one point, computed on
-Python floats, and caches it; :func:`modified_frames` gives it on a whole
+Python floats, and keeps the last; :func:`modified_frames` gives it on a whole
 arclength grid in one array pass.  Both share one assembly from the jet.
 
 A :class:`FrameTable` holds the frames of one curve at a set of
@@ -26,13 +26,13 @@ import numpy as np
 from . import curves, numerics
 from .curves import CurveSpec, Jet
 from .errors import CurvatureVanishes, DegenerateFrame
-from .numerics import (ABS_TOL, ReadOnlyArrays, Vec3, blank, cross, det3, dot, norm,
-                       undefined)
+from .numerics import (ABS_TOL, Vec3, _cross, _read_only, blank, cross, det3, dot,
+                       norm, undefined)
 
 
 @dataclass(frozen=True)
-class FrenetFrame(ReadOnlyArrays):
-    """Orthonormal frame {t, n, b} with curvature and torsion."""
+class FrenetFrame:
+    """Orthonormal frame {t, n, b} with curvature and torsion, read-only."""
 
     t_vec: Vec3
     n_vec: Vec3
@@ -110,13 +110,6 @@ def _check_scale(r1, divisor) -> None:
 # The assembly's own helpers, for 3-lists of floats at one point and
 # (3, n) arrays over a batch alike.
 
-def _cross(a, b) -> list:
-    # numerics.cross as a list of its three components
-    return [a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0]]
-
-
 def _sqrt(x):
     return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
 
@@ -186,14 +179,14 @@ def _assemble(r1, r2, r3, r4):
     return (T, N, B, kappa, *rates)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def modified_frame(spec: CurveSpec, s: float) -> ModifiedFrame:
     """Modified orthogonal frame at arclength ``s``; total on regular curves.
 
-    The one per-point cache: the parameter and position of a point are
-    read from its frame, so each point is inverted once.  Raises
-    DegenerateFrame where the speed is beyond what the frame algebra can
-    represent.
+    Its cache keeps the last point only: the parameter and position of a
+    point are read from its frame, so a point asked twice in a row is
+    inverted once.  Raises DegenerateFrame where the speed is beyond what
+    the frame algebra can represent.
     """
     return _frame_at(spec, curves.at_arclength(spec, s))
 
@@ -216,10 +209,7 @@ def _frame_at(spec: CurveSpec, t) -> ModifiedFrame:
     # The frame at parameter t, a float or an array: the family's jet
     # goes straight to the assembly, floats and all.
     r, *derivatives = spec.jet_components(t)
-    values = (*_assemble(*derivatives), t, np.asarray(r, dtype=float))
-    for value in (v for v in values if isinstance(v, np.ndarray)):
-        value.setflags(write=False)
-    return ModifiedFrame(*values)
+    return ModifiedFrame(*_read_only(*_assemble(*derivatives), t, np.asarray(r, dtype=float)))
 
 
 class FrameTable:
@@ -288,7 +278,7 @@ def frenet_frame(spec, s) -> FrenetFrame:
     flat = undefined(mf.kappa <= ABS_TOL, CurvatureVanishes,
                      "Frenet frame undefined at s = {:g} (kappa = {:g})", s, mf.kappa)
     n, b = (blank(flat, (v.T / mf.kappa).T) for v in (mf.N, mf.B))
-    return FrenetFrame(mf.T, n, b, mf.kappa, mf.tau)
+    return FrenetFrame(*_read_only(mf.T, n, b, mf.kappa, mf.tau))
 
 
 @np.errstate(divide="ignore", invalid="ignore")

@@ -1,6 +1,6 @@
 """Deterministic 3-vector algebra and scalar numerics.
 
-Everything here is a pure function: no shared mutable state, safe to call
+Nothing here holds shared mutable state: every function is safe to call
 from any number of threads.  The finite-difference derivative is the
 independent oracle used throughout the test suite, so it is implemented
 here by hand, as is the bracketed Newton inversion of monotone maps.
@@ -38,14 +38,13 @@ REL_TOL = 1e-7
 FD_STEP = 1e-5
 
 
-class ReadOnlyArrays:
-    """Dataclass base of ``curves.Jet`` and ``frames.FrenetFrame``: their
-    array fields turn read-only when built, so no caller changes a cached one."""
-
-    def __post_init__(self) -> None:
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+def _read_only(*values) -> tuple:
+    # ``values``, with every array among them flagged read-only: the
+    # producers of jets and frames call it, so no caller changes one.
+    for value in values:
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return values
 
 
 def vec(x: float, y: float, z: float) -> Vec3:
@@ -60,16 +59,16 @@ def dot(a: Vec3, b: Vec3):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
+def _cross(a, b) -> list:
+    # a x b as the list of its three components
+    return [a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0]]
+
+
 def cross(a: Vec3, b: Vec3) -> Vec3:
     """Vector product a x b."""
-    return np.array(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ],
-        dtype=float,
-    )
+    return np.array(_cross(a, b), dtype=float)
 
 
 def det3(a: Vec3, b: Vec3, c: Vec3) -> float:

@@ -22,7 +22,7 @@ from . import curves, frames, geodesic, indicatrix, involute, numerics
 from .curves import CurveSpec
 from .darboux import check_alignment, darboux, rotation_residuals
 from .indicatrix import KINDS, IndicatrixKind
-from .numerics import ABS_TOL, dot, norm
+from .numerics import ABS_TOL, norm
 
 
 @dataclass(frozen=True)
@@ -178,13 +178,6 @@ def _unit_speed(table, s):
     return np.abs(norm(fd.T) - 1.0)
 
 
-def _kappa_gap(table, s):
-    mf = table(s)
-    k2 = frames.curvature(table.spec.jet(mf.t)) ** 2
-    N, B = mf.N.T, mf.B.T
-    return np.maximum(np.abs(dot(N, N) - k2), np.abs(dot(B, B) - k2))
-
-
 # Whole-entry measurements, fn(tables, names, samples).  Each returns
 # (residual, n_evaluated, holds, note): holds is the identity's condition
 # besides its tolerance, True where it has none.
@@ -230,7 +223,7 @@ def _involute_normal(tables, names, samples):
 
 
 def _kappa_zero_extension(tables, names, samples):
-    worst, evaluated = _max_over(tables, names, samples, _kappa_gap)
+    worst, evaluated = _max_over(tables, names, samples, frames.metric_residual)
     # The frame at the zero itself is asked for alone: one scalar frame.
     at_zeros = [frames.modified_frame(sp, curves.arclength(sp, sp.t_lo, t0))
                 for sp in (tables[f].spec for f in names) for t0 in sp.kappa_zeros]

@@ -195,6 +195,21 @@ class TestIndicatrix:
                              "--kind", "tangent", "--samples", "4")
         assert code == EXIT_OK
 
+    def test_builds_one_frame_table(self, capsys, monkeypatch):
+        # the samples and the oracle read the frames of one batch
+        calls = []
+        batch = frames.modified_frames
+
+        def counted(spec, s):
+            calls.append(s)
+            return batch(spec, s)
+
+        monkeypatch.setattr(frames, "modified_frames", counted)
+        code, out, err = run(capsys, "indicatrix", "--curve", "helix:2,1",
+                             "--kind", "pole", "--samples", "8")
+        assert code == EXIT_OK
+        assert len(calls) == 1
+
 
 class TestValidate:
     def test_subset_passes(self, capsys):

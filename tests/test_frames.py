@@ -146,10 +146,30 @@ class TestModifiedFrame:
         mf = frames.modified_frame(spec, 0.5)
         T = mf.T.copy()
         ff = frames.frenet_frame(spec, 0.5)
-        for arr in (mf.T, mf.N, mf.B, ff.t_vec, ff.n_vec, ff.b_vec, spec.jet(0.5).r1):
+        batch = frames.frenet_frame(spec, np.array([0.5, 1.0]))
+        jet = spec.jet(np.array([0.5, 1.0]))
+        for arr in (mf.T, mf.N, mf.B, ff.t_vec, ff.n_vec, ff.b_vec, spec.jet(0.5).r1,
+                    batch.t_vec, batch.n_vec, batch.b_vec, batch.kappa, batch.tau,
+                    jet.r, jet.r1, jet.r2, jet.r3, jet.r4):
             with pytest.raises(ValueError):
                 arr[0] = 99.0
         assert np.array_equal(frames.modified_frame(spec, 0.5).T, T)
+
+    def test_frame_cache_keeps_the_last_point(self):
+        spec = salkowski(0.283)  # used by no other test
+        a, b = 0.4, 0.7
+        frames.modified_frame.cache_clear()
+        frames.modified_frame(spec, a)
+        frames.modified_frame(spec, a)
+        info = frames.modified_frame.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        frames.modified_frame.cache_clear()
+        for s in (a, b, a):
+            frames.modified_frame(spec, s)
+        info = frames.modified_frame.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (3, 0, 1)
+        # the position of a point is read from the frame just computed
+        assert curves.position_at_arclength(spec, b) is frames.modified_frame(spec, b).r
 
     def test_cached_vectors_own_their_memory(self):
         # a view would keep a second array alive per vector in the cache
@@ -279,10 +299,10 @@ class TestModifiedFrames:
 
     def test_bypasses_the_frame_cache(self):
         spec = salkowski(0.271)  # used by no other test, so nothing is cached
+        info = frames.modified_frame.cache_info()
         frames.modified_frames(spec, [0.1, 0.2])
-        before = frames.modified_frame.cache_info().currsize
-        frames.modified_frames(spec, [0.1, 0.2])
-        assert frames.modified_frame.cache_info().currsize == before
+        after = frames.modified_frame.cache_info()
+        assert after.hits + after.misses == info.hits + info.misses
 
 
 class TestExtremeScales:
