@@ -213,22 +213,21 @@ def _salkowski_jet(p, t) -> tuple:
     # cos and sin of the four angles w t, once each; math.cos and math.sin
     # are the fast one-point case of np.cos and np.sin (the two agree bit
     # for bit).  d/dt takes (cos, sin)(w t) to w (-sin, cos)(w t), so order
-    # k reads the k-th quarter turn of (cos, sin): for x and z, and for y.
+    # k turns (c, s) by k quarter turns: (-s, c), (-c, -s), (s, -c), (c, s).
     freqs, factors, _ = _salkowski_terms(p[0])
     cos, sin = (np.cos, np.sin) if isinstance(t, np.ndarray) else (math.cos, math.sin)
-    angles = [w * t for w in freqs]
-    c = [cos(x) for x in angles]
-    s = [sin(x) for x in angles]
-    nc = [-x for x in c]
-    ns = [-x for x in s]
-    turns = ((c, s), (ns, c), (nc, ns), (s, nc))
-
-    def column(k: int):
-        (A0, A1, A2, Az), (u, v) = factors[k], turns[k % 4]
-        return _vectors(t, A0 * u[0] + A1 * u[1] + A2 * u[2],
-                        A0 * v[0] + A1 * v[1] + A2 * v[2], Az * u[3])
-
-    return tuple(column(k) for k in range(5))
+    g0, g1, g2, gz = [w * t for w in freqs]
+    c0, c1, c2, cz = cos(g0), cos(g1), cos(g2), cos(gz)
+    s0, s1, s2, sz = sin(g0), sin(g1), sin(g2), sin(gz)
+    (a0, a1, a2, az), (b0, b1, b2, bz), (d0, d1, d2, dz), (e0, e1, e2, ez), \
+        (f0, f1, f2, fz) = factors
+    return (
+        _vectors(t, a0 * c0 + a1 * c1 + a2 * c2, a0 * s0 + a1 * s1 + a2 * s2, az * cz),
+        _vectors(t, -b0 * s0 - b1 * s1 - b2 * s2, b0 * c0 + b1 * c1 + b2 * c2, -bz * sz),
+        _vectors(t, -d0 * c0 - d1 * c1 - d2 * c2, -d0 * s0 - d1 * s1 - d2 * s2, -dz * cz),
+        _vectors(t, e0 * s0 + e1 * s1 + e2 * s2, -e0 * c0 - e1 * c1 - e2 * c2, ez * sz),
+        _vectors(t, f0 * c0 + f1 * c1 + f2 * c2, f0 * s0 + f1 * s1 + f2 * s2, fz * cz),
+    )
 
 
 def _salkowski_speed(p, t):

@@ -26,8 +26,7 @@ import numpy as np
 from . import curves, numerics
 from .curves import CurveSpec, Jet
 from .errors import CurvatureVanishes, DegenerateFrame
-from .numerics import (ABS_TOL, Vec3, _cross, _read_only, blank, cross, det3, dot,
-                       norm, undefined)
+from .numerics import ABS_TOL, Vec3, _read_only, blank, cross, det3, dot, norm, undefined
 
 
 @dataclass(frozen=True)
@@ -107,8 +106,9 @@ def _check_scale(r1, divisor) -> None:
         )
 
 
-# The assembly's own helpers, for 3-lists of floats at one point and
-# (3, n) arrays over a batch alike.
+# The frame assembly and its helpers, for floats at one point and arrays
+# over a batch alike.  Each dot and cross product is written out on x, y
+# and z, in the order of numerics.dot and numerics.cross.
 
 def _sqrt(x):
     return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
@@ -126,16 +126,17 @@ def _pow(x, n: int):
 def _rates(r1, r2, r3, r4, v, v3, v5):
     # tau = det(r1,r2,r3) / |r1 x r2|^2, and the arclength derivatives of
     # kappa = |r1 x r2| / |r1|^3 and of tau (d/dt over the speed).
-    u = _cross(r1, r2)
-    u2 = dot(u, u)
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3), (x4, y4, z4) = r1, r2, r3, r4
+    ux, uy, uz = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2  # r1 x r2
+    u2 = ux * ux + uy * uy + uz * uz
     uu = u2 * u2
     _check_scale(r1, uu)
     un = _sqrt(u2)
-    up = _cross(r1, r3)
-    d = dot(u, r3)
-    dp = dot(u, r4)
-    kappa_prime = (dot(u, up) / (un * v3) - 3.0 * un * dot(r1, r2) / v5) / v
-    tau_prime = (dp / u2 - d * 2.0 * dot(u, up) / uu) / v
+    uup = ux * (y1 * z3 - z1 * y3) + uy * (z1 * x3 - x1 * z3) + uz * (x1 * y3 - y1 * x3)
+    d = ux * x3 + uy * y3 + uz * z3
+    dp = ux * x4 + uy * y4 + uz * z4
+    kappa_prime = (uup / (un * v3) - 3.0 * un * (x1 * x2 + y1 * y2 + z1 * z2) / v5) / v
+    tau_prime = (dp / u2 - d * 2.0 * uup / uu) / v
     return d / u2, kappa_prime, tau_prime
 
 
@@ -147,24 +148,25 @@ def _assemble(r1, r2, r3, r4):
     """T, N, B, kappa, tau, kappa' and tau' from the derivatives of a jet
     in any parameter: the one assembly behind both frame paths.  They are
     3-tuples of floats at one point (:meth:`CurveSpec.jet_components`), or
-    (..., 3) arrays at many, worked on as (3, ...) arrays; T, N and B come
-    back as (3,) or (..., 3) arrays."""
+    (..., 3) arrays at many, worked on as (3, ...) arrays; both unpack to
+    x, y, z alike.  T, N and B come back as (3,) or (..., 3) arrays."""
     one = not isinstance(r1, np.ndarray)
     if not one:
         r1, r2, r3, r4 = r1.T, r2.T, r3.T, r4.T
+    (x1, y1, z1), (x2, y2, z2) = r1, r2
     # _check_scale refuses what overflowed.  Python floats never touch
     # numpy's error state: _pow catches the one float overflow that raises,
     # and _check_scale runs before every division.
     with _FLOATS if one else np.errstate(all="ignore"):
-        v = _sqrt(dot(r1, r1))
+        v = _sqrt(x1 * x1 + y1 * y1 + z1 * z1)
         v3, v5 = _pow(v, 3), _pow(v, 5)
         _check_scale(r1, v5)
-        vp = dot(r1, r2) / v
-        T = [x / v for x in r1]
+        vp = (x1 * x2 + y1 * y2 + z1 * z2) / v
+        T = tx, ty, tz = x1 / v, y1 / v, z1 / v
         v2, c = v**2, vp / v3
-        N = [a / v2 - b * c for a, b in zip(r2, r1)]
-        kappa = _sqrt(dot(N, N))
-        B = _cross(T, N)
+        N = nx, ny, nz = x2 / v2 - x1 * c, y2 / v2 - y1 * c, z2 / v2 - z1 * c
+        kappa = _sqrt(nx * nx + ny * ny + nz * nz)
+        B = ty * nz - tz * ny, tz * nx - tx * nz, tx * ny - ty * nx  # T x N
         # tau, kappa' and tau' only where kappa > ABS_TOL; 0 elsewhere
         live = kappa > ABS_TOL
         if one:

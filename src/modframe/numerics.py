@@ -59,16 +59,11 @@ def dot(a: Vec3, b: Vec3):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _cross(a, b) -> list:
-    # a x b as the list of its three components
-    return [a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0]]
-
-
 def cross(a: Vec3, b: Vec3) -> Vec3:
     """Vector product a x b."""
-    return np.array(_cross(a, b), dtype=float)
+    return np.array([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]], dtype=float)
 
 
 def det3(a: Vec3, b: Vec3, c: Vec3) -> float:

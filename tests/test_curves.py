@@ -144,12 +144,17 @@ class TestEvalJet:
                 assert np.allclose(getattr(batch, name)[i], getattr(one, name),
                                    rtol=1e-15, atol=1e-15), (name, t)
 
-    @pytest.mark.parametrize("m", [0.1, 0.5, 3.0, 100.0])
+    @pytest.mark.parametrize("m", [-0.7, 1e-4, 0.1, 0.5, 3.0, 100.0])
     def test_salkowski_jet_matches_cosine_sum(self, m):
         # The jet from cos and sin of four angles against the textbook form:
         # per component a sum of A w^k cos(w t + phase + k pi/2), 35 terms
         # over the five orders.  Each order must agree to 1e-14 of its
         # largest component over the grid, at floats and over an array.
+        # At small m the range grows like 1/m, and each angle w t is only
+        # known to the rounding of a large product in both forms: the bound
+        # admits two ulp of each angle's largest value, weighted by its
+        # amplitude.  Of the m here only 1e-4 reaches that term; at every
+        # other m the first is the larger at every order.
         c = m / math.sqrt(1.0 + m * m)
         a = 1.0 / math.sqrt(1.0 + m * m)
         w1, w2 = 1.0 + 2.0 * c, 1.0 - 2.0 * c
@@ -167,7 +172,10 @@ class TestEvalJet:
         spec = salkowski(m)
         ts = np.linspace(spec.t_lo, spec.t_hi, 41)
         expected = np.array([reference(t) for t in ts.tolist()])  # (point, order, xyz)
-        bound = 1e-14 * np.abs(expected).max(axis=(0, 2))[:, None]
+        t_max = max(abs(spec.t_lo), abs(spec.t_hi))
+        rounding = [max(sum(abs(A * w**k) * 2.0 * np.spacing(abs(w) * t_max) for A, w, _ in comp)
+                        for comp in (x, z)) for k in range(5)]
+        bound = np.maximum(1e-14 * np.abs(expected).max(axis=(0, 2)), rounding)[:, None]
         batch = spec.jet(ts)
         orders = ("r", "r1", "r2", "r3", "r4")
         for i, t in enumerate(ts.tolist()):

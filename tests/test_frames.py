@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from modframe import curves, frames, numerics
+from modframe import curves, frames, numerics, validation
 from modframe.curves import (
     arclength_grid,
     circle,
@@ -172,9 +172,23 @@ class TestModifiedFrame:
         assert curves.position_at_arclength(spec, b) is frames.modified_frame(spec, b).r
 
     def test_cached_vectors_own_their_memory(self):
-        # a view would keep a second array alive per vector in the cache
-        mf = frames.modified_frame(salkowski(0.5), 1.0)
-        assert all(v.base is None for v in (mf.T, mf.N, mf.B, mf.r))
+        # The one-point frame stays on Python floats: float scalars, and
+        # (3,) read-only vectors that own their memory (a view would keep a
+        # second array alive per vector in the cache).  On each default
+        # family, the line, and at the planar cubic's curvature zero.
+        cubic = planar_cubic()
+        points = [(cubic, curves.arclength(cubic, cubic.t_lo, 0.0))]
+        for spec in [*validation.default_families().values(), line()]:
+            total = curves.total_arclength(spec)
+            points += [(spec, s) for s in np.linspace(0.0, total, 7).tolist()]
+        for spec, s in points:
+            mf = frames.modified_frame(spec, s)
+            for name in ("kappa", "tau", "kappa_prime", "tau_prime", "t"):
+                assert type(getattr(mf, name)) is float, (spec.family, s, name)
+            for v in (mf.T, mf.N, mf.B, mf.r):
+                assert v.shape == (3,) and v.dtype == np.float64, (spec.family, s)
+                assert not v.flags.writeable and v.base is None, (spec.family, s)
+        assert frames.modified_frame(*points[0]).kappa <= numerics.ABS_TOL
 
     def test_b_is_cross_of_t_and_n(self):
         mf = frames.modified_frame(twisted_cubic(), 1.0)
