@@ -69,34 +69,50 @@ def _parse_tolerance(text: str) -> float:
     return tol
 
 
-def _json(config: dict, rows: list[dict], report: dict | None = None) -> str:
-    """The JSON document of every command: its config, rows and report."""
-    return json.dumps({"config": config, "rows": rows, "report": report}, indent=2) + "\n"
-
-
 def _write(args, text: str) -> None:
     """Write a command's output to ``--out``, or to stdout for '-'."""
     if args.out in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(
+            f"cannot write {args.out}: {exc.strerror or exc}") from exc
 
 
-def _write_rows(args, columns: list[str], rows: list[list]) -> None:
-    """Write rows, each a list of values in column order, as CSV or JSON."""
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(["%.17g" % v if isinstance(v, float) else v for v in r] for r in rows)
-        text = buf.getvalue()
+def _write_table(args, columns: list[str], block: np.ndarray,
+                 flag: np.ndarray | None = None) -> None:
+    """Write a float block, and ``flag`` as a trailing bool column, as CSV or JSON.
+
+    One template spells a row; repeated once per row, it is applied to every
+    cell in a single ``%`` operation. CSV cells are ``%.17g`` and
+    ``True``/``False``; JSON keeps the ``json.dumps(..., indent=2)`` layout
+    and spelling: float repr, ``NaN``, ``Infinity``, ``true``/``false``.
+    """
+    as_csv = args.format == "csv"
+    n, k = block.shape
+    cells = np.empty((n, len(columns)), dtype=object)
+    cells[:, :k] = block
+    if flag is not None:
+        cells[:, k] = flag if as_csv else np.where(flag, "true", "false")
+    spelling = ["%.17g" if as_csv else "%s"] * k + ["%s"] * (flag is not None)
+    if as_csv:
+        text = ",".join(columns) + "\n" + (",".join(spelling) + "\n") * n
     else:
-        text = _json({
-            "curve": getattr(args, "curve_text", None),
-            "samples": getattr(args, "samples", None),
-            "range": list(getattr(args, "s_range", ()) or ()) or None,
-        }, [dict(zip(columns, r)) for r in rows])
+        bad = ~np.isfinite(block)
+        cells[:, :k][bad] = [json.dumps(v) for v in block[bad].tolist()]
+        fields = ",".join(f"\n      {json.dumps(c)}: {v}"
+                          for c, v in zip(columns, spelling))
+        item = "\n    {" + fields + "\n    }"
+        text = "[" + ",".join([item] * n) + "\n  ]"
+    text %= tuple(cells.ravel().tolist())
+    if not as_csv:
+        config = json.dumps({"curve": args.curve_text, "samples": args.samples,
+                             "range": list(args.s_range) if args.s_range else None},
+                            indent=2).replace("\n", "\n  ")
+        text = f'{{\n  "config": {config},\n  "rows": {text},\n  "report": null\n}}\n'
     _write(args, text)
 
 
@@ -124,7 +140,7 @@ def cmd_frames(args) -> int:
     s = _sample_range(args, spec)
     mf = frames.modified_frames(spec, s)
     table = np.column_stack([s, mf.r, mf.T, mf.N, mf.B, mf.kappa, mf.tau, mf.kappa_prime])
-    _write_rows(args, columns, table.tolist())
+    _write_table(args, columns, table)
     return EXIT_OK
 
 
@@ -153,8 +169,7 @@ def cmd_indicatrix(args) -> int:
     if missing.any():
         raise DegenerateIndicatrix(
             f"{kind.value} indicatrix undefined at s = {s[missing][0]:g}")
-    _write_rows(args, columns, [[*row, d] for row, d in
-                                zip(values.tolist(), smp.degenerate.tolist())])
+    _write_table(args, columns, values, smp.degenerate)
     return EXIT_OK
 
 
@@ -173,14 +188,22 @@ def cmd_validate(args) -> int:
         only=only,
         families=families,
     )
+    # mixed records whose note can need quoting: csv.writer and json.dumps
     if args.format == "csv":
         columns = ["name", "max_residual", "tolerance", "passed", "n_evaluated",
                    "expected_discrepancy", "note"]
-        _write_rows(args, columns, [[d[c] for c in columns]
-                                    for d in (e.to_dict() for e in report.entries)])
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(["%.17g" % v if isinstance(v, float) else v
+                          for v in (d[c] for c in columns)]
+                         for d in (e.to_dict() for e in report.entries))
+        text = buf.getvalue()
     else:
         config = {"samples": args.samples, "tolerance": args.tolerance, "only": only}
-        _write(args, _json(config, [], report.to_dict()))
+        text = json.dumps({"config": config, "rows": [], "report": report.to_dict()},
+                          indent=2) + "\n"
+    _write(args, text)
     return EXIT_OK if report.passed else EXIT_VALIDATION_FAILED
 
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -5,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from modframe import curves, frames, indicatrix, validation
+from modframe import cli, curves, frames, indicatrix, validation
 from modframe.cli import (
     EXIT_INADMISSIBLE,
     EXIT_OK,
@@ -358,3 +359,107 @@ class TestUsageErrors:
         code, out, err = run(capsys, "frames", "--curve", "circle:1",
                              "--samples", "4", "--range", "0,99")
         assert code == EXIT_USAGE
+
+
+def reference_text(args, columns, block, flag=None):
+    """A table as csv.writer and json.dumps(indent=2) write it, cell by cell."""
+    rows = block.tolist()
+    if flag is not None:
+        rows = [[*row, f] for row, f in zip(rows, flag.tolist())]
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(["%.17g" % v if isinstance(v, float) else v for v in r]
+                         for r in rows)
+        return buf.getvalue()
+    config = {"curve": args.curve_text, "samples": args.samples,
+              "range": list(args.s_range) if args.s_range else None}
+    return json.dumps({"config": config, "rows": [dict(zip(columns, r)) for r in rows],
+                       "report": None}, indent=2) + "\n"
+
+
+def assert_same_text(out, expected):
+    """Equal text, or a failure that names the first line that differs
+    (an assert on megabyte strings makes pytest diff them for minutes)."""
+    if out == expected:
+        return
+    got, want = out.split("\n"), expected.split("\n")
+    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    pytest.fail(f"{len(got)} lines against {len(want)}; first difference at line {i + 1}: "
+                f"{got[i:i + 1]} != {want[i:i + 1]}")
+
+
+class TestTableBytes:
+    """The one-pass table writer prints what the cell-by-cell writers print."""
+
+    def written(self, capsys, monkeypatch, *argv):
+        calls = []
+        write = cli._write_table
+
+        def spy(args, columns, block, flag=None):
+            calls.append(reference_text(args, columns, block, flag))
+            write(args, columns, block, flag)
+
+        monkeypatch.setattr(cli, "_write_table", spy)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK and err == ""
+        [expected] = calls
+        return out, expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["frames", "--curve", "twistedcubic", "--samples", "4096"],
+        ["indicatrix", "--curve", "salkowski:0.5", "--kind", "pole", "--samples", "256"],
+        # every row of a straight line's tangent image is degenerate
+        ["indicatrix", "--curve", "line", "--kind", "tangent", "--samples", "64"],
+        ["frames", "--curve", "helix:2,1", "--samples", "5", "--range", "0,1"],
+    ])
+    def test_commands_match_the_reference(self, capsys, monkeypatch, argv, fmt):
+        out, expected = self.written(capsys, monkeypatch, *argv, "--format", fmt)
+        assert_same_text(out, expected)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("with_flag", [False, True])
+    def test_special_floats(self, capsys, fmt, with_flag):
+        values = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300,
+                  0.1, 1 / 3, 2.0**53 + 2, -123456.789]
+        block = np.array(values * 3).reshape(6, 6)
+        flag = np.array([True, False, False, True, True, False]) if with_flag else None
+        columns = ["a", "b", "c", "d", "e", "f"] + ["degenerate"] * with_flag
+        args = argparse.Namespace(format=fmt, out="-", curve_text="helix:2.0,1.0",
+                                  samples=6, s_range=(0.0, 1.5))
+        cli._write_table(args, columns, block, flag)
+        out = capsys.readouterr().out
+        assert_same_text(out, reference_text(args, columns, block, flag))
+        if fmt == "json":
+            back = [[r[c] for c in columns[:6]] for r in json.loads(out)["rows"]]
+        else:
+            back = [[float(v) for v in r[:6]] for r in list(csv.reader(io.StringIO(out)))[1:]]
+        assert np.array(back).tobytes() == block.tobytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["frames", "--curve", "twistedcubic", "--samples", "512", "--format", "json"],
+        ["indicatrix", "--curve", "salkowski:0.5", "--kind", "pole", "--samples", "64"],
+        ["validate", "--samples", "6", "--format", "csv"],
+    ])
+    def test_out_file_matches_stdout(self, capsys, tmp_path, argv):
+        path = tmp_path / "table.out"
+        code, out, err = run(capsys, *argv)
+        code_file, out_file, err_file = run(capsys, *argv, "--out", str(path))
+        assert (code_file, out_file, err_file) == (code, "", err)
+        assert_same_text(path.read_text(), out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["frames", "--curve", "helix:2,1", "--samples", "3"],
+    ["indicatrix", "--curve", "helix:2,1", "--kind", "tangent", "--samples", "3"],
+    ["validate", "--samples", "3", "--only", "unit-speed"],
+])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+    assert not path.exists()
