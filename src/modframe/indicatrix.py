@@ -1,11 +1,11 @@
 """The four spherical representations of a curve: tangent, normal,
 binormal and pole indicatrices.
 
-:data:`KINDS` holds the facts of each kind.  For each kind this module
-provides the point on the sphere, the rate of its arclength against the
-base curve's, the unit tangent, the covariant derivative of that tangent
-and the geodesic curvature in closed form, each reading the Darboux data
-it needs itself, and the covariant derivative as a finite-difference
+Each row of :data:`KINDS` holds the facts of a kind and its closed forms:
+the point on the sphere, the rate of its arclength against the base
+curve's, the unit tangent, the covariant derivative of that tangent and
+the geodesic curvature.  The public functions look a form up in its row.
+This module also provides the covariant derivative as a finite-difference
 oracle.
 """
 
@@ -13,19 +13,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
 
 from . import frames, numerics
-from .darboux import _require_constant_kappa, darboux
+from .darboux import DarbouxData, _require_constant_kappa, darboux
 from .errors import CurvatureVanishes, DegenerateIndicatrix, ModFrameError, TorsionVanishes
 from .frames import ModifiedFrame
 from .numerics import ABS_TOL, Vec3, blank, undefined
-
-#: Speeds below this flag the sample as degenerate instead of producing
-#: huge tangents.
-DEGENERACY_THRESHOLD = 1e-8
 
 
 class IndicatrixKind(enum.Enum):
@@ -37,30 +34,83 @@ class IndicatrixKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Kind:
-    """One row of :data:`KINDS`: the facts of an indicatrix kind."""
+    """One row of :data:`KINDS`: the facts and the closed forms of an
+    indicatrix kind.  A form is called as ``form(mf, dd)`` on one frame or
+    a batch, where ``dd()`` returns the frame's Darboux data."""
 
     #: Its closed forms hold only for constant curvature and refuse other
     #: curves (the tangent indicatrix's kappa' terms cancel).
     constant_kappa: bool
     #: It lies on the unit sphere, where the determinant oracle applies.
     on_unit_sphere: bool
+    #: Point (T, N, B or the pole direction C) and signed rate ds_X/ds; the
+    #: sign keeps orientation consistent between the closed forms and the
+    #: numeric oracle when tau or phi' is negative.
+    point: Callable
+    rate: Callable
+    #: Unit tangent, covariant derivative D_{T_X} T_X of it along itself,
+    #: and geodesic curvature (a nonnegative norm).
+    tangent: Callable
+    cov: Callable
+    gamma: Callable
     #: Besides kappa, the quantity whose zero leaves its covariant
-    #: derivative and geodesic curvature undefined: (name, value at a
-    #: frame, error raised at one point).
-    singular: tuple[str, Callable[[ModifiedFrame], object], type[ModFrameError]] | None = None
+    #: derivative and geodesic curvature undefined: (name, form, error
+    #: raised at one point).
+    singular: tuple[str, Callable, type[ModFrameError]] | None = None
     #: Its geodesic report also carries the unit-norm variant.
     unweighted: bool = False
 
 
-# Rows reach darboux through the module name when they are evaluated, so
-# that a patched function (a tracer, a mock) is the one that runs.
+def _pole_direction(mf: ModifiedFrame, dd: DarbouxData) -> Vec3:
+    cphi, sphi = np.cos(dd.phi), np.sin(dd.phi)
+    return (cphi * mf.T.T - (sphi / mf.kappa) * mf.B.T).T
+
+
+def _normal_cov(mf, dd):
+    d, k = dd(), mf.kappa
+    cphi, sphi = np.cos(d.phi), np.sin(d.phi)
+    lead = d.phi_prime / (k**2 * d.w_norm)
+    return (lead * (k * sphi * mf.T.T + cphi * mf.B.T) - mf.N.T / k**2).T
+
+
+def _pole_cov(mf, dd):
+    d, k = dd(), mf.kappa
+    cphi, sphi = np.cos(d.phi), np.sin(d.phi)
+    return (-sphi * mf.T.T - (cphi / k) * mf.B.T + (d.w_norm / (d.phi_prime * k)) * mf.N.T).T
+
+
 KINDS: dict[IndicatrixKind, Kind] = {
-    IndicatrixKind.TANGENT: Kind(constant_kappa=False, on_unit_sphere=True),
-    IndicatrixKind.NORMAL: Kind(constant_kappa=True, on_unit_sphere=False),
-    IndicatrixKind.BINORMAL: Kind(constant_kappa=True, on_unit_sphere=False, unweighted=True,
-                                  singular=("tau", lambda mf: mf.tau, TorsionVanishes)),
-    IndicatrixKind.POLE: Kind(constant_kappa=True, on_unit_sphere=True, singular=(
-        "phi'", lambda mf: darboux(mf).phi_prime, DegenerateIndicatrix)),
+    IndicatrixKind.TANGENT: Kind(
+        constant_kappa=False, on_unit_sphere=True,
+        point=lambda mf, dd: mf.T,
+        rate=lambda mf, dd: mf.kappa,
+        tangent=lambda mf, dd: (mf.N.T / mf.kappa).T,
+        cov=lambda mf, dd: (-mf.T.T + (mf.tau / mf.kappa**2) * mf.B.T).T,
+        gamma=lambda mf, dd: np.abs(mf.tau) / mf.kappa),
+    IndicatrixKind.NORMAL: Kind(
+        constant_kappa=True, on_unit_sphere=False,
+        point=lambda mf, dd: mf.N,
+        rate=lambda mf, dd: mf.kappa * np.hypot(mf.kappa, mf.tau),
+        tangent=lambda mf, dd: (0.0 - _pole_direction(mf, dd()).T).T,  # zeros stay +0.0
+        cov=_normal_cov,
+        gamma=lambda mf, dd: np.hypot(dd().phi_prime / (mf.kappa * dd().w_norm),
+                                      (mf.kappa * mf.kappa - 1.0) / mf.kappa)),
+    IndicatrixKind.BINORMAL: Kind(
+        constant_kappa=True, on_unit_sphere=False, unweighted=True,
+        singular=("tau", lambda mf, dd: mf.tau, TorsionVanishes),
+        point=lambda mf, dd: mf.B,
+        rate=lambda mf, dd: mf.kappa * mf.tau,
+        tangent=lambda mf, dd: (-mf.N.T / mf.kappa).T,
+        cov=lambda mf, dd: (mf.T.T / mf.tau - mf.B.T / mf.kappa**2).T,
+        gamma=lambda mf, dd: np.hypot(1.0 / mf.tau, (mf.kappa * mf.kappa - 1.0) / mf.kappa)),
+    IndicatrixKind.POLE: Kind(
+        constant_kappa=True, on_unit_sphere=True,
+        singular=("phi'", lambda mf, dd: dd().phi_prime, DegenerateIndicatrix),
+        point=lambda mf, dd: dd().C,
+        rate=lambda mf, dd: dd().phi_prime,
+        tangent=lambda mf, dd: _pole_direction(mf, dd()),
+        cov=_pole_cov,
+        gamma=lambda mf, dd: dd().w_norm / np.abs(dd().phi_prime)),
 }
 
 
@@ -80,21 +130,27 @@ class IndicatrixSample:
     degenerate: bool
 
 
-def _gate(kind: IndicatrixKind, mf: ModifiedFrame) -> None:
-    if KINDS[kind].constant_kappa:
+def _row(kind: IndicatrixKind, mf: ModifiedFrame):
+    # The row of ``kind``, gated, and the Darboux data of ``mf`` as a call
+    # that builds it once, when a form first reads it; darboux is looked up
+    # here, so that a patched function (a tracer, a mock) is the one that runs.
+    row = KINDS[kind]
+    if row.constant_kappa:
         _require_constant_kappa(mf)
+    return row, cache(partial(darboux, mf))
 
 
-def _undefined(kind: IndicatrixKind, mf: ModifiedFrame, what: str):
-    """Mask of the points where ``what`` of ``kind`` is undefined: kappa ~ 0,
-    then (after the gate) the row's singular quantity ~ 0."""
+@np.errstate(divide="ignore", invalid="ignore")
+def _defined(kind: IndicatrixKind, mf: ModifiedFrame, form: str, what: str):
+    # The row's ``form``, undefined where kappa ~ 0 and then (after the
+    # gate) where the row's singular quantity ~ 0.
     flat = undefined(mf.kappa <= ABS_TOL, CurvatureVanishes, "{} needs kappa > 0", what)
-    _gate(kind, mf)
-    if KINDS[kind].singular is None:
-        return flat
-    name, value, error = KINDS[kind].singular
-    return flat | undefined(np.abs(value(mf)) <= ABS_TOL, error,
-                            "{} {} needs {} != 0", kind.value, what, name)
+    row, dd = _row(kind, mf)
+    if row.singular is not None:
+        name, value, error = row.singular
+        flat = flat | undefined(np.abs(value(mf, dd)) <= ABS_TOL, error,
+                                "{} {} needs {} != 0", kind.value, what, name)
+    return blank(flat, getattr(row, form)(mf, dd))
 
 
 def indicatrix_point(kind: IndicatrixKind, mf: ModifiedFrame) -> Vec3:
@@ -103,14 +159,8 @@ def indicatrix_point(kind: IndicatrixKind, mf: ModifiedFrame) -> Vec3:
     N and B are kept at radius kappa, not normalized to the unit sphere.
     Like every closed form here, it takes one frame or a batch.
     """
-    _gate(kind, mf)
-    if kind is IndicatrixKind.TANGENT:
-        return mf.T
-    if kind is IndicatrixKind.NORMAL:
-        return mf.N
-    if kind is IndicatrixKind.BINORMAL:
-        return mf.B
-    return darboux(mf).C
+    row, dd = _row(kind, mf)
+    return row.point(mf, dd)
 
 
 def indicatrix_speed(kind: IndicatrixKind, mf: ModifiedFrame):
@@ -119,91 +169,37 @@ def indicatrix_speed(kind: IndicatrixKind, mf: ModifiedFrame):
 
 
 def _signed_rate(kind: IndicatrixKind, mf: ModifiedFrame):
-    # Signed rates follow the closed-form derivations (kappa, kappa*|w|,
-    # kappa*tau, phi'); the sign keeps orientation consistent between the
-    # closed forms and the numeric oracle when tau or phi' is negative.
-    _gate(kind, mf)
-    if kind is IndicatrixKind.TANGENT:
-        return mf.kappa
-    if kind is IndicatrixKind.NORMAL:
-        return mf.kappa * np.hypot(mf.kappa, mf.tau)
-    if kind is IndicatrixKind.BINORMAL:
-        return mf.kappa * mf.tau
-    return darboux(mf).phi_prime
+    row, dd = _row(kind, mf)
+    return row.rate(mf, dd)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
 def indicatrix_tangent(kind: IndicatrixKind, mf: ModifiedFrame) -> Vec3:
     """Unit tangent of the indicatrix; undefined where its speed vanishes
     (DegenerateIndicatrix at one point, NaN over a batch)."""
-    rate = _signed_rate(kind, mf)
+    row, dd = _row(kind, mf)
+    rate = row.rate(mf, dd)
     flat = undefined(np.abs(rate) <= ABS_TOL, DegenerateIndicatrix,
                      "{} indicatrix has speed {:g} here", kind.value, np.abs(rate))
-    N = mf.N.T  # component-first
-    if kind is IndicatrixKind.TANGENT:
-        tangent = N / mf.kappa
-    elif kind is IndicatrixKind.BINORMAL:
-        tangent = -N / mf.kappa
-    elif kind is IndicatrixKind.NORMAL:
-        tangent = 0.0 - pole_tangent_direction(mf).T  # zeros stay +0.0
-    else:
-        return blank(flat, pole_tangent_direction(mf))
-    return blank(flat, tangent.T)
+    return blank(flat, row.tangent(mf, dd))
 
 
 def pole_tangent_direction(mf: ModifiedFrame) -> Vec3:
     """Unit direction cos(phi) T - (sin(phi)/kappa) B of the pole curve's
     tangent.  Stays well defined as phi' -> 0, where the pole indicatrix
     itself collapses to a point; used as the limit tangent in that case."""
-    dd = darboux(mf)
-    cphi, sphi = np.cos(dd.phi), np.sin(dd.phi)
-    return (cphi * mf.T.T - (sphi / mf.kappa) * mf.B.T).T
+    return _pole_direction(mf, darboux(mf))
 
 
-@np.errstate(divide="ignore", invalid="ignore")
 def cov_deriv_closed(kind: IndicatrixKind, mf: ModifiedFrame) -> Vec3:
     """Closed-form covariant derivative D_{T_X} T_X of the indicatrix
     tangent along itself."""
-    flat = _undefined(kind, mf, "covariant derivative")
-    k = mf.kappa
-    T, N, B = mf.T.T, mf.N.T, mf.B.T  # component-first
-    if kind is IndicatrixKind.TANGENT:
-        cov = -T + (mf.tau / k**2) * B
-    elif kind is IndicatrixKind.BINORMAL:
-        cov = T / mf.tau - B / k**2
-    else:
-        dd = darboux(mf)
-        cphi, sphi = np.cos(dd.phi), np.sin(dd.phi)
-        if kind is IndicatrixKind.NORMAL:
-            lead = dd.phi_prime / (k**2 * dd.w_norm)
-            cov = lead * (k * sphi * T + cphi * B) - N / k**2
-        else:
-            cov = -sphi * T - (cphi / k) * B + (dd.w_norm / (dd.phi_prime * k)) * N
-    return blank(flat, cov.T)
+    return _defined(kind, mf, "cov", "covariant derivative")
 
 
-@np.errstate(divide="ignore", invalid="ignore")
 def geodesic_curvature_closed(kind: IndicatrixKind, mf: ModifiedFrame):
-    """Closed-form geodesic curvature (a nonnegative norm).
-
-    tangent:  |tau| / kappa
-    normal:   sqrt((phi'/(kappa |w|))^2 + ((kappa^2 - 1)/kappa)^2)
-    binormal: sqrt(1/tau^2 + (kappa^2 - 1)^2 / kappa^2)
-    pole:     |w| / |phi'|
-    """
-    flat = _undefined(kind, mf, "geodesic curvature")
-    k = mf.kappa
-    if kind is IndicatrixKind.TANGENT:
-        gamma = np.abs(mf.tau) / k
-    elif kind is IndicatrixKind.BINORMAL:
-        gamma = np.hypot(1.0 / mf.tau, (k * k - 1.0) / k)
-    elif kind is IndicatrixKind.NORMAL:
-        dd = darboux(mf)
-        gamma = np.hypot(dd.phi_prime / (k * dd.w_norm), (k * k - 1.0) / k)
-    else:
-        dd = darboux(mf)
-        gamma = dd.w_norm / np.abs(dd.phi_prime)
-    return blank(flat, gamma)
+    """Closed-form geodesic curvature (a nonnegative norm)."""
+    return _defined(kind, mf, "gamma", "geodesic curvature")
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -233,7 +229,7 @@ def sample(kind: IndicatrixKind, spec, s) -> IndicatrixSample:
     no_darboux = np.isnan(darboux(mf).w_norm) if KINDS[kind].constant_kappa else False
     point = indicatrix_point(kind, mf)
     spd = blank(no_darboux, indicatrix_speed(kind, mf))
-    degenerate = spd <= DEGENERACY_THRESHOLD
+    degenerate = spd <= ABS_TOL
     if np.ndim(degenerate) == 0 and degenerate:
         return IndicatrixSample(kind, s, point, spd, None, None, True)
     tangent = blank(degenerate, indicatrix_tangent(kind, mf))

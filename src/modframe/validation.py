@@ -147,8 +147,7 @@ def _tangent_residual(kind, table, s):
     rate = indicatrix._signed_rate(kind, mf)
     with np.errstate(divide="ignore", invalid="ignore"):
         fd = numerics.diff_vec(lambda x: indicatrix.indicatrix_point(kind, table(x)), s).T / rate
-    # skip near-degenerate samples
-    return np.where(np.abs(rate) <= 1e-6, np.nan, norm(closed.T - fd))
+    return norm(closed.T - fd)  # NaN where the closed tangent is undefined
 
 
 def _binormal_gap(table, s):
@@ -289,7 +288,10 @@ IDENTITIES: list[Identity] = [
     Identity("geodesic-sphere-det",
              "determinant oracle agrees with the Gauss-equation oracle on the "
              "unit-sphere indicatrices",
-             1e-5, _nonzero_kappa, measure=_sphere_det, points=_det_points),
+             # its stencil reaches 2 * SPHERE_STEP past a sample: within the grid's margin
+             1e-5, lambda spec: _nonzero_kappa(spec) and (
+                 0.05 * curves.total_arclength(spec) >= 2 * geodesic.SPHERE_STEP),
+             measure=_sphere_det, points=_det_points),
     Identity("involute-tangent",
              "pole-curve tangent orthogonal to the tangent indicatrix tangent",
              1e-9, _const_kappa, measure=partial(_involute_defect, IndicatrixKind("tangent")),

@@ -279,6 +279,17 @@ class TestValidate:
         assert code == EXIT_VALIDATION_FAILED
         assert err == ""
 
+    def test_short_curve_skips_the_determinant_oracle(self, capsys):
+        # circle:1e-3 is 6.3e-3 long: the determinant oracle's stencil
+        # (+-2e-3) would leave the curve, so its row evaluates no sample and
+        # the command reports a verdict instead of an inadmissible curve
+        code, out, err = run(capsys, "validate", "--samples", "16", "--curve", "circle:1e-3")
+        entries = {e["name"]: e for e in json.loads(out)["report"]["entries"]}
+        assert entries["geodesic-sphere-det"]["n_evaluated"] == 0
+        assert entries["geodesic-sphere-det"]["note"] == "not applicable: no sample evaluated"
+        assert code == EXIT_VALIDATION_FAILED
+        assert err == ""
+
     def test_nothing_evaluated_fails(self, capsys):
         code, out, err = run(capsys, "validate", "--samples", "6", "--curve", "line",
                              "--only", "frame-ode")

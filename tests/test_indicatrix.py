@@ -163,3 +163,43 @@ class TestDegeneracyFlags:
                 assert not smp.degenerate
                 assert np.all(np.isfinite(smp.unit_tangent))
                 assert np.all(np.isfinite(smp.cov_deriv))
+
+
+class TestDarbouxBuilds:
+    """A closed form builds its frame's Darboux data at most once a call,
+    and the normal indicatrix's point and rate build none."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        real = indicatrix.darboux
+
+        def counted(mf):
+            calls.append(mf)
+            return real(mf)
+
+        monkeypatch.setattr(indicatrix, "darboux", counted)
+        return calls
+
+    @staticmethod
+    def frame(spec, batch):
+        grid = arclength_grid(spec, 9)
+        return frames.frames_at(spec, grid if batch else float(grid[3]))
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["point", "batch"])
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("form", [indicatrix.indicatrix_tangent, indicatrix.cov_deriv_closed,
+                                      indicatrix.geodesic_curvature_closed],
+                             ids=lambda f: f.__name__)
+    def test_at_most_one_build_per_call(self, builds, form, kind, batch):
+        mf = self.frame(salkowski(0.5), batch)
+        form(kind, mf)
+        assert len(builds) <= 1
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["point", "batch"])
+    @pytest.mark.parametrize("spec", [HELIX, salkowski(0.5)], ids=["helix", "salkowski"])
+    def test_normal_point_and_rate_build_none(self, builds, spec, batch):
+        mf = self.frame(spec, batch)
+        indicatrix.indicatrix_point(IndicatrixKind.NORMAL, mf)
+        indicatrix.indicatrix_speed(IndicatrixKind.NORMAL, mf)
+        assert builds == []

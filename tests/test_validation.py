@@ -143,3 +143,13 @@ def test_validation_leaves_numpy_ma_unimported():
     code = ("import sys; from modframe.validation import run_validation; "
             "run_validation(samples=8); print('numpy.ma' in sys.modules)")
     assert _fresh(code) == "False"
+
+
+def test_tangent_rows_evaluate_at_small_rates():
+    # helix(1, 100): kappa = 1e-4, tau = 1e-2, so the normal and binormal
+    # rates are about 1e-6, well above ABS_TOL: every sample is evaluated
+    rep = run_validation(samples=16, only=["normal-ind-tangent", "binormal-ind-tangent"],
+                         families={"helix": curves.helix(1.0, 100.0)})
+    for entry in rep.entries:
+        assert entry.n_evaluated == 16, entry
+        assert entry.passed, entry
