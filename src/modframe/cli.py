@@ -263,6 +263,10 @@ def main(argv: list[str] | None = None) -> int:
     except argparse.ArgumentTypeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # an array of --samples points
+        print(f"error: --samples {args.samples} is too large: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
+        return EXIT_USAGE
     except ModFrameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE

@@ -140,14 +140,18 @@ def salkowski(m: float) -> CurveSpec:
     return CurveSpec("salkowski", (float(m),), 0.1 * u_max, 0.9 * u_max)
 
 
-def _vectors(t, *xyz):
-    # One 3-vector per parameter: the 3-tuple of floats for a float t,
-    # (..., 3) for an array t, with constant components broadcast.
+def _vectors(t, c):
+    # The five 3-vectors of a jet from its 15 components ``c``, a tuple,
+    # order by order: 3-tuples of floats for a float t, (..., 3) arrays
+    # for an array t, with constant components broadcast.
     if not isinstance(t, np.ndarray):
-        return xyz
-    out = np.empty(t.shape + (3,))
-    out[..., 0], out[..., 1], out[..., 2] = xyz
-    return out
+        return c[0:3], c[3:6], c[6:9], c[9:12], c[12:15]
+    out = []
+    for k in range(0, 15, 3):
+        v = np.empty(t.shape + (3,))
+        v[..., 0], v[..., 1], v[..., 2] = c[k:k + 3]
+        out.append(v)
+    return tuple(out)
 
 
 def _helix_jet(p, t) -> tuple:
@@ -155,29 +159,30 @@ def _helix_jet(p, t) -> tuple:
     # math.cos and math.sin: the fast one-point case (see _salkowski_jet)
     cos, sin = (np.cos, np.sin) if isinstance(t, np.ndarray) else (math.cos, math.sin)
     ct, st = cos(t), sin(t)
-    return (
-        _vectors(t, a * ct, a * st, b * t),
-        _vectors(t, -a * st, a * ct, b),
-        _vectors(t, -a * ct, -a * st, 0.0),
-        _vectors(t, a * st, -a * ct, 0.0),
-        _vectors(t, a * ct, a * st, 0.0),
-    )
+    return _vectors(t, (a * ct, a * st, b * t,
+                        -a * st, a * ct, b,
+                        -a * ct, -a * st, 0.0,
+                        a * st, -a * ct, 0.0,
+                        a * ct, a * st, 0.0))
 
 
 def _monomials(*powers: int | None):
     """(jet, speed) of t -> (t**n for n in powers); None is a zero component."""
     # d^k/dt^k t**n = perm(n, k) * t**(n - k): per order k, per component,
     # that (factor, power), or None for a zero term.
-    terms = [[None if n is None or k > n else (math.perm(n, k), n - k) for n in powers]
-             for k in range(5)]
+    terms = [None if n is None or k > n else (math.perm(n, k), n - k)
+             for k in range(5) for n in powers]
+    degree = max(filter(None, powers))
 
     def jet(p, t) -> tuple:
-        return tuple(_vectors(t, *(0.0 if c is None else c[0] * t ** c[1] for c in row))
-                     for row in terms)
+        # each power t**j once, by ** as in the textbook form: t*t*t can
+        # differ from t**3 in the last bit
+        tj = [t**j for j in range(degree + 1)]
+        return _vectors(t, tuple([0.0 if c is None else c[0] * tj[c[1]] for c in terms]))
 
     # |r'|^2 = sum of n^2 t^(2n - 2), a polynomial in t^2: its
     # coefficients, highest first, summed by Horner.
-    top, *rest = (k * k if k in powers else 0 for k in range(max(filter(None, powers)), 0, -1))
+    top, *rest = (k * k if k in powers else 0 for k in range(degree, 0, -1))
 
     def speed(p, t):
         t2, acc = t * t, top
@@ -221,13 +226,13 @@ def _salkowski_jet(p, t) -> tuple:
     s0, s1, s2, sz = sin(g0), sin(g1), sin(g2), sin(gz)
     (a0, a1, a2, az), (b0, b1, b2, bz), (d0, d1, d2, dz), (e0, e1, e2, ez), \
         (f0, f1, f2, fz) = factors
-    return (
-        _vectors(t, a0 * c0 + a1 * c1 + a2 * c2, a0 * s0 + a1 * s1 + a2 * s2, az * cz),
-        _vectors(t, -b0 * s0 - b1 * s1 - b2 * s2, b0 * c0 + b1 * c1 + b2 * c2, -bz * sz),
-        _vectors(t, -d0 * c0 - d1 * c1 - d2 * c2, -d0 * s0 - d1 * s1 - d2 * s2, -dz * cz),
-        _vectors(t, e0 * s0 + e1 * s1 + e2 * s2, -e0 * c0 - e1 * c1 - e2 * c2, ez * sz),
-        _vectors(t, f0 * c0 + f1 * c1 + f2 * c2, f0 * s0 + f1 * s1 + f2 * s2, fz * cz),
-    )
+    return _vectors(t, (
+        a0 * c0 + a1 * c1 + a2 * c2, a0 * s0 + a1 * s1 + a2 * s2, az * cz,
+        -b0 * s0 - b1 * s1 - b2 * s2, b0 * c0 + b1 * c1 + b2 * c2, -bz * sz,
+        -d0 * c0 - d1 * c1 - d2 * c2, -d0 * s0 - d1 * s1 - d2 * s2, -dz * cz,
+        e0 * s0 + e1 * s1 + e2 * s2, -e0 * c0 - e1 * c1 - e2 * c2, ez * sz,
+        f0 * c0 + f1 * c1 + f2 * c2, f0 * s0 + f1 * s1 + f2 * s2, fz * cz,
+    ))
 
 
 def _salkowski_speed(p, t):
@@ -330,8 +335,10 @@ def _horner(coef, u):
 @lru_cache(maxsize=None)
 def _arclength_table(spec: CurveSpec):
     """(ts, cum, panels): 257 uniform parameter nodes, the cumulative
-    lengths there from one 16-node Gauss-Legendre rule per panel, and one
-    row per panel of what :func:`at_arclength` reads.
+    lengths there from one 16-node Gauss-Legendre rule per panel (a
+    read-only memoryview, so that a one-point :func:`at_arclength` bisects
+    them as Python floats, not numpy scalars), and one row per panel of
+    what :func:`at_arclength` reads.
 
     A row holds the panel's ends t0, t1, their lengths c0, c1, the
     Hermite terms of the first guess (how far the exact slopes
@@ -370,8 +377,8 @@ def _arclength_table(spec: CurveSpec):
             f"[{ts[i]:g}, {ts[i + 1]:g}] misses its Gauss length {lengths[i]:g} "
             f"by {miss[i]:g}, above {_FIT_TOL:g} of it"
         )
-    return ts, cum, np.column_stack((ts[:-1], ts[1:], cum[:-1], cum[1:], bend0, bend1,
-                                     mid, half, coef))
+    panels = np.column_stack((ts[:-1], ts[1:], cum[:-1], cum[1:], bend0, bend1, mid, half, coef))
+    return ts, memoryview(cum).toreadonly(), panels
 
 
 def arclength(spec: CurveSpec, t0: float, t1: float) -> float:
@@ -391,7 +398,7 @@ def arclength(spec: CurveSpec, t0: float, t1: float) -> float:
 def total_arclength(spec: CurveSpec) -> float:
     if FAMILIES[spec.family].constant_speed:
         return arclength(spec, spec.t_lo, spec.t_hi)
-    return float(_arclength_table(spec)[1][-1])
+    return _arclength_table(spec)[1][-1]
 
 
 def at_arclength(spec: CurveSpec, s):
@@ -433,7 +440,6 @@ def at_arclength(spec: CurveSpec, s):
 def position_at_arclength(spec: CurveSpec, s: float) -> Vec3:
     """Position at arclength ``s``, read from the cached frame there so
     that the frame and the position of a point share one inversion."""
-    from . import frames  # frames imports this module
     return frames.modified_frame(spec, s).r
 
 
@@ -452,3 +458,6 @@ def frenet_arclength_grid(spec: CurveSpec, n: int) -> np.ndarray:
         return s
     t = at_arclength(spec, s)
     return s[np.all([np.abs(t - z) > 1e-3 for z in spec.kappa_zeros], axis=0)]
+
+
+from . import frames  # noqa: E402  (frames imports this module; bound once defined)

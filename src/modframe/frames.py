@@ -177,7 +177,9 @@ def _assemble(r1, r2, r3, r4):
                                     v[live], v3[live], v5[live])
     # Back to the jet's shape: (3,) arrays that own their memory at one
     # point, (..., 3) views of (3, ...) arrays over a batch.
-    T, N, B = (np.array(x) if one else np.array(x).T for x in (T, N, B))
+    T, N, B = np.array(T), np.array(N), np.array(B)
+    if not one:
+        T, N, B = T.T, N.T, B.T
     return (T, N, B, kappa, *rates)
 
 

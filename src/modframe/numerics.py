@@ -41,8 +41,9 @@ FD_STEP = 1e-5
 def _read_only(*values) -> tuple:
     # ``values``, with every array among them flagged read-only: the
     # producers of jets and frames call it, so no caller changes one.
+    # None of them makes an ndarray subclass, so an exact type test serves.
     for value in values:
-        if isinstance(value, np.ndarray):
+        if type(value) is np.ndarray:
             value.setflags(write=False)
     return values
 

@@ -359,6 +359,27 @@ class TestUsageErrors:
             main(["validate", "--samples", "2"])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["frames", "--curve", "helix:2,1"],
+        ["indicatrix", "--curve", "salkowski:0.5", "--kind", "pole"],
+        ["validate"],
+    ])
+    def test_samples_too_large_to_allocate(self, capsys, argv):
+        # 10**18 float64 values are 6.94 EiB, refused at once on any host
+        code, out, err = run(capsys, *argv, "--samples", str(10**18))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: --samples {10**18} is too large: Unable to allocate")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_memory_error_without_a_message(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(frames, "modified_frames", refuse)
+        code, out, err = run(capsys, "frames", "--curve", "helix:2,1", "--samples", "8")
+        assert code == EXIT_USAGE
+        assert err == "error: --samples 8 is too large: out of memory\n"
+
     def test_range_inside_fd_margin(self, capsys):
         code, out, err = run(capsys, "indicatrix", "--curve", "helix:2,1",
                              "--kind", "tangent", "--samples", "3",

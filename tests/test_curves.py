@@ -133,6 +133,30 @@ class TestEvalJet:
         for t in ts[::25].tolist():
             assert abs(spec.speed(t) - closed(t)) <= 2.0 * np.spacing(closed(t))
 
+    @pytest.mark.parametrize("spec, powers", [
+        (line(), (1, None, None)),
+        (twisted_cubic(), (1, 2, 3)),
+        (planar_cubic(), (1, 3, None)),
+    ], ids=["line", "twisted_cubic", "planar_cubic"])
+    def test_monomial_jets_equal_the_textbook_form(self, spec, powers):
+        # d^k/dt^k t**n = perm(n, k) * t**(n - k), and 0.0 where k > n or
+        # the component is zero, bit for bit (signed zeros included), at
+        # floats and over an array that holds t = 0.
+        def textbook(t):
+            return [[0.0 if n is None or k > n else math.perm(n, k) * t ** (n - k)
+                     for n in powers] for k in range(5)]
+
+        ts = np.linspace(spec.t_lo, spec.t_hi, 1001)
+        assert 0.0 in ts
+        batch = spec.jet_components(ts)
+        for k, row in enumerate(textbook(ts)):
+            expected = np.column_stack([np.broadcast_to(c, ts.shape) for c in row])
+            assert batch[k].tobytes() == expected.tobytes(), k
+        for t in ts.tolist():
+            one = spec.jet_components(t)
+            assert [[x.hex() for x in v] for v in one] == \
+                [[x.hex() for x in row] for row in textbook(t)], t
+
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
     def test_array_jet_matches_point_jets(self, spec):
         ts = np.linspace(spec.t_lo, spec.t_hi, 11)
@@ -475,3 +499,22 @@ def test_salkowski_torsion_positive_and_varying():
             for s in arclength_grid(spec, 16)]
     assert min(taus) > 0
     assert max(taus) - min(taus) > 0.1
+
+
+def test_every_family_is_tested():
+    assert {spec.family for spec in ALL_FAMILIES} == set(curves.FAMILIES)
+
+
+@pytest.mark.parametrize("spec", ALL_FAMILIES + [salkowski(-3.0)],
+                         ids=lambda s: f"{s.family}{s.params}")
+def test_float_jet_is_python_floats(spec):
+    # The one-point contract of a caller that walks a curve point by point:
+    # a float's jet is five 3-tuples of Python floats, not np.float64 (a
+    # float subclass).  test_cached_vectors_own_their_memory holds the
+    # frame's scalars to the same contract.
+    for t in np.linspace(spec.t_lo, spec.t_hi, 9).tolist():
+        jet = spec.jet_components(t)
+        assert len(jet) == 5
+        for v in jet:
+            assert type(v) is tuple and len(v) == 3, t
+            assert all(type(x) is float for x in v), (t, v)
