@@ -124,7 +124,7 @@ def _sample_range(args, spec: CurveSpec, margin: float = 0.0) -> np.ndarray:
             f"sample range [{lo:g}, {hi:g}] outside the curve's arclength [0, {total:g}]"
         )
     # finite-difference oracles need room on both sides of each sample
-    start, stop = max(lo, margin), min(hi, total) - margin
+    start, stop = max(lo, margin), min(hi, total - margin)
     if start > stop:
         raise argparse.ArgumentTypeError(
             f"sample range [{lo:g}, {hi:g}] leaves no room for the {margin:g} "

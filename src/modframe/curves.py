@@ -338,7 +338,8 @@ def _arclength_table(spec: CurveSpec):
     lengths there from one 16-node Gauss-Legendre rule per panel (a
     read-only memoryview, so that a one-point :func:`at_arclength` bisects
     them as Python floats, not numpy scalars), and one row per panel of
-    what :func:`at_arclength` reads.
+    what :func:`at_arclength` reads.  The cache shares all three, so all
+    three are read-only.
 
     A row holds the panel's ends t0, t1, their lengths c0, c1, the
     Hermite terms of the first guess (how far the exact slopes
@@ -377,7 +378,8 @@ def _arclength_table(spec: CurveSpec):
             f"[{ts[i]:g}, {ts[i + 1]:g}] misses its Gauss length {lengths[i]:g} "
             f"by {miss[i]:g}, above {_FIT_TOL:g} of it"
         )
-    panels = np.column_stack((ts[:-1], ts[1:], cum[:-1], cum[1:], bend0, bend1, mid, half, coef))
+    ts, panels = numerics._read_only(
+        ts, np.column_stack((ts[:-1], ts[1:], cum[:-1], cum[1:], bend0, bend1, mid, half, coef)))
     return ts, memoryview(cum).toreadonly(), panels
 
 

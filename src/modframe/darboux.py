@@ -4,6 +4,8 @@ The rotation vector w = tau*T + B only satisfies X' = w x X when the
 curvature is constant, so every operation here is gated on |kappa'|.
 Each function takes one frame or a batch (fields with a leading axis of
 points); the gate refuses a batch if any of its points fails it.
+:func:`darboux` is the one builder: readers ask for ``mf.darboux``, which a
+frame builds on the first read and keeps, read-only.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 from . import frames, numerics
 from .errors import DegenerateFrame, NonConstantCurvature
 from .frames import ModifiedFrame
-from .numerics import ABS_TOL, Vec3, blank, cross, norm, undefined
+from .numerics import ABS_TOL, Vec3, _read_only, blank, cross, norm, undefined
 
 #: Width of the |kappa'| gate below which curvature counts as constant.
 CONST_KAPPA_GATE = 1e-6
@@ -59,7 +61,7 @@ def darboux(mf: ModifiedFrame) -> DarbouxData:
     phi = np.arctan2(mf.tau, mf.kappa)
     phi_prime = mf.tau_prime * mf.kappa / (mf.kappa**2 + mf.tau**2)
     C = (w.T / w_norm).T
-    return DarbouxData(*(blank(flat, v) for v in (w, w_norm, phi, phi_prime, C)))
+    return DarbouxData(*_read_only(*(blank(flat, v) for v in (w, w_norm, phi, phi_prime, C))))
 
 
 def check_alignment(spec, s):
@@ -68,9 +70,9 @@ def check_alignment(spec, s):
     :class:`~modframe.frames.FrameTable` that holds the oracle's stencil."""
     at = frames.frame_table(spec, s)
     mf = at(s)
-    dd = darboux(mf)
+    w = mf.darboux.w
     fd_N = numerics.diff_vec(lambda x: at(x).N, s)
-    return norm(cross(mf.N.T, fd_N.T) - mf.kappa**2 * dd.w.T)
+    return norm(cross(mf.N.T, fd_N.T) - mf.kappa**2 * w.T)
 
 
 def rotation_residuals(spec, s):
@@ -78,8 +80,8 @@ def rotation_residuals(spec, s):
     array), with X' from the finite-difference oracle."""
     at = frames.frame_table(spec, s)
     mf = at(s)
-    dd = darboux(mf)
+    w = mf.darboux.w
     return tuple(
         norm(numerics.diff_vec(lambda x: getattr(at(x), name), s).T
-             - cross(dd.w.T, getattr(mf, name).T))
+             - cross(w.T, getattr(mf, name).T))
         for name in "TNB")

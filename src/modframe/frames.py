@@ -17,9 +17,10 @@ oracles along one grid computes each frame once.
 from __future__ import annotations
 
 import contextlib
+import importlib
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -62,6 +63,13 @@ class ModifiedFrame:
     tau_prime: float
     t: float
     r: Vec3
+
+    @cached_property
+    def darboux(self):
+        """The frame's DarbouxData, built on the first read and kept.  The
+        builder :func:`modframe.darboux.darboux` is looked up in its module
+        at each build, so that a patched one (a tracer, a counter) runs."""
+        return importlib.import_module(".darboux", __package__).darboux(self)
 
 
 def curvature(jet: Jet):

@@ -100,6 +100,8 @@ def geodesic_curvature_sphere(points: np.ndarray, step: float):
     fourth-order central stencils are applied at the middle sample.
     Independent of the Gauss-equation oracle: only the raw points enter.
     """
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, not {step:g}")
     pts = np.asarray(points, dtype=float)
     if (pts.ndim not in (2, 3) or pts.shape[-1] != 3 or pts.shape[0] < 5
             or pts.shape[0] % 2 == 0):

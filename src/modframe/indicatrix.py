@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cache, partial
 from typing import Callable
 
 import numpy as np
 
 from . import frames, numerics
-from .darboux import DarbouxData, _require_constant_kappa, darboux
+from .darboux import _require_constant_kappa
 from .errors import CurvatureVanishes, DegenerateIndicatrix, ModFrameError, TorsionVanishes
 from .frames import ModifiedFrame
 from .numerics import ABS_TOL, Vec3, blank, undefined
@@ -34,9 +33,8 @@ class IndicatrixKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Kind:
-    """One row of :data:`KINDS`: the facts and the closed forms of an
-    indicatrix kind.  A form is called as ``form(mf, dd)`` on one frame or
-    a batch, where ``dd()`` returns the frame's Darboux data."""
+    """One row of :data:`KINDS`: the facts of an indicatrix kind and its
+    closed forms ``form(mf)``, on one frame or a batch."""
 
     #: Its closed forms hold only for constant curvature and refuse other
     #: curves (the tangent indicatrix's kappa' terms cancel).
@@ -61,20 +59,24 @@ class Kind:
     unweighted: bool = False
 
 
-def _pole_direction(mf: ModifiedFrame, dd: DarbouxData) -> Vec3:
-    cphi, sphi = np.cos(dd.phi), np.sin(dd.phi)
+def pole_tangent_direction(mf: ModifiedFrame) -> Vec3:
+    """Unit direction cos(phi) T - (sin(phi)/kappa) B of the pole curve's
+    tangent.  Stays well defined as phi' -> 0, where the pole indicatrix
+    itself collapses to a point; used as the limit tangent in that case."""
+    d = mf.darboux
+    cphi, sphi = np.cos(d.phi), np.sin(d.phi)
     return (cphi * mf.T.T - (sphi / mf.kappa) * mf.B.T).T
 
 
-def _normal_cov(mf, dd):
-    d, k = dd(), mf.kappa
+def _normal_cov(mf):
+    d, k = mf.darboux, mf.kappa
     cphi, sphi = np.cos(d.phi), np.sin(d.phi)
     lead = d.phi_prime / (k**2 * d.w_norm)
     return (lead * (k * sphi * mf.T.T + cphi * mf.B.T) - mf.N.T / k**2).T
 
 
-def _pole_cov(mf, dd):
-    d, k = dd(), mf.kappa
+def _pole_cov(mf):
+    d, k = mf.darboux, mf.kappa
     cphi, sphi = np.cos(d.phi), np.sin(d.phi)
     return (-sphi * mf.T.T - (cphi / k) * mf.B.T + (d.w_norm / (d.phi_prime * k)) * mf.N.T).T
 
@@ -82,35 +84,35 @@ def _pole_cov(mf, dd):
 KINDS: dict[IndicatrixKind, Kind] = {
     IndicatrixKind.TANGENT: Kind(
         constant_kappa=False, on_unit_sphere=True,
-        point=lambda mf, dd: mf.T,
-        rate=lambda mf, dd: mf.kappa,
-        tangent=lambda mf, dd: (mf.N.T / mf.kappa).T,
-        cov=lambda mf, dd: (-mf.T.T + (mf.tau / mf.kappa**2) * mf.B.T).T,
-        gamma=lambda mf, dd: np.abs(mf.tau) / mf.kappa),
+        point=lambda mf: mf.T,
+        rate=lambda mf: mf.kappa,
+        tangent=lambda mf: (mf.N.T / mf.kappa).T,
+        cov=lambda mf: (-mf.T.T + (mf.tau / mf.kappa**2) * mf.B.T).T,
+        gamma=lambda mf: np.abs(mf.tau) / mf.kappa),
     IndicatrixKind.NORMAL: Kind(
         constant_kappa=True, on_unit_sphere=False,
-        point=lambda mf, dd: mf.N,
-        rate=lambda mf, dd: mf.kappa * np.hypot(mf.kappa, mf.tau),
-        tangent=lambda mf, dd: (0.0 - _pole_direction(mf, dd()).T).T,  # zeros stay +0.0
+        point=lambda mf: mf.N,
+        rate=lambda mf: mf.kappa * np.hypot(mf.kappa, mf.tau),
+        tangent=lambda mf: (0.0 - pole_tangent_direction(mf).T).T,  # zeros stay +0.0
         cov=_normal_cov,
-        gamma=lambda mf, dd: np.hypot(dd().phi_prime / (mf.kappa * dd().w_norm),
-                                      (mf.kappa * mf.kappa - 1.0) / mf.kappa)),
+        gamma=lambda mf: np.hypot(mf.darboux.phi_prime / (mf.kappa * mf.darboux.w_norm),
+                                  (mf.kappa * mf.kappa - 1.0) / mf.kappa)),
     IndicatrixKind.BINORMAL: Kind(
         constant_kappa=True, on_unit_sphere=False, unweighted=True,
-        singular=("tau", lambda mf, dd: mf.tau, TorsionVanishes),
-        point=lambda mf, dd: mf.B,
-        rate=lambda mf, dd: mf.kappa * mf.tau,
-        tangent=lambda mf, dd: (-mf.N.T / mf.kappa).T,
-        cov=lambda mf, dd: (mf.T.T / mf.tau - mf.B.T / mf.kappa**2).T,
-        gamma=lambda mf, dd: np.hypot(1.0 / mf.tau, (mf.kappa * mf.kappa - 1.0) / mf.kappa)),
+        singular=("tau", lambda mf: mf.tau, TorsionVanishes),
+        point=lambda mf: mf.B,
+        rate=lambda mf: mf.kappa * mf.tau,
+        tangent=lambda mf: (-mf.N.T / mf.kappa).T,
+        cov=lambda mf: (mf.T.T / mf.tau - mf.B.T / mf.kappa**2).T,
+        gamma=lambda mf: np.hypot(1.0 / mf.tau, (mf.kappa * mf.kappa - 1.0) / mf.kappa)),
     IndicatrixKind.POLE: Kind(
         constant_kappa=True, on_unit_sphere=True,
-        singular=("phi'", lambda mf, dd: dd().phi_prime, DegenerateIndicatrix),
-        point=lambda mf, dd: dd().C,
-        rate=lambda mf, dd: dd().phi_prime,
-        tangent=lambda mf, dd: _pole_direction(mf, dd()),
+        singular=("phi'", lambda mf: mf.darboux.phi_prime, DegenerateIndicatrix),
+        point=lambda mf: mf.darboux.C,
+        rate=lambda mf: mf.darboux.phi_prime,
+        tangent=pole_tangent_direction,
         cov=_pole_cov,
-        gamma=lambda mf, dd: dd().w_norm / np.abs(dd().phi_prime)),
+        gamma=lambda mf: mf.darboux.w_norm / np.abs(mf.darboux.phi_prime)),
 }
 
 
@@ -130,14 +132,12 @@ class IndicatrixSample:
     degenerate: bool
 
 
-def _row(kind: IndicatrixKind, mf: ModifiedFrame):
-    # The row of ``kind``, gated, and the Darboux data of ``mf`` as a call
-    # that builds it once, when a form first reads it; darboux is looked up
-    # here, so that a patched function (a tracer, a mock) is the one that runs.
+def _row(kind: IndicatrixKind, mf: ModifiedFrame) -> Kind:
+    # The row of ``kind``, gated on ``mf``.
     row = KINDS[kind]
     if row.constant_kappa:
         _require_constant_kappa(mf)
-    return row, cache(partial(darboux, mf))
+    return row
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -145,12 +145,12 @@ def _defined(kind: IndicatrixKind, mf: ModifiedFrame, form: str, what: str):
     # The row's ``form``, undefined where kappa ~ 0 and then (after the
     # gate) where the row's singular quantity ~ 0.
     flat = undefined(mf.kappa <= ABS_TOL, CurvatureVanishes, "{} needs kappa > 0", what)
-    row, dd = _row(kind, mf)
+    row = _row(kind, mf)
     if row.singular is not None:
         name, value, error = row.singular
-        flat = flat | undefined(np.abs(value(mf, dd)) <= ABS_TOL, error,
+        flat = flat | undefined(np.abs(value(mf)) <= ABS_TOL, error,
                                 "{} {} needs {} != 0", kind.value, what, name)
-    return blank(flat, getattr(row, form)(mf, dd))
+    return blank(flat, getattr(row, form)(mf))
 
 
 def indicatrix_point(kind: IndicatrixKind, mf: ModifiedFrame) -> Vec3:
@@ -159,8 +159,7 @@ def indicatrix_point(kind: IndicatrixKind, mf: ModifiedFrame) -> Vec3:
     N and B are kept at radius kappa, not normalized to the unit sphere.
     Like every closed form here, it takes one frame or a batch.
     """
-    row, dd = _row(kind, mf)
-    return row.point(mf, dd)
+    return _row(kind, mf).point(mf)
 
 
 def indicatrix_speed(kind: IndicatrixKind, mf: ModifiedFrame):
@@ -169,26 +168,18 @@ def indicatrix_speed(kind: IndicatrixKind, mf: ModifiedFrame):
 
 
 def _signed_rate(kind: IndicatrixKind, mf: ModifiedFrame):
-    row, dd = _row(kind, mf)
-    return row.rate(mf, dd)
+    return _row(kind, mf).rate(mf)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
 def indicatrix_tangent(kind: IndicatrixKind, mf: ModifiedFrame) -> Vec3:
     """Unit tangent of the indicatrix; undefined where its speed vanishes
     (DegenerateIndicatrix at one point, NaN over a batch)."""
-    row, dd = _row(kind, mf)
-    rate = row.rate(mf, dd)
+    row = _row(kind, mf)
+    rate = row.rate(mf)
     flat = undefined(np.abs(rate) <= ABS_TOL, DegenerateIndicatrix,
                      "{} indicatrix has speed {:g} here", kind.value, np.abs(rate))
-    return blank(flat, row.tangent(mf, dd))
-
-
-def pole_tangent_direction(mf: ModifiedFrame) -> Vec3:
-    """Unit direction cos(phi) T - (sin(phi)/kappa) B of the pole curve's
-    tangent.  Stays well defined as phi' -> 0, where the pole indicatrix
-    itself collapses to a point; used as the limit tangent in that case."""
-    return _pole_direction(mf, darboux(mf))
+    return blank(flat, row.tangent(mf))
 
 
 def cov_deriv_closed(kind: IndicatrixKind, mf: ModifiedFrame) -> Vec3:
@@ -226,7 +217,7 @@ def sample(kind: IndicatrixKind, spec, s) -> IndicatrixSample:
     degeneracy rather than letting any NaN escape at one point."""
     mf = frames.frames_at(spec, s)
     # undefined, not degenerate, where the Darboux data is
-    no_darboux = np.isnan(darboux(mf).w_norm) if KINDS[kind].constant_kappa else False
+    no_darboux = np.isnan(mf.darboux.w_norm) if KINDS[kind].constant_kappa else False
     point = indicatrix_point(kind, mf)
     spd = blank(no_darboux, indicatrix_speed(kind, mf))
     degenerate = spd <= ABS_TOL

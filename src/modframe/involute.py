@@ -19,7 +19,6 @@ import numpy as np
 
 from . import frames
 from .curves import arclength_grid
-from .darboux import darboux
 from .indicatrix import IndicatrixKind, indicatrix_tangent, pole_tangent_direction
 from .numerics import ABS_TOL, dot
 
@@ -49,7 +48,7 @@ def involute_inner(kind: IndicatrixKind, spec, s):
         # Pairing against the velocity phi' * T_C keeps the phi' = 0
         # (helix) limit meaningful: the pole curve is then a fixed point
         # and the defect vanishes.
-        return darboux(mf).phi_prime * inner
+        return mf.darboux.phi_prime * inner
     return inner
 
 

@@ -87,8 +87,8 @@ def _step(order: int, step: float | None) -> float:
     if order not in _STENCILS:
         raise ValueError(f"unsupported derivative order {order}")
     h = FD_STEP * _STEP_SCALE[order] if step is None else float(step)
-    if h <= 0:
-        raise ValueError("step must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step must be positive and finite, not {h:g}")
     # Rounding noise 8 eps |f| / h**order against the budget REL_TOL |f|.
     noise = 8.0 * _EPS / h**order
     if noise > REL_TOL:

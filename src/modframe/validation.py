@@ -20,7 +20,7 @@ import numpy as np
 
 from . import curves, frames, geodesic, indicatrix, involute, numerics
 from .curves import CurveSpec
-from .darboux import check_alignment, darboux, rotation_residuals
+from .darboux import check_alignment, rotation_residuals
 from .indicatrix import KINDS, IndicatrixKind
 from .numerics import ABS_TOL, norm
 
@@ -127,7 +127,7 @@ def _det_points(spec, samples):
 
 def _lancret(table, s):
     mf = table(s)
-    dd = darboux(mf)
+    dd = mf.darboux
     return np.maximum.reduce([
         np.abs(np.sin(dd.phi) * dd.w_norm - mf.tau),
         np.abs(np.cos(dd.phi) * dd.w_norm - mf.kappa),

@@ -387,6 +387,14 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "margin" in err
 
+    def test_range_ends_where_asked_inside_the_curve(self, capsys):
+        # the margin moves only an end that would leave the curve
+        code, out, err = run(capsys, "indicatrix", "--curve", "circle:1",
+                             "--kind", "tangent", "--samples", "2", "--range", "1,2")
+        assert code == EXIT_OK
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [float(r[0]) for r in rows] == [1.0, 2.0]
+
     def test_bad_range(self, capsys):
         code, out, err = run(capsys, "frames", "--curve", "circle:1",
                              "--samples", "4", "--range", "0,99")

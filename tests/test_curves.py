@@ -399,6 +399,19 @@ class TestAtArclength:
         finally:
             curves._arclength_table.cache_clear()
 
+    def test_cached_table_is_read_only(self):
+        # every caller shares the table, so no caller may change it
+        spec = twisted_cubic()
+        before = at_arclength(spec, 0.01)
+        ts, cum, panels = curves._arclength_table(spec)
+        with pytest.raises(ValueError):
+            ts[1] = 1e-3
+        with pytest.raises(ValueError):
+            panels[0, 2] = 1e-3
+        with pytest.raises(TypeError):
+            cum[1] = 1e-3
+        assert at_arclength(spec, 0.01) == before
+
     def test_unresolved_length_polynomial_is_refused(self, monkeypatch):
         # One coefficient of the fit matrix off by 1e-9 moves every panel's
         # polynomial at its end by about 1e-9 of its length, far above the

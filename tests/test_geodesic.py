@@ -87,6 +87,13 @@ class TestSphereDeterminantOracle:
         with pytest.raises(NotOnUnitSphere):
             geodesic.geodesic_curvature_sphere(pts, 1e-3)
 
+    @pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf])
+    def test_rejects_bad_steps(self, step):
+        us = np.array([-2, -1, 0, 1, 2]) * 1e-3
+        pts = np.stack([np.cos(us), np.sin(us), np.zeros(5)], axis=1)
+        with pytest.raises(ValueError, match="positive and finite"):
+            geodesic.geodesic_curvature_sphere(pts, step)
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             geodesic.geodesic_curvature_sphere(np.zeros((4, 3)), 1e-3)

@@ -1,9 +1,11 @@
+import dataclasses
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from modframe import frames, indicatrix
+from modframe import frames, indicatrix, involute, validation
 from modframe.curves import arclength_grid, circle, helix, salkowski, twisted_cubic
 from modframe.errors import DegenerateIndicatrix, NonConstantCurvature
 from modframe.indicatrix import IndicatrixKind
@@ -166,19 +168,23 @@ class TestDegeneracyFlags:
 
 
 class TestDarbouxBuilds:
-    """A closed form builds its frame's Darboux data at most once a call,
-    and the normal indicatrix's point and rate build none."""
+    """A frame builds its Darboux data once, on the first read of
+    ``mf.darboux``, whichever forms read it; the normal indicatrix's point
+    and rate build none."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
+        # the builder is patched in its module, where the frame looks it up
+        module = importlib.import_module("modframe.darboux")
         calls = []
-        real = indicatrix.darboux
+        real = module.darboux
 
         def counted(mf):
             calls.append(mf)
             return real(mf)
 
-        monkeypatch.setattr(indicatrix, "darboux", counted)
+        monkeypatch.setattr(module, "darboux", counted)
+        frames.modified_frame.cache_clear()  # no point frame arrives already built
         return calls
 
     @staticmethod
@@ -195,6 +201,52 @@ class TestDarbouxBuilds:
         mf = self.frame(salkowski(0.5), batch)
         form(kind, mf)
         assert len(builds) <= 1
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["point", "batch"])
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_one_build_per_frame(self, builds, kind, batch):
+        mf = self.frame(salkowski(0.5), batch)
+        for form in (indicatrix.indicatrix_point, indicatrix.indicatrix_speed,
+                     indicatrix.indicatrix_tangent, indicatrix.cov_deriv_closed,
+                     indicatrix.geodesic_curvature_closed):
+            form(kind, mf)
+        reads = kind in (IndicatrixKind.NORMAL, IndicatrixKind.POLE)
+        assert builds == ([mf] if reads else [])
+        dd = mf.darboux
+        assert mf.darboux is dd
+        assert builds == [mf]
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["point", "batch"])
+    def test_sample_and_involute_build_once(self, builds, batch):
+        spec = salkowski(0.5)
+        grid = arclength_grid(spec, 9)
+        s = grid if batch else float(grid[3])
+        indicatrix.sample(IndicatrixKind.POLE, spec, s)
+        assert len(builds) == 1
+        frames.modified_frame.cache_clear()
+        involute.involute_inner(IndicatrixKind.NORMAL, spec, s)
+        assert len(builds) == 2
+
+    def test_tangent_residual_builds_once_per_frame(self, builds):
+        # one build on the grid's frame and one on its stencil's
+        spec = salkowski(0.5)
+        grid = arclength_grid(spec, 9)
+        table = frames.frame_table(spec, grid)
+        validation._tangent_residual(IndicatrixKind.POLE, table, grid)
+        assert len(builds) == 2 and builds[0] is not builds[1]
+
+    def test_validation_builds(self, builds):
+        validation.run_validation(samples=128)
+        assert len(builds) <= 110
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["point", "batch"])
+    def test_data_is_read_only(self, batch):
+        dd = self.frame(salkowski(0.5), batch).darboux
+        for f in dataclasses.fields(dd):
+            value = getattr(dd, f.name)
+            if isinstance(value, np.ndarray):
+                with pytest.raises(ValueError):
+                    value[...] = 0.0
 
     @pytest.mark.parametrize("batch", [False, True], ids=["point", "batch"])
     @pytest.mark.parametrize("spec", [HELIX, salkowski(0.5)], ids=["helix", "salkowski"])

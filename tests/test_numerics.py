@@ -99,8 +99,10 @@ class TestDiffVec:
             diff_vec(lambda s: vec(s, 0, 0), 0.0, order=4)
 
     def test_zero_step_rejected(self):
-        with pytest.raises(ValueError):
-            diff_vec(lambda s: vec(s, 0, 0), 0.0, step=0)
+        # and every other step that is not positive and finite
+        for step in (0, -1e-3, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                diff_vec(lambda s: vec(s, 0, 0), 0.0, step=step)
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     @pytest.mark.parametrize("f", [
