@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -69,51 +70,68 @@ def _parse_tolerance(text: str) -> float:
     return tol
 
 
-def _write(args, text: str) -> None:
-    """Write a command's output to ``--out``, or to stdout for '-'."""
-    if args.out in (None, "-"):
-        sys.stdout.write(text)
-        return
+def _write(args, parts) -> None:
+    """Write a command's output, an iterable of strings, to ``--out``, or to
+    stdout for '-'."""
+    to_stdout = args.out in (None, "-")
     try:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        if to_stdout:
+            sys.stdout.writelines(parts)
+            sys.stdout.flush()
+        else:
+            with open(args.out, "w") as fh:
+                fh.writelines(parts)
     except OSError as exc:
         raise argparse.ArgumentTypeError(
-            f"cannot write {args.out}: {exc.strerror or exc}") from exc
+            f"cannot write {'stdout' if to_stdout else args.out}: "
+            f"{exc.strerror or exc}") from exc
+
+
+_BLOCK = 256  # rows that _write_table formats and writes at a time
 
 
 def _write_table(args, columns: list[str], block: np.ndarray,
                  flag: np.ndarray | None = None) -> None:
     """Write a float block, and ``flag`` as a trailing bool column, as CSV or JSON.
 
-    One template spells a row; repeated once per row, it is applied to every
-    cell in a single ``%`` operation. CSV cells are ``%.17g`` and
-    ``True``/``False``; JSON keeps the ``json.dumps(..., indent=2)`` layout
-    and spelling: float repr, ``NaN``, ``Infinity``, ``true``/``false``.
+    One template spells a row; repeated once per row of a ``_BLOCK``-row
+    slice, it is applied to the slice's cells in a single ``%`` operation,
+    so the write holds one slice's cells and text at a time. CSV cells are
+    ``%.17g`` and ``True``/``False``; JSON keeps the
+    ``json.dumps(..., indent=2)`` layout and spelling: float repr, ``NaN``,
+    ``Infinity``, ``true``/``false``.
     """
     as_csv = args.format == "csv"
-    n, k = block.shape
-    cells = np.empty((n, len(columns)), dtype=object)
-    cells[:, :k] = block
-    if flag is not None:
-        cells[:, k] = flag if as_csv else np.where(flag, "true", "false")
+    k = block.shape[1]
     spelling = ["%.17g" if as_csv else "%s"] * k + ["%s"] * (flag is not None)
     if as_csv:
-        text = ",".join(columns) + "\n" + (",".join(spelling) + "\n") * n
+        head, row, sep, tail = ",".join(columns) + "\n", ",".join(spelling) + "\n", "", ""
     else:
-        bad = ~np.isfinite(block)
-        cells[:, :k][bad] = [json.dumps(v) for v in block[bad].tolist()]
-        fields = ",".join(f"\n      {json.dumps(c)}: {v}"
-                          for c, v in zip(columns, spelling))
-        item = "\n    {" + fields + "\n    }"
-        text = "[" + ",".join([item] * n) + "\n  ]"
-    text %= tuple(cells.ravel().tolist())
-    if not as_csv:
         config = json.dumps({"curve": args.curve_text, "samples": args.samples,
                              "range": list(args.s_range) if args.s_range else None},
                             indent=2).replace("\n", "\n  ")
-        text = f'{{\n  "config": {config},\n  "rows": {text},\n  "report": null\n}}\n'
-    _write(args, text)
+        head = f'{{\n  "config": {config},\n  "rows": ['
+        fields = ",".join(f"\n      {json.dumps(c)}: {v}"
+                          for c, v in zip(columns, spelling))
+        row, sep, tail = "\n    {" + fields + "\n    }", ",", '\n  ],\n  "report": null\n}\n'
+
+    def parts():
+        yield head
+        for start in range(0, len(block), _BLOCK):
+            rows = block[start:start + _BLOCK]
+            cells = np.empty((len(rows), len(columns)), dtype=object)
+            cells[:, :k] = rows
+            if flag is not None:
+                f = flag[start:start + _BLOCK]
+                cells[:, k] = f if as_csv else np.where(f, "true", "false")
+            if not as_csv:
+                bad = ~np.isfinite(rows)
+                cells[:, :k][bad] = [json.dumps(v) for v in rows[bad].tolist()]
+            text = sep.join([row] * len(rows)) % tuple(cells.ravel().tolist())
+            yield sep + text if start else text
+        yield tail
+
+    _write(args, parts())
 
 
 def _sample_range(args, spec: CurveSpec, margin: float = 0.0) -> np.ndarray:
@@ -203,7 +221,7 @@ def cmd_validate(args) -> int:
         config = {"samples": args.samples, "tolerance": args.tolerance, "only": only}
         text = json.dumps({"config": config, "rows": [], "report": report.to_dict()},
                           indent=2) + "\n"
-    _write(args, text)
+    _write(args, [text])
     return EXIT_OK if report.passed else EXIT_VALIDATION_FAILED
 
 
@@ -273,7 +291,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:  # _write reported it; flushed at exit, it would exit 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,18 @@
 import argparse
 import csv
+import errno
 import io
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modframe
 from modframe import cli, curves, frames, indicatrix, validation
 from modframe.cli import (
     EXIT_INADMISSIBLE,
@@ -431,7 +438,7 @@ def assert_same_text(out, expected):
 
 
 class TestTableBytes:
-    """The one-pass table writer prints what the cell-by-cell writers print."""
+    """The block table writer prints what the cell-by-cell writers print."""
 
     def written(self, capsys, monkeypatch, *argv):
         calls = []
@@ -478,6 +485,49 @@ class TestTableBytes:
             back = [[float(v) for v in r[:6]] for r in list(csv.reader(io.StringIO(out)))[1:]]
         assert np.array(back).tobytes() == block.tobytes()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("with_flag", [False, True])
+    @pytest.mark.parametrize("n", [1, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1,
+                                   2 * cli._BLOCK + 1])
+    def test_block_boundaries(self, capsys, tmp_path, n, fmt, with_flag):
+        b = cli._BLOCK
+        rng = np.random.default_rng(n)
+        block = rng.standard_normal((n, 6)) * 10.0 ** rng.integers(-300, 300, (n, 6))
+        # special floats in the first and the last row of every block
+        specials = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1])
+        for i in sorted({*range(0, n, b), *range(b - 1, n, b), n - 1}):
+            block[i] = np.roll(specials, i)
+        flag = rng.random(n) < 0.5 if with_flag else None
+        columns = ["a", "b", "c", "d", "e", "f"] + ["degenerate"] * with_flag
+        args = argparse.Namespace(format=fmt, out="-", curve_text="circle:1.0",
+                                  samples=n, s_range=None)
+        cli._write_table(args, columns, block, flag)
+        out = capsys.readouterr().out
+        assert_same_text(out, reference_text(args, columns, block, flag))
+        if n == 2 * b + 1:
+            args.out = str(tmp_path / "table.out")
+            cli._write_table(args, columns, block, flag)
+            assert capsys.readouterr().out == ""
+            assert_same_text(Path(args.out).read_text(), out)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_write_memory_is_bounded(self, fmt):
+        """The write holds one block of rows, not the table: its traced peak
+        neither reaches 2 MB nor grows with the row count."""
+        peaks = {}
+        for n in (4096, 16384):
+            block = np.random.default_rng(n).standard_normal((n, 16))
+            args = argparse.Namespace(format=fmt, out=os.devnull, curve_text="circle:1.0",
+                                      samples=n, s_range=None)
+            tracemalloc.start()
+            try:
+                cli._write_table(args, [f"c{i}" for i in range(16)], block)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[16384] < 2e6
+        assert peaks[16384] <= 1.25 * peaks[4096]
+
     @pytest.mark.parametrize("argv", [
         ["frames", "--curve", "twistedcubic", "--samples", "512", "--format", "json"],
         ["indicatrix", "--curve", "salkowski:0.5", "--kind", "pole", "--samples", "64"],
@@ -503,3 +553,40 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
     assert out == ""
     assert err == f"error: cannot write {path}: No such file or directory\n"
     assert not path.exists()
+
+
+class _FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv", [
+    ["frames", "--curve", "helix:2,1", "--samples", "3"],
+    ["indicatrix", "--curve", "helix:2,1", "--kind", "tangent", "--samples", "3"],
+    ["validate", "--samples", "3", "--only", "unit-speed"],
+])
+def test_unwritable_stdout_is_a_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    code = main(argv)
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [
+    ["frames", "--curve", "twistedcubic", "--samples", "4096"],
+    ["validate", "--samples", "3", "--only", "unit-speed"],
+])
+def test_full_stdout_exits_with_the_usage_code(argv, unbuffered):
+    """The interpreter's own flush at exit, which finds the output still
+    buffered, neither prints a second error nor turns exit 2 into 120."""
+    env = {"PYTHONPATH": str(Path(modframe.__file__).resolve().parents[1])}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-c", "from modframe.cli import entry; entry()",
+                               *argv], stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (
+        EXIT_USAGE, "error: cannot write stdout: No space left on device\n")
