@@ -37,7 +37,7 @@ def parse_curve(text: str) -> CurveSpec:
             f"unknown curve family {name!r}; choose from {', '.join(spellings)}"
         )
     try:
-        params = [float(x) for x in param_text.split(",") if x.strip()] if param_text else []
+        params = [float(x) for x in param_text.split(",")] if param_text else []
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad curve parameters in {text!r}") from exc
     if len(params) != family.arity:

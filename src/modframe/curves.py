@@ -137,6 +137,8 @@ def salkowski(m: float) -> CurveSpec:
     if abs(abs(m) - 1.0 / math.sqrt(3.0)) < 1e-12:
         raise ValueError("salkowski m = +-1/sqrt(3) is excluded")
     u_max = math.pi / (2.0 * abs(_salkowski_terms(float(m))[2][0]))
+    if math.isinf(u_max):
+        raise ValueError(f"salkowski m = {m:g} is too small: its range pi/(2c) overflows")
     return CurveSpec("salkowski", (float(m),), 0.1 * u_max, 0.9 * u_max)
 
 

@@ -3,7 +3,7 @@
 Each curvature is available three ways: the closed form
 :func:`~modframe.indicatrix.geodesic_curvature_closed`, a Gauss-equation
 oracle built from the finite-difference covariant derivative, and (for
-the unit-sphere indicatrices) an independent determinant formula.  The
+the unit-sphere indicatrices) the determinant det(g, g', g'') / |g'|^3.  The
 binormal case additionally carries a variant that expands the norm as if
 N and B were unit vectors; its square exceeds the closed form's by
 exactly 2 at every kappa, so it disagrees with the oracle everywhere, and
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import frames
+from . import frames, numerics
 from .errors import DegenerateIndicatrix, NotOnUnitSphere, TorsionVanishes
 from .frames import ModifiedFrame
 from .indicatrix import (
@@ -29,8 +29,8 @@ from .indicatrix import (
 )
 from .numerics import ABS_TOL, blank, det3, norm, undefined
 
-#: Parameter spacing of the 5-point sample the determinant oracle
-#: differentiates.
+#: Spacing of the determinant oracle's stencil points: its
+#: :func:`~modframe.numerics.diff_vec` steps 2 * SPHERE_STEP.
 SPHERE_STEP = 1e-3
 
 
@@ -91,53 +91,34 @@ def geodesic_report(kind: IndicatrixKind, spec, s) -> GeodesicReport:
     )
 
 
-def geodesic_curvature_sphere(points: np.ndarray, step: float):
+def geodesic_curvature_sphere(g, g1, g2):
     """Signed geodesic curvature det(g, g', g'') / |g'|^3 of a unit-sphere
-    curve from uniformly spaced samples.
-
-    ``points`` is an (m, 3) array sampled at parameter spacing ``step``
-    with m >= 5 and odd, or an (m, n, 3) array of n such samples;
-    fourth-order central stencils are applied at the middle sample.
-    Independent of the Gauss-equation oracle: only the raw points enter.
+    curve from its point ``g`` and derivatives ``g1`` and ``g2``, each a
+    (3,) vector or an (n, 3) array of n points.  Independent of the
+    Gauss-equation oracle: only the curve and its derivatives enter.
     """
-    if not 0.0 < step < np.inf:
-        raise ValueError(f"step must be positive and finite, not {step:g}")
-    pts = np.asarray(points, dtype=float)
-    if (pts.ndim not in (2, 3) or pts.shape[-1] != 3 or pts.shape[0] < 5
-            or pts.shape[0] % 2 == 0):
-        raise ValueError("need an odd number (>= 5) of 3-d points")
-    off = np.abs(norm(np.moveaxis(pts, -1, 0)) - 1.0)
-    if np.any(off > ABS_TOL):  # a NaN sample is degenerate, not off the sphere
-        raise NotOnUnitSphere(
-            f"samples deviate from the unit sphere by {np.extract(off > ABS_TOL, off).max():g}"
-        )
-    i = pts.shape[0] // 2
-    d1 = (-pts[i + 2] + 8 * pts[i + 1] - 8 * pts[i - 1] + pts[i - 2]) / (12 * step)
-    d2 = (
-        -pts[i + 2] + 16 * pts[i + 1] - 30 * pts[i] + 16 * pts[i - 1] - pts[i - 2]
-    ) / (12 * step * step)
-    speed = norm(d1.T)
+    g, g1, g2 = (np.asarray(v, dtype=float).T for v in (g, g1, g2))
+    off = np.abs(norm(g) - 1.0)
+    if np.any(off > ABS_TOL):  # a NaN point is degenerate, not off the sphere
+        raise NotOnUnitSphere(f"points deviate from the unit sphere by {np.nanmax(off):g}")
+    speed = norm(g1)
     flat = undefined(speed <= ABS_TOL, DegenerateIndicatrix,
-                     "sampled spherical curve has zero speed")
+                     "spherical curve has zero speed")
     with np.errstate(divide="ignore", invalid="ignore"):
-        return blank(flat, det3(pts[i].T, d1.T, d2.T) / speed**3)
-
-
-def sphere_stencil(s) -> np.ndarray:
-    """The arclengths s + j*SPHERE_STEP, j = -2..2, at which
-    :func:`geodesic_curvature_sphere_at` samples the indicatrix around
-    ``s``: one row per j."""
-    return np.array([s + j * SPHERE_STEP for j in range(-2, 3)])
+        return blank(flat, det3(g, g1, g2) / speed**3)
 
 
 def geodesic_curvature_sphere_at(kind: IndicatrixKind, spec, s):
-    """Determinant oracle evaluated on a local 5-point sample of a
-    unit-sphere indicatrix (a kind whose row is ``on_unit_sphere``), at
-    ``s`` (a float or an array).  ``spec`` is a CurveSpec, tabled here over
-    :func:`sphere_stencil`, or a :class:`~modframe.frames.FrameTable` that holds it."""
+    """Determinant oracle on a unit-sphere indicatrix (a kind whose row is
+    ``on_unit_sphere``) at ``s`` (a float or an array), with g' and g''
+    from :func:`~modframe.numerics.diff_vec` at step 2 * SPHERE_STEP.
+    ``spec`` is a CurveSpec, tabled here over that stencil, or a
+    :class:`~modframe.frames.FrameTable` that holds it."""
     if not KINDS[kind].on_unit_sphere:
         raise NotOnUnitSphere(f"{kind.value} indicatrix does not lie on the unit sphere")
-    xs = sphere_stencil(s)
-    at = spec if isinstance(spec, frames.FrameTable) else frames.FrameTable(spec, xs)
-    points = np.array([indicatrix_point(kind, at(x)) for x in xs])
-    return geodesic_curvature_sphere(points, SPHERE_STEP)
+    h = 2 * SPHERE_STEP
+    at = spec if isinstance(spec, frames.FrameTable) else frames.FrameTable(
+        spec, numerics.stencil(s, 2, h))
+    point = lambda x: indicatrix_point(kind, at(x))
+    g1, g2 = (numerics.diff_vec(point, s, k, h) for k in (1, 2))
+    return geodesic_curvature_sphere(point(s), g1, g2)

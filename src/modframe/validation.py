@@ -119,7 +119,8 @@ def _det_samples(samples):
 
 def _det_points(spec, samples):
     grid = curves.arclength_grid(spec, _det_samples(samples))
-    return np.concatenate([numerics.stencil(grid), geodesic.sphere_stencil(grid).ravel()])
+    return np.concatenate([numerics.stencil(grid),
+                           numerics.stencil(grid, 2, 2 * geodesic.SPHERE_STEP)])
 
 
 # Per-sample residuals, fn(table, s) for _max_over: one value per sample
@@ -326,12 +327,15 @@ def run_validation(
 
     An entry passes when its residual is within ``tolerance_override``
     (else its own tolerance) and its extra condition holds; expected
-    discrepancies pass.  ``only`` restricts to the named identities.
-    Each curve's frames come from one :class:`~modframe.frames.FrameTable`
-    that holds every arclength the chosen identities read on it; each
-    distinct point set is built once.
+    discrepancies pass.  ``only`` restricts to the named identities, and
+    an unknown name raises ValueError.  Each curve's frames come from one
+    :class:`~modframe.frames.FrameTable` that holds every arclength the
+    chosen identities read on it; each distinct point set is built once.
     """
     specs = families if families is not None else default_families()
+    unknown = [n for n in only or () if n not in IDENTITY_NAMES]
+    if unknown:
+        raise ValueError(f"unknown identity name(s): {', '.join(unknown)}")
     chosen = [i for i in IDENTITIES if only is None or i.name in only]
     tables = {}
     for f, spec in specs.items():

@@ -49,6 +49,17 @@ class TestParseCurve:
         import argparse
         with pytest.raises(argparse.ArgumentTypeError):
             parse_curve("helix:2")
+        # a colon with nothing after it names no parameter
+        with pytest.raises(argparse.ArgumentTypeError, match="takes 1 parameter"):
+            parse_curve("circle:")
+
+    @pytest.mark.parametrize("text", ["helix:1,,2", "helix:1,2,", "circle:,1"])
+    def test_empty_parameter_rejected(self, capsys, text):
+        # an empty field is an error, not a parameter dropped in silence
+        with pytest.raises(SystemExit) as exc:
+            main(["frames", "--curve", text, "--samples", "2"])
+        assert exc.value.code == EXIT_USAGE
+        assert "bad curve parameters" in capsys.readouterr().err
 
     def test_invalid_parameter_value(self):
         import argparse
@@ -323,15 +334,17 @@ class TestUsageErrors:
             main(["frames", "--curve", "nope"])
         assert exc.value.code == EXIT_USAGE
 
-    @pytest.mark.parametrize("m", ["1e155", "-1e300"])
+    @pytest.mark.parametrize("m", ["1e155", "-1e300", "1e-320"])
     def test_unrepresentable_salkowski_parameter(self, capsys, m):
-        # 1 + m*m overflows: a usage error with one error line, no traceback
+        # 1 + m*m overflows, or at tiny m the parameter range pi/(2c) does:
+        # a usage error with one error line, no traceback
         with pytest.raises(SystemExit) as exc:
             main(["frames", "--curve", f"salkowski:{m}", "--samples", "2"])
         assert exc.value.code == EXIT_USAGE
         err = capsys.readouterr().err
         assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
-        assert "too large" in err and "Traceback" not in err
+        cause = "too small: its range pi/(2c) overflows" if abs(float(m)) < 1 else "too large"
+        assert cause in err and "Traceback" not in err
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_tolerance_must_be_finite_and_nonnegative(self, capsys, tol):

@@ -44,6 +44,11 @@ def test_factory_validation():
         with pytest.raises(ValueError, match="too large"):
             salkowski(m)
     assert salkowski(1e150).t_hi > salkowski(1e150).t_lo
+    # below |m| ~ 8.7e-309 the parameter range pi/(2c) overflows
+    for m in (1e-320, -5e-324, 8.7e-309):
+        with pytest.raises(ValueError, match="too small: its range pi/\\(2c\\) overflows"):
+            salkowski(m)
+    assert math.isfinite(salkowski(8.8e-309).t_hi)
 
 
 @pytest.mark.parametrize("factory, params, arg", [

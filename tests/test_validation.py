@@ -42,6 +42,13 @@ def test_only_filter():
     assert {e.name for e in rep.entries} == {"frame-ode", "unit-speed"}
 
 
+def test_only_rejects_unknown_names(monkeypatch):
+    # refused before any frame is computed
+    monkeypatch.setattr(validation.frames, "FrameTable", None)
+    with pytest.raises(ValueError, match="unknown identity name.*nope, bad"):
+        run_validation(samples=8, only=["nope", "frame-ode", "bad"])
+
+
 def test_family_restriction():
     rep = run_validation(samples=8, only=["frame-ode"],
                          families={"helix": curves.helix(2.0, 1.0)})
