@@ -151,14 +151,28 @@ def _sample_range(args, spec: CurveSpec, margin: float = 0.0) -> np.ndarray:
     return np.linspace(start, stop, args.samples)
 
 
+_FRAME_BLOCK = 1024  # rows of the frames table computed at a time
+
+
+def _frame_rows(spec: CurveSpec, s: np.ndarray) -> np.ndarray:
+    """The (n, 16) float table of ``frames`` at the arclengths ``s``, filled
+    from one :func:`frames.modified_frames` call per ``_FRAME_BLOCK`` rows,
+    so the computation holds the table and one block's frames.  Each row
+    is the batch frame at its arclength bit for bit, whatever the block."""
+    table = np.empty((len(s), 16))
+    for start in range(0, len(s), _FRAME_BLOCK):
+        part = s[start:start + _FRAME_BLOCK]
+        mf = frames.modified_frames(spec, part)
+        np.concatenate([part[:, None], mf.r, mf.T, mf.N, mf.B, mf.kappa[:, None],
+                        mf.tau[:, None], mf.kappa_prime[:, None]],
+                       axis=1, out=table[start:start + _FRAME_BLOCK])
+    return table
+
+
 def cmd_frames(args) -> int:
-    spec = args.curve
     columns = ["s", "x", "y", "z", "Tx", "Ty", "Tz", "Nx", "Ny", "Nz",
                "Bx", "By", "Bz", "kappa", "tau", "kappa_prime"]
-    s = _sample_range(args, spec)
-    mf = frames.modified_frames(spec, s)
-    table = np.column_stack([s, mf.r, mf.T, mf.N, mf.B, mf.kappa, mf.tau, mf.kappa_prime])
-    _write_table(args, columns, table)
+    _write_table(args, columns, _frame_rows(args.curve, _sample_range(args, args.curve)))
     return EXIT_OK
 
 

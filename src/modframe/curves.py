@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -29,7 +29,16 @@ from .errors import OutOfRange, TargetOutOfRange, UnresolvedArclength
 from .numerics import ABS_TOL, Vec3
 
 _PANELS = 256
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# The 16-node Gauss-Legendre rule on [-1, 1], equal bit for bit to
+# numpy.polynomial.legendre.leggauss(16), written out so that the import
+# runs no eigensolve.  The rule is symmetric: its eight positive nodes and
+# their weights, mirrored.
+_GL_X = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+         0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499)
+_GL_W = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+         0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176)
+_GL_NODES = np.array([-x for x in reversed(_GL_X)] + list(_GL_X))
+_GL_WEIGHTS = np.array(_GL_W[::-1] + _GL_W)
 # Chebyshev nodes of a panel's length polynomial, and the bound on its
 # miss of the panel's Gauss length, relative to that length.
 _FIT_NODES = 9
@@ -171,16 +180,19 @@ def _helix_jet(p, t) -> tuple:
 def _monomials(*powers: int | None):
     """(jet, speed) of t -> (t**n for n in powers); None is a zero component."""
     # d^k/dt^k t**n = perm(n, k) * t**(n - k): per order k, per component,
-    # that (factor, power), or None for a zero term.
-    terms = [None if n is None or k > n else (math.perm(n, k), n - k)
+    # that (factor, power), and (0.0, 0) for a zero term: 0.0 * t**0 is 0.0.
+    # A float factor multiplies a float faster than an int does, to the
+    # same bits.
+    terms = [(0.0, 0) if n is None or k > n else (float(math.perm(n, k)), n - k)
              for k in range(5) for n in powers]
     degree = max(filter(None, powers))
 
     def jet(p, t) -> tuple:
         # each power t**j once, by ** as in the textbook form: t*t*t can
-        # differ from t**3 in the last bit
-        tj = [t**j for j in range(degree + 1)]
-        return _vectors(t, tuple([0.0 if c is None else c[0] * tj[c[1]] for c in terms]))
+        # differ from t**3 in the last bit.  t**0 is the float 1.0, so a
+        # zero or constant term stays one float over a batch.
+        tj = [1.0, *[t**j for j in range(1, degree + 1)]]
+        return _vectors(t, tuple([a * tj[j] for a, j in terms]))
 
     # |r'|^2 = sum of n^2 t^(2n - 2), a polynomial in t^2: its
     # coefficients, highest first, summed by Horner.
@@ -415,12 +427,20 @@ def at_arclength(spec: CurveSpec, s):
     elementwise, so each element of an array equals the call at that one
     arclength bit for bit, whatever the array's size.
     """
-    total = total_arclength(spec)
+    # The family row and the table once per call: total_arclength's
+    # expressions, inlined.
+    family = FAMILIES[spec.family]
+    if family.constant_speed:
+        v = family.speed(spec.params, spec.t_lo)
+        total = v * (spec.t_hi - spec.t_lo)
+    else:
+        _, cum, panels = _arclength_table(spec)
+        total = cum[-1]
     bad = numerics.outside(s, -ABS_TOL, total + ABS_TOL)
     if bad is not None:
         raise TargetOutOfRange(f"arclength {bad:g} outside [0, {total:g}]")
-    if FAMILIES[spec.family].constant_speed:
-        t = spec.t_lo + s / spec.speed(spec.t_lo)
+    if family.constant_speed:
+        t = spec.t_lo + s / v
         if isinstance(t, np.ndarray):
             return np.clip(t, spec.t_lo, spec.t_hi)
         return min(max(t, spec.t_lo), spec.t_hi)
@@ -428,7 +448,6 @@ def at_arclength(spec: CurveSpec, s):
     # edges at or below s) and gives its image [c0, c1].  The first guess
     # is the cubic Hermite interpolant of t(s) across the panel, with the
     # exact slope dt/ds = 1/speed at both ends.
-    _, cum, panels = _arclength_table(spec)
     if isinstance(s, np.ndarray):
         i = np.searchsorted(cum[1:-1], s, side="right")
         lo, hi, c0, c1, bend0, bend1, mid, half, *coef = panels[i].T
@@ -438,7 +457,8 @@ def at_arclength(spec: CurveSpec, s):
     u = (s - c0) / (c1 - c0)
     guess = lo + u * (hi - lo + (1.0 - u) * ((1.0 - u) * bend0 - u * bend1))
     return numerics.invert_monotone(lambda t: c0 + (t - lo) * _horner(coef, (t - mid) / half),
-                                    spec.speed, s, lo, hi, guess, (c0, c1))
+                                    partial(family.speed, spec.params), s, lo, hi, guess,
+                                    (c0, c1))
 
 
 def position_at_arclength(spec: CurveSpec, s: float) -> Vec3:

@@ -16,7 +16,6 @@ oracles along one grid computes each frame once.
 
 from __future__ import annotations
 
-import contextlib
 import importlib
 import math
 from dataclasses import dataclass, fields
@@ -148,46 +147,45 @@ def _rates(r1, r2, r3, r4, v, v3, v5):
     return d / u2, kappa_prime, tau_prime
 
 
-# The error-state context of a one-point assembly: none, see _assemble.
-_FLOATS = contextlib.nullcontext()
-
-
 def _assemble(r1, r2, r3, r4):
     """T, N, B, kappa, tau, kappa' and tau' from the derivatives of a jet
     in any parameter: the one assembly behind both frame paths.  They are
     3-tuples of floats at one point (:meth:`CurveSpec.jet_components`), or
     (..., 3) arrays at many, worked on as (3, ...) arrays; both unpack to
-    x, y, z alike.  T, N and B come back as (3,) or (..., 3) arrays."""
+    x, y, z alike.  T, N and B come back as read-only (3,) or (..., 3)
+    arrays.  Over a batch, call it under ``np.errstate(all="ignore")``:
+    _check_scale refuses what overflowed.  Python floats never touch
+    numpy's error state: _pow catches the one float overflow that raises,
+    and _check_scale runs before every division."""
     one = not isinstance(r1, np.ndarray)
     if not one:
         r1, r2, r3, r4 = r1.T, r2.T, r3.T, r4.T
     (x1, y1, z1), (x2, y2, z2) = r1, r2
-    # _check_scale refuses what overflowed.  Python floats never touch
-    # numpy's error state: _pow catches the one float overflow that raises,
-    # and _check_scale runs before every division.
-    with _FLOATS if one else np.errstate(all="ignore"):
-        v = _sqrt(x1 * x1 + y1 * y1 + z1 * z1)
-        v3, v5 = _pow(v, 3), _pow(v, 5)
-        _check_scale(r1, v5)
-        vp = (x1 * x2 + y1 * y2 + z1 * z2) / v
-        T = tx, ty, tz = x1 / v, y1 / v, z1 / v
-        v2, c = v**2, vp / v3
-        N = nx, ny, nz = x2 / v2 - x1 * c, y2 / v2 - y1 * c, z2 / v2 - z1 * c
-        kappa = _sqrt(nx * nx + ny * ny + nz * nz)
-        B = ty * nz - tz * ny, tz * nx - tx * nz, tx * ny - ty * nx  # T x N
-        # tau, kappa' and tau' only where kappa > ABS_TOL; 0 elsewhere
-        live = kappa > ABS_TOL
-        if one:
-            rates = _rates(r1, r2, r3, r4, v, v3, v5) if live else (0.0, 0.0, 0.0)
-        else:
-            rates = np.zeros((3,) + live.shape)
-            rates[:, live] = _rates(*(r[:, live] for r in (r1, r2, r3, r4)),
-                                    v[live], v3[live], v5[live])
+    v = _sqrt(x1 * x1 + y1 * y1 + z1 * z1)
+    v3, v5 = _pow(v, 3), _pow(v, 5)
+    _check_scale(r1, v5)
+    vp = (x1 * x2 + y1 * y2 + z1 * z2) / v
+    T = tx, ty, tz = x1 / v, y1 / v, z1 / v
+    v2, c = v**2, vp / v3
+    N = nx, ny, nz = x2 / v2 - x1 * c, y2 / v2 - y1 * c, z2 / v2 - z1 * c
+    kappa = _sqrt(nx * nx + ny * ny + nz * nz)
+    B = ty * nz - tz * ny, tz * nx - tx * nz, tx * ny - ty * nx  # T x N
+    # tau, kappa' and tau' only where kappa > ABS_TOL; 0 elsewhere
+    live = kappa > ABS_TOL
+    if one:
+        rates = _rates(r1, r2, r3, r4, v, v3, v5) if live else (0.0, 0.0, 0.0)
+    else:
+        rates = np.zeros((3,) + live.shape)
+        rates[:, live] = _rates(*(r[:, live] for r in (r1, r2, r3, r4)),
+                                v[live], v3[live], v5[live])
     # Back to the jet's shape: (3,) arrays that own their memory at one
     # point, (..., 3) views of (3, ...) arrays over a batch.
     T, N, B = np.array(T), np.array(N), np.array(B)
     if not one:
         T, N, B = T.T, N.T, B.T
+    T.setflags(write=False)
+    N.setflags(write=False)
+    B.setflags(write=False)
     return (T, N, B, kappa, *rates)
 
 
@@ -198,9 +196,10 @@ def modified_frame(spec: CurveSpec, s: float) -> ModifiedFrame:
     Its cache keeps the last point only: the parameter and position of a
     point are read from its frame, so a point asked twice in a row is
     inverted once.  Raises DegenerateFrame where the speed is beyond what
-    the frame algebra can represent.
+    the frame algebra can represent.  A numpy scalar ``s`` is read as a
+    Python float, so the frame's scalar fields are Python floats.
     """
-    return _frame_at(spec, curves.at_arclength(spec, s))
+    return _frame_at(spec, curves.at_arclength(spec, float(s)))
 
 
 def modified_frames(spec: CurveSpec, s) -> ModifiedFrame:
@@ -219,9 +218,16 @@ def modified_frames(spec: CurveSpec, s) -> ModifiedFrame:
 
 def _frame_at(spec: CurveSpec, t) -> ModifiedFrame:
     # The frame at parameter t, a float or an array: the family's jet
-    # goes straight to the assembly, floats and all.
+    # goes straight to the assembly, floats and all.  At a float only r,
+    # T, N and B are arrays, and each is flagged read-only where it is made.
     r, *derivatives = spec.jet_components(t)
-    return ModifiedFrame(*_read_only(*_assemble(*derivatives), t, np.asarray(r, dtype=float)))
+    r = np.asarray(r, dtype=float)
+    r.setflags(write=False)
+    if not isinstance(t, np.ndarray):
+        return ModifiedFrame(*_assemble(*derivatives), t, r)
+    with np.errstate(all="ignore"):  # _check_scale refuses what overflowed
+        T, N, B, *scalars = _assemble(*derivatives)
+    return ModifiedFrame(T, N, B, *_read_only(*scalars, t), r)
 
 
 class FrameTable:

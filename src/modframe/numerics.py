@@ -166,11 +166,6 @@ def outside(x, lo, hi):
     return None if lo <= x <= hi else x
 
 
-def _converged(step, t):
-    # The stop rule of both Newton loops.
-    return abs(step) <= _XTOL + _RTOL * abs(t)
-
-
 def _misses(residual, target):
     # The final check of both loops: the solution must reproduce its target.
     return (abs(residual) > ABS_TOL) & (abs(residual) > 1e-12 * abs(target))
@@ -217,10 +212,13 @@ def _newton(g, dg, target, lo, hi, t0):
     t = min(max(t0, lo), hi)
     for _ in range(_MAX_NEWTON):
         r = g(t) - target
-        lo, hi = (lo, t) if r > 0.0 else (t, hi)
+        if r > 0.0:
+            hi = t
+        else:
+            lo = t
         d = dg(t)
         step = r / d if d > 0.0 else math.inf
-        if _converged(step, t):
+        if abs(step) <= _XTOL + _RTOL * abs(t):  # the stop rule
             root = min(max(t - step, lo), hi)
             return root, (r if root == t else None)
         t -= step
@@ -247,7 +245,7 @@ def _newton_elementwise(g, dg, target, lo, hi, t0, g_lo, g_hi):
         d = dg(t)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(d > 0.0, r / d, math.inf)
-        done = active & _converged(step, t)
+        done = active & (abs(step) <= _XTOL + _RTOL * abs(t))  # the stop rule of _newton
         t_new = t - step
         t_new = np.where(done, np.minimum(np.maximum(t_new, lo), hi),
                          np.where((lo < t_new) & (t_new < hi), t_new, 0.5 * (lo + hi)))

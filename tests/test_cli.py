@@ -541,6 +541,35 @@ class TestTableBytes:
         assert peaks[16384] < 2e6
         assert peaks[16384] <= 1.25 * peaks[4096]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("curve", ["twistedcubic", "salkowski:0.5"])
+    @pytest.mark.parametrize("n", [cli._FRAME_BLOCK - 1, cli._FRAME_BLOCK,
+                                   cli._FRAME_BLOCK + 1, 2 * cli._FRAME_BLOCK + 1])
+    def test_frame_blocks_match_one_batch(self, capsys, monkeypatch, n, curve, fmt):
+        argv = ["frames", "--curve", curve, "--samples", str(n), "--format", fmt]
+        code, blocked, err = run(capsys, *argv)
+        assert code == EXIT_OK and err == ""
+        monkeypatch.setattr(cli, "_FRAME_BLOCK", n)  # the whole table in one batch
+        code, batch, err = run(capsys, *argv)
+        assert code == EXIT_OK and err == ""
+        assert_same_text(blocked, batch)
+
+    def test_frame_computation_memory_is_bounded(self):
+        """The frames table is computed a block at a time: from 4,096 to
+        16,384 rows its traced peak grows by at most the table itself."""
+        spec = curves.twisted_cubic()
+        peaks = {}
+        for n in (4096, 16384):
+            s = np.linspace(0.0, curves.total_arclength(spec), n)
+            cli._frame_rows(spec, s)  # the arclength table is cached before tracing
+            tracemalloc.start()
+            try:
+                cli._frame_rows(spec, s)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[16384] - peaks[4096] <= 16384 * 16 * 8
+
     @pytest.mark.parametrize("argv", [
         ["frames", "--curve", "twistedcubic", "--samples", "512", "--format", "json"],
         ["indicatrix", "--curve", "salkowski:0.5", "--kind", "pole", "--samples", "64"],

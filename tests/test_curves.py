@@ -248,6 +248,12 @@ class TestArclength:
         with pytest.raises(OutOfRange):
             arclength(spec, spec.t_lo - 1.0, spec.t_hi)
 
+    def test_gauss_table_is_leggauss(self):
+        # the written-out rule is numpy's, bit for bit
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        assert curves._GL_NODES.tobytes() == nodes.tobytes()
+        assert curves._GL_WEIGHTS.tobytes() == weights.tobytes()
+
     def test_twisted_cubic_against_finer_rule(self):
         # Composite 24-node Gauss-Legendre on 1024 panels per interval, far
         # finer than the library's table.

@@ -190,6 +190,24 @@ class TestModifiedFrame:
                 assert not v.flags.writeable and v.base is None, (spec.family, s)
         assert frames.modified_frame(*points[0]).kappa <= numerics.ABS_TOL
 
+    def test_numpy_scalar_arclength_reads_as_a_float(self):
+        # ``for s in np.linspace(...)`` yields np.float64: the frame there
+        # is the frame at float(s) bit for bit, with Python-float scalars.
+        # Uncached, so that no frame computed at a float answers the call.
+        uncached = frames.modified_frame.__wrapped__
+        for spec in [*validation.default_families().values(), line()]:
+            for s in np.linspace(0.0, curves.total_arclength(spec), 7):
+                assert type(s) is np.float64
+                mf, plain = uncached(spec, s), uncached(spec, float(s))
+                for name in ("kappa", "tau", "kappa_prime", "tau_prime", "t"):
+                    value = getattr(mf, name)
+                    assert type(value) is float, (spec.family, s, name)
+                    assert value.hex() == getattr(plain, name).hex(), (spec.family, s, name)
+                for name in ("T", "N", "B", "r"):
+                    v, w = getattr(mf, name), getattr(plain, name)
+                    assert v.tobytes() == w.tobytes(), (spec.family, s, name)
+                    assert not v.flags.writeable, (spec.family, s, name)
+
     def test_b_is_cross_of_t_and_n(self):
         mf = frames.modified_frame(twisted_cubic(), 1.0)
         assert np.allclose(mf.B, numerics.cross(mf.T, mf.N), atol=1e-12)

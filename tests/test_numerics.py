@@ -212,3 +212,13 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={"PYTHONPATH": src}, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_runs_no_gauss_legendre_eigensolve():
+    # curves writes its Gauss-Legendre rule out: numpy.polynomial, whose
+    # leggauss would solve an eigenproblem, is never imported
+    code = "import sys, modframe; print('numpy.polynomial' in sys.modules)"
+    src = str(Path(modframe.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": src}, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
