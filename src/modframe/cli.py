@@ -151,7 +151,7 @@ def _sample_range(args, spec: CurveSpec, margin: float = 0.0) -> np.ndarray:
     return np.linspace(start, stop, args.samples)
 
 
-_FRAME_BLOCK = 1024  # rows of the frames table computed at a time
+_FRAME_BLOCK = 1024  # rows of the frames and indicatrix tables computed at a time
 
 
 def _frame_rows(spec: CurveSpec, s: np.ndarray) -> np.ndarray:
@@ -176,32 +176,43 @@ def cmd_frames(args) -> int:
     return EXIT_OK
 
 
+def _indicatrix_rows(kind: IndicatrixKind, spec: CurveSpec, s: np.ndarray):
+    """The (n, 15) float table and (n,) degenerate flags of ``indicatrix``
+    at the arclengths ``s``, computed ``_FRAME_BLOCK`` rows at a time as in
+    :func:`_frame_rows`.  Degenerate rows carry zeros in place of the
+    tangent, the covariant derivatives and the residual.  Blocks go in
+    order, so DegenerateIndicatrix names the first row left undefined."""
+    values, degenerate = np.empty((len(s), 15)), np.empty(len(s), dtype=bool)
+    for start in range(0, len(s), _FRAME_BLOCK):
+        part, rows = s[start:start + _FRAME_BLOCK], values[start:start + _FRAME_BLOCK]
+        table = frames.frame_table(spec, part)
+        smp = indicatrix.sample(kind, table, part)
+        oracle = indicatrix.cov_deriv_numeric(kind, table, part)
+        live = ~smp.degenerate
+        on_live = lambda v: np.where(live[:, None], v, 0.0)
+        residual = np.where(live, norm((smp.cov_deriv - oracle).T), 0.0)
+        rows[:] = np.column_stack([part, smp.point, smp.speed, on_live(smp.unit_tangent),
+                                   on_live(smp.cov_deriv), on_live(oracle), residual])
+        degenerate[start:start + _FRAME_BLOCK] = smp.degenerate
+        missing = ~np.isfinite(rows).all(axis=1)
+        if missing.any():
+            raise DegenerateIndicatrix(
+                f"{kind.value} indicatrix undefined at s = {part[missing][0]:g}")
+    return values, degenerate
+
+
 def cmd_indicatrix(args) -> int:
-    spec = args.curve
     kind = IndicatrixKind(args.kind)
     columns = ["s", "px", "py", "pz", "speed", "tx", "ty", "tz",
                "cx", "cy", "cz", "ox", "oy", "oz", "residual", "degenerate"]
-    s = _sample_range(args, spec, margin=4.0 * FD_STEP)
+    s = _sample_range(args, args.curve, margin=4.0 * FD_STEP)
     try:
-        table = frames.frame_table(spec, s)
-        smp = indicatrix.sample(kind, table, s)
-        oracle = indicatrix.cov_deriv_numeric(kind, table, s)
+        values, degenerate = _indicatrix_rows(kind, args.curve, s)
     except NonConstantCurvature as exc:
         print(f"error: inadmissible curve for {kind.value} indicatrix: {exc}",
               file=sys.stderr)
         return EXIT_INADMISSIBLE
-    # Degenerate rows carry zeros in place of the tangent, the covariant
-    # derivatives and the residual.
-    live = ~smp.degenerate
-    on_live = lambda v: np.where(live[:, None], v, 0.0)
-    residual = np.where(live, norm((smp.cov_deriv - oracle).T), 0.0)
-    values = np.column_stack([s, smp.point, smp.speed, on_live(smp.unit_tangent),
-                              on_live(smp.cov_deriv), on_live(oracle), residual])
-    missing = ~np.isfinite(values).all(axis=1)
-    if missing.any():
-        raise DegenerateIndicatrix(
-            f"{kind.value} indicatrix undefined at s = {s[missing][0]:g}")
-    _write_table(args, columns, values, smp.degenerate)
+    _write_table(args, columns, values, degenerate)
     return EXIT_OK
 
 

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,23 +44,25 @@ _FIT_NODES = 9
 _FIT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(NamedTuple("CurveSpec", [("family", str), ("params", tuple[float, ...]),
+                                         ("t_lo", float), ("t_hi", float)])):
     """An analytic curve family plus parameters and a parameter range.
 
     Build instances through the factory functions (:func:`helix`,
     :func:`circle`, ...) which validate parameters and choose ranges on
-    which the curve is regular.
+    which the curve is regular.  A tuple, so its hash is
+    ``hash((family, params, t_lo, t_hi))``, computed in C.
     """
 
-    family: str
-    params: tuple[float, ...]
-    t_lo: float
-    t_hi: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (*self.params, self.t_lo, self.t_hi))):
-            raise ValueError(f"{self.family} parameters must be finite, got {self.params}")
+    def __new__(cls, family: str, params: tuple[float, ...], t_lo: float, t_hi: float):
+        if not all(map(math.isfinite, (*params, t_lo, t_hi))):
+            raise ValueError(f"{family} parameters must be finite, got {params}")
+        return super().__new__(cls, family, params, t_lo, t_hi)
+
+    # _replace builds through _make, which would skip the check above
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def jet(self, t) -> Jet:
         """Exact position and derivatives of the curve at parameter ``t``,
@@ -95,8 +96,7 @@ class CurveSpec:
         return FAMILIES[self.family].kappa_zeros
 
 
-@dataclass(frozen=True)
-class Jet:
+class Jet(NamedTuple):
     """Position and first four parameter-derivatives, read-only: (3,) vectors
     at one point, or (..., 3) arrays at an array of parameters."""
 
@@ -256,8 +256,7 @@ def _salkowski_speed(p, t):
     return a * abs(math.cos(c * t))
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One curve family: how to build it, evaluate it, and what it is.
 
     ``jet(params, t)`` and ``speed(params, t)`` are exact, for a float

@@ -20,6 +20,7 @@ import importlib
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +30,7 @@ from .errors import CurvatureVanishes, DegenerateFrame
 from .numerics import ABS_TOL, Vec3, _read_only, blank, cross, det3, dot, norm, undefined
 
 
-@dataclass(frozen=True)
-class FrenetFrame:
+class FrenetFrame(NamedTuple):
     """Orthonormal frame {t, n, b} with curvature and torsion, read-only."""
 
     t_vec: Vec3
@@ -313,8 +313,7 @@ def frame_ode_rhs(mf: ModifiedFrame):
     return tuple(blank(flat, v.T) for v in (dT, dN, dB))
 
 
-@dataclass(frozen=True)
-class FrameOdeResult:
+class FrameOdeResult(NamedTuple):
     """Residual norms of the three frame ODE rows, at one point or at
     each point of a batch."""
 

@@ -13,7 +13,7 @@ Every function takes one point or a batch, as the indicatrix module does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ from .numerics import ABS_TOL, blank, det3, norm, undefined
 SPHERE_STEP = 1e-3
 
 
-@dataclass(frozen=True)
-class GeodesicReport:
+class GeodesicReport(NamedTuple):
     """Closed-form, variant and oracle geodesic curvatures at one point,
     or at each point of a batch."""
 

@@ -12,8 +12,7 @@ oracle.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,8 +30,7 @@ class IndicatrixKind(enum.Enum):
     POLE = "pole"
 
 
-@dataclass(frozen=True)
-class Kind:
+class Kind(NamedTuple):
     """One row of :data:`KINDS`: the facts of an indicatrix kind and its
     closed forms ``form(mf)``, on one frame or a batch."""
 
@@ -116,8 +114,7 @@ KINDS: dict[IndicatrixKind, Kind] = {
 }
 
 
-@dataclass(frozen=True)
-class IndicatrixSample:
+class IndicatrixSample(NamedTuple):
     """Full record of one spherical representation, at one point or at
     each point of a batch.  At one degenerate point the tangent and the
     covariant derivative are None; over a batch their degenerate rows are

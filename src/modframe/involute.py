@@ -13,7 +13,7 @@ then zero for helices and of order phi' otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ from .indicatrix import IndicatrixKind, indicatrix_tangent, pole_tangent_directi
 from .numerics import ABS_TOL, dot
 
 
-@dataclass(frozen=True)
-class InvoluteReport:
+class InvoluteReport(NamedTuple):
     """Verdict of an orthogonality scan over an arclength grid."""
 
     kind: IndicatrixKind

@@ -12,9 +12,8 @@ algebraic discrepancy: it is reported with its measured gap and marked
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,8 +24,7 @@ from .indicatrix import KINDS, IndicatrixKind
 from .numerics import ABS_TOL, norm
 
 
-@dataclass(frozen=True)
-class ValidationEntry:
+class ValidationEntry(NamedTuple):
     """One identity's verdict: worst residual against its tolerance over
     ``n_evaluated`` samples.  An identity with no evaluated sample has not
     passed; it is marked not applicable and carries no verdict."""
@@ -41,12 +39,14 @@ class ValidationEntry:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass
-class ValidationReport:
-    entries: list[ValidationEntry] = field(default_factory=list)
+class ValidationReport(NamedTuple):
+    """The entries of one validation run, in the order of :data:`IDENTITIES`;
+    none by default, as an empty tuple (a list default would be shared)."""
+
+    entries: list[ValidationEntry] | tuple[ValidationEntry, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -231,8 +231,7 @@ def _kappa_zero_extension(tables, names, samples):
     return worst, evaluated, vanish, "N = B = 0 at the zero itself"
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     """One identity of the suite: it runs on the curves for which
     ``assumes`` holds, either as a per-sample ``residual`` or as one
     ``measure`` of the whole entry, judged against ``tolerance``, and
@@ -342,7 +341,7 @@ def run_validation(
         sets = dict.fromkeys(i.points for i in chosen if i.assumes(spec))
         if sets:
             tables[f] = frames.FrameTable(spec, np.concatenate([p(spec, samples) for p in sets]))
-    report = ValidationReport()
+    entries = []
     for ident in chosen:
         names = [f for f, spec in specs.items() if ident.assumes(spec)]
         residual, n_evaluated, holds, note = (
@@ -352,7 +351,7 @@ def run_validation(
         passed = ident.expected_discrepancy or (residual <= tol and holds)
         if not n_evaluated:
             passed, note = False, "not applicable: no sample evaluated"
-        report.entries.append(ValidationEntry(
+        entries.append(ValidationEntry(
             ident.name, ident.description, residual, tol, passed, n_evaluated,
             ident.expected_discrepancy, note))
-    return report
+    return ValidationReport(entries)

@@ -39,10 +39,13 @@ def _grid(spec):
 
 
 def _fields(result):
-    # The per-point parts of a result, in a fixed order.
+    # The per-point parts of a result, in a fixed order: the fields of a
+    # record (a NamedTuple or a dataclass) but its kind, or a tuple's items.
     if dataclasses.is_dataclass(result):
-        result = [v for v in vars(result).values() if not isinstance(v, enum.Enum)]
-    return list(result) if isinstance(result, tuple | list) else [result]
+        result = vars(result).values()
+    elif not isinstance(result, tuple | list):
+        return [result]
+    return [v for v in result if not isinstance(v, enum.Enum)]
 
 
 def _close(a, b):

@@ -554,6 +554,73 @@ class TestTableBytes:
         assert code == EXIT_OK and err == ""
         assert_same_text(blocked, batch)
 
+    @staticmethod
+    def _indicatrix_argv(case):
+        if case == "pole":
+            return ["--curve", "salkowski:0.5", "--kind", "pole", "--samples", "40"]
+        # 17 rows whose ninth lands on the planar cubic's curvature zero: a
+        # degenerate row inside the second block of 7
+        zero = curves.arclength(curves.planar_cubic(), -1.0, 0.0)
+        return ["--curve", "planarcubic", "--kind", "tangent", "--samples", "17",
+                "--range", f"{zero - 0.25!r},{zero + 0.25!r}"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", ["pole", "degenerate"])
+    def test_indicatrix_blocks_match_one_block(self, capsys, monkeypatch, case, fmt):
+        argv = ["indicatrix", *self._indicatrix_argv(case), "--format", fmt]
+        code, one_block, err = run(capsys, *argv)
+        assert code == EXIT_OK and err == ""
+        monkeypatch.setattr(cli, "_FRAME_BLOCK", 7)
+        code, blocked, err = run(capsys, *argv)
+        assert code == EXIT_OK and err == ""
+        assert_same_text(blocked, one_block)
+        flag = "True" if fmt == "csv" else '"degenerate": true'
+        assert blocked.count(flag) == (case == "degenerate")
+
+    @pytest.mark.parametrize("holes", [(), (9, 15)], ids=["line", "planted"])
+    def test_indicatrix_blocks_name_the_first_undefined_row(self, capsys, monkeypatch, holes):
+        """Every row of the normal indicatrix on the line is undefined; on
+        salkowski(0.5), rows 9 and 15 (in the second and third blocks of 7)
+        are made undefined by a NaN oracle.  The error names the first."""
+        curve, kind = ("salkowski:0.5", "pole") if holes else ("line", "normal")
+        argv = ["indicatrix", "--curve", curve, "--kind", kind, "--samples", "20"]
+        code, out, err = run(capsys, *argv)
+        s = [float(row["s"]) for row in csv.DictReader(io.StringIO(out))]
+        if holes:
+            assert code == EXIT_OK
+            oracle = indicatrix.cov_deriv_numeric
+
+            def holed(kind, table, part):
+                return np.where(np.isin(part, [s[i] for i in holes])[:, None], np.nan,
+                                oracle(kind, table, part))
+
+            monkeypatch.setattr(indicatrix, "cov_deriv_numeric", holed)
+        results = []
+        for block in (cli._FRAME_BLOCK, 7):
+            monkeypatch.setattr(cli, "_FRAME_BLOCK", block)
+            results.append(run(capsys, *argv))
+        assert results[0] == results[1]
+        code, out, err = results[1]
+        assert code == EXIT_INADMISSIBLE and out == ""
+        first = f"{s[holes[0]]:g}" if holes else "4e-05"
+        assert err == f"error: {kind} indicatrix undefined at s = {first}\n"
+
+    def test_indicatrix_computation_memory_is_bounded(self):
+        """The indicatrix table is computed a block at a time: from 2,048 to
+        8,192 rows its traced peak grows by at most the table itself."""
+        spec, kind = curves.salkowski(0.5), indicatrix.IndicatrixKind.POLE
+        peaks = {}
+        for n in (2048, 8192):
+            s = np.linspace(1e-3, curves.total_arclength(spec) - 1e-3, n)
+            cli._indicatrix_rows(kind, spec, s)  # caches filled before tracing
+            tracemalloc.start()
+            try:
+                cli._indicatrix_rows(kind, spec, s)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8192] - peaks[2048] <= 6144 * 16 * 8
+
     def test_frame_computation_memory_is_bounded(self):
         """The frames table is computed a block at a time: from 4,096 to
         16,384 rows its traced peak grows by at most the table itself."""
@@ -623,7 +690,8 @@ def test_unwritable_stdout_is_a_usage_error(capsys, monkeypatch, argv):
 def test_full_stdout_exits_with_the_usage_code(argv, unbuffered):
     """The interpreter's own flush at exit, which finds the output still
     buffered, neither prints a second error nor turns exit 2 into 120."""
-    env = {"PYTHONPATH": str(Path(modframe.__file__).resolve().parents[1])}
+    env = {"PYTHONPATH": str(Path(modframe.__file__).resolve().parents[1]),
+           "PYTHONDONTWRITEBYTECODE": "1"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:

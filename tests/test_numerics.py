@@ -210,7 +210,8 @@ def test_import_loads_no_scipy():
     code = "import sys, modframe; print([m for m in sys.modules if m.startswith('scipy')])"
     src = str(Path(modframe.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={"PYTHONPATH": src}, check=True, timeout=60)
+                         env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+                         check=True, timeout=60)
     assert out.stdout.strip() == "[]"
 
 
@@ -220,5 +221,6 @@ def test_import_runs_no_gauss_legendre_eigensolve():
     code = "import sys, modframe; print('numpy.polynomial' in sys.modules)"
     src = str(Path(modframe.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={"PYTHONPATH": src}, check=True, timeout=60)
+                         env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+                         check=True, timeout=60)
     assert out.stdout.strip() == "False"

@@ -139,7 +139,8 @@ def test_skipped_samples_count_nowhere(report):
 def _fresh(code):
     src = str(Path(modframe.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={"PYTHONPATH": src}, check=True, timeout=120).stdout.strip()
+                          env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+                          check=True, timeout=120).stdout.strip()
 
 
 def test_validation_leaves_numpy_ma_unimported():
