@@ -300,7 +300,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.samples < min_samples:
         parser.error(f"--samples must be >= {min_samples}")
     if isinstance(getattr(args, "curve", None), CurveSpec):
-        args.curve_text = f"{args.curve.family}:{','.join(map(str, args.curve.params))}"
+        params = ",".join(map(str, args.curve.params))  # none: the family alone
+        args.curve_text = f"{args.curve.family}:{params}" if params else args.curve.family
     try:
         return args.fn(args)
     except argparse.ArgumentTypeError as exc:

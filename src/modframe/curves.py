@@ -473,14 +473,4 @@ def arclength_grid(spec: CurveSpec, n: int) -> np.ndarray:
     return np.linspace(0.05 * total, 0.95 * total, n)
 
 
-def frenet_arclength_grid(spec: CurveSpec, n: int) -> np.ndarray:
-    """Like :func:`arclength_grid` but drops samples whose parameter falls
-    within 1e-3 of a curvature zero."""
-    s = arclength_grid(spec, n)
-    if not spec.kappa_zeros:
-        return s
-    t = at_arclength(spec, s)
-    return s[np.all([np.abs(t - z) > 1e-3 for z in spec.kappa_zeros], axis=0)]
-
-
 from . import frames  # noqa: E402  (frames imports this module; bound once defined)

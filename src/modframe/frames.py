@@ -290,13 +290,16 @@ def frames_at(spec, s) -> ModifiedFrame:
 
 @np.errstate(divide="ignore", invalid="ignore")
 def frenet_frame(spec, s) -> FrenetFrame:
-    """Classical Frenet frame at ``s``; raises where the curvature vanishes
-    (NaN rows over a batch)."""
+    """Classical Frenet frame at ``s`` from the jet, t = r'/|r'|,
+    b = r' x r''/|r' x r''| and n = b x t, with the modified frame's kappa
+    and tau; raises where the curvature vanishes (NaN rows over a batch)."""
     mf = frames_at(spec, s)
     flat = undefined(mf.kappa <= ABS_TOL, CurvatureVanishes,
                      "Frenet frame undefined at s = {:g} (kappa = {:g})", s, mf.kappa)
-    n, b = (blank(flat, (v.T / mf.kappa).T) for v in (mf.N, mf.B))
-    return FrenetFrame(*_read_only(mf.T, n, b, mf.kappa, mf.tau))
+    jet = (spec.spec if isinstance(spec, FrameTable) else spec).jet(mf.t)
+    t, b = (v / norm(v) for v in (jet.r1.T, cross(jet.r1.T, jet.r2.T)))  # component-first
+    n, b = (blank(flat, v.T) for v in (cross(b, t), b))
+    return FrenetFrame(*_read_only(t.T, n, b, mf.kappa, mf.tau))
 
 
 @np.errstate(divide="ignore", invalid="ignore")

@@ -86,14 +86,11 @@ def _max_over(tables, names, n, fn) -> tuple[float, int]:
 
 
 # The curve properties an identity assumes.  As everywhere in the library,
-# a curvature at most ABS_TOL counts as zero.
+# a curvature at most ABS_TOL counts as zero: a row that needs kappa > 0
+# skips those samples through its NaN mask, not the curves that have them.
 
 def _const_kappa(spec: CurveSpec) -> bool:
     return spec.constant_kappa is not None and spec.constant_kappa > ABS_TOL
-
-
-def _nonzero_kappa(spec: CurveSpec) -> bool:
-    return _const_kappa(spec) or (spec.constant_kappa is None and not spec.kappa_zeros)
 
 
 def _unit_kappa(spec: CurveSpec) -> bool:
@@ -102,7 +99,7 @@ def _unit_kappa(spec: CurveSpec) -> bool:
 
 def _admits(kind: IndicatrixKind) -> Callable[[CurveSpec], bool]:
     # The curves an indicatrix's closed forms hold on.
-    return _const_kappa if KINDS[kind].constant_kappa else _nonzero_kappa
+    return _const_kappa if KINDS[kind].constant_kappa else (lambda spec: True)
 
 
 # The arclengths an identity reads frames at, points(spec, samples): its
@@ -182,16 +179,6 @@ def _unit_speed(table, s):
 # (residual, n_evaluated, holds, note): holds is the identity's condition
 # besides its tolerance, True where it has none.
 
-def _metric_relations(tables, names, samples):
-    worst, evaluated = 0.0, 0
-    for table in map(tables.get, names):
-        residual = frames.metric_residual(
-            table, curves.frenet_arclength_grid(table.spec, samples))
-        worst = max(worst, float(residual.max(initial=0.0)))
-        evaluated += residual.size
-    return worst, evaluated, True, ""
-
-
 def _sphere_det(tables, names, samples):
     # every indicatrix on the unit sphere, on the curves it admits
     results = [_max_over(tables, [f for f in names if _admits(kind)(tables[f].spec)],
@@ -260,10 +247,10 @@ def _per_kind(name, description, residual):
 IDENTITIES: list[Identity] = [
     Identity("frame-ode",
              "finite-difference frame derivatives match the derivative matrix",
-             1e-5, _nonzero_kappa,
+             1e-5, lambda spec: True,
              residual=lambda table, s: frames.check_frame_ode(table, s).max_residual),
     Identity("metric-relations", "frame inner products equal (1, k^2, k^2, 0, 0, 0)",
-             1e-9, lambda spec: True, measure=_metric_relations,
+             1e-9, lambda spec: True, residual=lambda table, s: frames.metric_residual(table, s),
              points=curves.arclength_grid),
     Identity("darboux-alignment", "N x N' = k^2 w against the finite-difference N'",
              1e-5, _const_kappa, residual=lambda table, s: check_alignment(table, s)),
@@ -289,8 +276,7 @@ IDENTITIES: list[Identity] = [
              "determinant oracle agrees with the Gauss-equation oracle on the "
              "unit-sphere indicatrices",
              # its stencil reaches 2 * SPHERE_STEP past a sample: within the grid's margin
-             1e-5, lambda spec: _nonzero_kappa(spec) and (
-                 0.05 * curves.total_arclength(spec) >= 2 * geodesic.SPHERE_STEP),
+             1e-5, lambda spec: 0.05 * curves.total_arclength(spec) >= 2 * geodesic.SPHERE_STEP,
              measure=_sphere_det, points=_det_points),
     Identity("involute-tangent",
              "pole-curve tangent orthogonal to the tangent indicatrix tangent",

@@ -15,7 +15,6 @@ from modframe.curves import (
     arclength,
     arclength_grid,
     circle,
-    frenet_arclength_grid,
     helix,
     planar_cubic,
     salkowski,
@@ -65,7 +64,7 @@ def test_01_frame_ode():
 def test_02_metric_relations():
     worst = 0.0
     for spec in ALL_FAMILIES:
-        for s in frenet_arclength_grid(spec, 64):
+        for s in arclength_grid(spec, 64):
             worst = max(worst, frames.metric_residual(spec, float(s)))
     _verdict("metric-relations", worst < 1e-9, f"max residual {worst:.3g}")
 
@@ -85,7 +84,7 @@ def test_04_covariant_derivatives():
     worst = 0.0
     for spec in ALL_FAMILIES:
         # the tangent-indicatrix formula holds for varying curvature too
-        for s in frenet_arclength_grid(spec, 32):
+        for s in arclength_grid(spec, 32):
             mf = frames.modified_frame(spec, float(s))
             closed = indicatrix.cov_deriv_closed(IndicatrixKind.TANGENT, mf)
             oracle = indicatrix.cov_deriv_numeric(IndicatrixKind.TANGENT, spec, float(s))

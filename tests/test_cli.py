@@ -131,6 +131,19 @@ class TestFrames:
         assert len(doc["rows"]) == 4
         assert set(doc["rows"][0]) >= {"s", "x", "Tx", "kappa", "tau"}
 
+    @pytest.mark.parametrize("curve, text", [
+        ("line", "line"), ("twistedcubic", "twisted_cubic"), ("planarcubic", "planar_cubic"),
+        ("helix:2,1", "helix:2.0,1.0"),
+    ])
+    def test_json_config_names_the_curve(self, capsys, curve, text):
+        # a family without parameters is named alone, with no trailing
+        # colon, and every name parses back to the curve asked for
+        code, out, err = run(capsys, "frames", "--curve", curve, "--samples", "2",
+                             "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["config"]["curve"] == text
+        assert parse_curve(text) == parse_curve(curve)
+
     def test_range_restriction(self, capsys):
         code, out, err = run(capsys, "frames", "--curve", "helix:2,1",
                              "--samples", "4", "--range", "0,1")

@@ -508,14 +508,6 @@ class TestLengthPolynomial:
         assert np.array_equal(panels[:, 2:4], np.column_stack((cum[:-1], cum[1:])))
 
 
-def test_frenet_grid_excludes_curvature_zero():
-    spec = planar_cubic()
-    grid = curves.frenet_arclength_grid(spec, 64)
-    assert all(abs(at_arclength(spec, float(s))) > 1e-3 for s in grid)
-    # the plain grid keeps everything
-    assert len(arclength_grid(spec, 64)) == 64
-
-
 def test_salkowski_torsion_positive_and_varying():
     spec = salkowski(0.5)
     from modframe import frames

@@ -8,7 +8,6 @@ from modframe import curves, frames, numerics, validation
 from modframe.curves import (
     arclength_grid,
     circle,
-    frenet_arclength_grid,
     helix,
     line,
     planar_cubic,
@@ -244,8 +243,9 @@ class TestFrameOde:
             assert res.max_residual < 1e-5, (spec.family, s, res)
 
     def test_planar_cubic_away_from_zero(self):
+        # an even count: no sample of the grid sits on the zero at t = 0
         spec = planar_cubic()
-        for s in frenet_arclength_grid(spec, 8):
+        for s in arclength_grid(spec, 8):
             res = frames.check_frame_ode(spec, float(s))
             assert res.max_residual < 1e-5
 

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -5,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import modframe
-from modframe import curves, validation
+from modframe import curves, frames, validation
+from modframe.numerics import ABS_TOL
 from modframe.validation import IDENTITY_NAMES, run_validation
 
 
@@ -122,15 +124,15 @@ def test_skipped_samples_count_nowhere(report):
     # circle, the binormal of a circle) counts in no entry.  The unweighted
     # binormal gap counts every sample of the helix and the salkowski curve.
     assert {e.name: e.n_evaluated for e in report.entries} == {
-        "frame-ode": 60, "metric-relations": 72, "darboux-alignment": 48,
+        "frame-ode": 72, "metric-relations": 72, "darboux-alignment": 48,
         "darboux-rotation": 48, "lancret-angle": 48,
-        "tangent-ind-covderiv": 60, "normal-ind-covderiv": 48,
+        "tangent-ind-covderiv": 72, "normal-ind-covderiv": 48,
         "binormal-ind-covderiv": 24, "pole-ind-covderiv": 12,
-        "tangent-ind-tangent": 60, "normal-ind-tangent": 48,
+        "tangent-ind-tangent": 72, "normal-ind-tangent": 48,
         "binormal-ind-tangent": 24, "pole-ind-tangent": 12,
-        "geodesic-tangent": 60, "geodesic-normal": 48, "geodesic-binormal": 24,
+        "geodesic-tangent": 72, "geodesic-normal": 48, "geodesic-binormal": 24,
         "geodesic-pole": 12, "geodesic-binormal-unweighted": 24,
-        "geodesic-sphere-det": 36, "involute-tangent": 48, "involute-binormal": 24,
+        "geodesic-sphere-det": 42, "involute-tangent": 48, "involute-binormal": 24,
         "involute-normal": 24, "frame-coincidence": 24, "unit-speed": 72,
         "kappa-zero-extension": 12,
     }
@@ -161,3 +163,46 @@ def test_tangent_rows_evaluate_at_small_rates():
     for entry in rep.entries:
         assert entry.n_evaluated == 16, entry
         assert entry.passed, entry
+
+
+# The rows that need kappa > 0, on the planar cubic, whose curvature
+# vanishes at t = 0: at an odd count the middle sample sits on the zero.
+PLANAR_CUBIC_ROWS = ["frame-ode", "tangent-ind-covderiv", "tangent-ind-tangent",
+                     "geodesic-tangent"]
+
+
+def test_kappa_zero_curve_is_checked_per_sample():
+    # each row skips the one sample on the zero through its NaN mask and
+    # judges the other 32, the samples on both sides of it included
+    spec = curves.planar_cubic()
+    assert frames.modified_frame(spec, curves.arclength_grid(spec, 33)[16]).kappa <= ABS_TOL
+    rep = run_validation(samples=33, only=PLANAR_CUBIC_ROWS, families={"p": spec})
+    assert [(e.name, e.n_evaluated, e.passed) for e in rep.entries] == [
+        (name, 32, True) for name in PLANAR_CUBIC_ROWS]
+
+
+def test_metric_relations_count_the_sample_on_the_zero():
+    # the metric relations hold at the zero itself (N = B = 0, kappa = 0):
+    # every one of the 33 samples on each of the six curves is judged
+    [entry] = run_validation(samples=33, only=["metric-relations"]).entries
+    assert (entry.n_evaluated, entry.passed) == (6 * 33, True)
+
+
+def test_coincidence_sees_normal_and_binormal_turned(monkeypatch):
+    # N and B turned by 1e-6 rad in their own plane keep every norm and
+    # inner product; only a Frenet frame built from the jet tells them apart
+    assemble, a = frames._assemble, 1e-6
+
+    def turned(*jet):
+        T, N, B, *rest = assemble(*jet)
+        return (T, math.cos(a) * N + math.sin(a) * B, math.cos(a) * B - math.sin(a) * N,
+                *rest)
+
+    monkeypatch.setattr(frames, "_assemble", turned)
+    frames.modified_frame.cache_clear()
+    try:
+        [entry] = run_validation(samples=12, only=["frame-coincidence"]).entries
+    finally:
+        frames.modified_frame.cache_clear()
+    assert not entry.passed
+    assert entry.max_residual == pytest.approx(a, rel=1e-3)
