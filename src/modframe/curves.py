@@ -345,7 +345,7 @@ def _horner(coef, u):
     return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # ~40 KB a table: a process making new curves must not grow with them
 def _arclength_table(spec: CurveSpec):
     """(ts, cum, panels): 257 uniform parameter nodes, the cumulative
     lengths there from one 16-node Gauss-Legendre rule per panel (a

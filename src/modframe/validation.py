@@ -93,10 +93,6 @@ def _const_kappa(spec: CurveSpec) -> bool:
     return spec.constant_kappa is not None and spec.constant_kappa > ABS_TOL
 
 
-def _unit_kappa(spec: CurveSpec) -> bool:
-    return _const_kappa(spec) and abs(spec.constant_kappa - 1.0) < 1e-12
-
-
 def _admits(kind: IndicatrixKind) -> Callable[[CurveSpec], bool]:
     # The curves an indicatrix's closed forms hold on.
     return _const_kappa if KINDS[kind].constant_kappa else (lambda spec: True)
@@ -104,7 +100,8 @@ def _admits(kind: IndicatrixKind) -> Callable[[CurveSpec], bool]:
 
 # The arclengths an identity reads frames at, points(spec, samples): its
 # grid, the finite-difference stencil around it, or the determinant
-# oracle's half-size grid with both of its stencils.
+# oracle's half-size grid with both of its stencils.  An identity skips a
+# curve that its points would leave, as a stencil leaves one below ~2e-4.
 
 def _stencil_points(spec, samples):
     return numerics.stencil(curves.arclength_grid(spec, samples))
@@ -163,11 +160,8 @@ def _det_residual(kind, table, s):
 def _coincidence(table, s):
     mf = table(s)
     ff = frames.frenet_frame(table, s)
-    n, b = ff.n_vec.T, ff.b_vec.T
-    unit = np.abs(ff.kappa - 1) < 1e-12
-    return np.maximum.reduce([
-        norm(mf.T.T - ff.t_vec.T), norm(mf.N.T - n * ff.kappa), norm(mf.B.T - b * ff.kappa),
-        np.where(unit, norm(mf.N.T - n), 0.0)])
+    return np.maximum.reduce([norm(mf.T.T - ff.t_vec.T), norm(mf.N.T - ff.n_vec.T * ff.kappa),
+                              norm(mf.B.T - ff.b_vec.T * ff.kappa)])
 
 
 def _unit_speed(table, s):
@@ -275,9 +269,7 @@ IDENTITIES: list[Identity] = [
     Identity("geodesic-sphere-det",
              "determinant oracle agrees with the Gauss-equation oracle on the "
              "unit-sphere indicatrices",
-             # its stencil reaches 2 * SPHERE_STEP past a sample: within the grid's margin
-             1e-5, lambda spec: 0.05 * curves.total_arclength(spec) >= 2 * geodesic.SPHERE_STEP,
-             measure=_sphere_det, points=_det_points),
+             1e-5, lambda spec: True, measure=_sphere_det, points=_det_points),
     Identity("involute-tangent",
              "pole-curve tangent orthogonal to the tangent indicatrix tangent",
              1e-9, _const_kappa, measure=partial(_involute_defect, IndicatrixKind("tangent")),
@@ -289,8 +281,8 @@ IDENTITIES: list[Identity] = [
     Identity("involute-normal",
              "normal-indicatrix involute defect is zero exactly for helices",
              1e-9, _const_kappa, measure=_involute_normal, points=curves.arclength_grid),
-    Identity("frame-coincidence", "modified frame equals the Frenet frame where kappa = 1",
-             1e-9, _unit_kappa, residual=_coincidence, points=curves.arclength_grid),
+    Identity("frame-coincidence", "modified frame equals (t, k n, k b) of the jet's Frenet frame",
+             1e-9, lambda spec: True, residual=_coincidence, points=curves.arclength_grid),
     Identity("unit-speed", "arclength reparametrization has unit speed",
              1e-6, lambda spec: True, residual=_unit_speed),
     Identity("kappa-zero-extension",
@@ -315,21 +307,25 @@ def run_validation(
     discrepancies pass.  ``only`` restricts to the named identities, and
     an unknown name raises ValueError.  Each curve's frames come from one
     :class:`~modframe.frames.FrameTable` that holds every arclength the
-    chosen identities read on it; each distinct point set is built once.
+    chosen identities read on it; each distinct point set is built once,
+    and kept only if it lies within at_arclength's bounds on the curve.
     """
     specs = families if families is not None else default_families()
     unknown = [n for n in only or () if n not in IDENTITY_NAMES]
     if unknown:
         raise ValueError(f"unknown identity name(s): {', '.join(unknown)}")
     chosen = [i for i in IDENTITIES if only is None or i.name in only]
-    tables = {}
+    tables, fits = {}, {}
     for f, spec in specs.items():
-        sets = dict.fromkeys(i.points for i in chosen if i.assumes(spec))
-        if sets:
-            tables[f] = frames.FrameTable(spec, np.concatenate([p(spec, samples) for p in sets]))
+        wanted = dict.fromkeys(i.points for i in chosen if i.assumes(spec))
+        sets = {p: p(spec, samples) for p in wanted}
+        end = curves.total_arclength(spec) + ABS_TOL
+        fits[f] = [p for p, s in sets.items() if numerics.outside(s, -ABS_TOL, end) is None]
+        if fits[f]:
+            tables[f] = frames.FrameTable(spec, np.concatenate([sets[p] for p in fits[f]]))
     entries = []
     for ident in chosen:
-        names = [f for f, spec in specs.items() if ident.assumes(spec)]
+        names = [f for f, spec in specs.items() if ident.assumes(spec) and ident.points in fits[f]]
         residual, n_evaluated, holds, note = (
             ident.measure(tables, names, samples) if ident.residual is None
             else (*_max_over(tables, names, samples, ident.residual), True, ident.note))

@@ -274,6 +274,13 @@ class TestValidate:
                              "--only", "frame-coincidence")
         assert code == EXIT_OK
 
+    def test_curve_shorter_than_the_stencil_gets_a_verdict(self, capsys):
+        # circle:1e-5 is 6.3e-5 long, so the finite-difference stencils
+        # would leave it: those rows report not applicable
+        code, out, err = run(capsys, "validate", "--samples", "8", "--curve", "circle:1e-5")
+        assert code in (EXIT_OK, EXIT_VALIDATION_FAILED)
+        assert err == ""
+
     def test_straight_line_reports_not_applicable(self, capsys):
         code, out, err = run(capsys, "validate", "--samples", "6", "--curve", "line")
         entries = {e["name"]: e for e in json.loads(out)["report"]["entries"]}

@@ -410,6 +410,23 @@ class TestAtArclength:
         finally:
             curves._arclength_table.cache_clear()
 
+    def test_table_cache_is_bounded(self):
+        # each curve of varying speed has a table of about 40 KB; the cache
+        # keeps a fixed number of them, and rebuilds an evicted one the same
+        # bit for bit
+        table = curves._arclength_table
+        bound = table.cache_info().maxsize
+        assert bound is not None
+        first = salkowski(0.2718)
+        kept = table(first)
+        for k in range(bound + 1):
+            table(salkowski(0.3 + 1e-3 * k))
+        assert table.cache_info().currsize <= bound
+        rebuilt = table(first)
+        assert rebuilt is not kept
+        for old, new in zip(kept, rebuilt):
+            assert np.array_equal(np.asarray(old), np.asarray(new))
+
     def test_cached_table_is_read_only(self):
         # every caller shares the table, so no caller may change it
         spec = twisted_cubic()

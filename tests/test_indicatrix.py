@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from modframe import frames, indicatrix, involute, validation
-from modframe.curves import arclength_grid, circle, helix, salkowski, twisted_cubic
+from modframe.curves import arclength, arclength_grid, circle, helix, salkowski, twisted_cubic
 from modframe.errors import DegenerateIndicatrix, NonConstantCurvature
 from modframe.indicatrix import IndicatrixKind
 from modframe.numerics import norm
@@ -90,6 +90,39 @@ class TestTangents:
         mf = frames.modified_frame(twisted_cubic(), 1.0)
         with pytest.raises(NonConstantCurvature):
             indicatrix.indicatrix_tangent(IndicatrixKind.NORMAL, mf)
+
+    # The gate reads kappa' at the point alone, and a frame does not know its
+    # curve, so it passes a curve of varying kappa wherever kappa' = 0: the
+    # twisted cubic at t = 0, where the oracle's stencil sees kappa' = 6e-5
+    # and refuses.  ROADMAP item 10's unit images remove the gate.
+    GATE_PER_POINT = pytest.mark.xfail(
+        strict=True, raises=pytest.fail.Exception,
+        reason="the constant-kappa gate is per point (ROADMAP item 10)")
+
+    @staticmethod
+    def _at_twisted_cubic_flat_point():
+        spec = twisted_cubic()
+        s0 = arclength(spec, spec.t_lo, 0.0)
+        assert frames.modified_frame(spec, s0).kappa_prime == 0.0
+        return spec, s0
+
+    def test_oracle_refuses_where_kappa_prime_vanishes(self):
+        spec, s0 = self._at_twisted_cubic_flat_point()
+        with pytest.raises(NonConstantCurvature):
+            indicatrix.cov_deriv_numeric(IndicatrixKind.NORMAL, spec, s0)
+
+    @GATE_PER_POINT
+    def test_gate_refuses_sample_where_kappa_prime_vanishes(self):
+        spec, s0 = self._at_twisted_cubic_flat_point()
+        with pytest.raises(NonConstantCurvature):
+            indicatrix.sample(IndicatrixKind.NORMAL, spec, s0)
+
+    @GATE_PER_POINT
+    def test_gate_refuses_geodesic_curvature_where_kappa_prime_vanishes(self):
+        spec, s0 = self._at_twisted_cubic_flat_point()
+        with pytest.raises(NonConstantCurvature):
+            indicatrix.geodesic_curvature_closed(IndicatrixKind.BINORMAL,
+                                                 frames.modified_frame(spec, s0))
 
     def test_pole_tangent_degenerate_on_helix(self):
         # phi' = 0: the pole curve is a point, its tangent is undefined

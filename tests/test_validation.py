@@ -122,7 +122,8 @@ def test_single_entry_matches_full_run(report, name):
 def test_skipped_samples_count_nowhere(report):
     # 12 samples per curve; a degenerate sample (the pole of a helix or a
     # circle, the binormal of a circle) counts in no entry.  The unweighted
-    # binormal gap counts every sample of the helix and the salkowski curve.
+    # binormal gap counts every sample of the helix and the salkowski curve,
+    # and the frame coincidence every sample of all six curves.
     assert {e.name: e.n_evaluated for e in report.entries} == {
         "frame-ode": 72, "metric-relations": 72, "darboux-alignment": 48,
         "darboux-rotation": 48, "lancret-angle": 48,
@@ -133,7 +134,7 @@ def test_skipped_samples_count_nowhere(report):
         "geodesic-tangent": 72, "geodesic-normal": 48, "geodesic-binormal": 24,
         "geodesic-pole": 12, "geodesic-binormal-unweighted": 24,
         "geodesic-sphere-det": 42, "involute-tangent": 48, "involute-binormal": 24,
-        "involute-normal": 24, "frame-coincidence": 24, "unit-speed": 72,
+        "involute-normal": 24, "frame-coincidence": 72, "unit-speed": 72,
         "kappa-zero-extension": 12,
     }
 
@@ -188,10 +189,13 @@ def test_metric_relations_count_the_sample_on_the_zero():
     assert (entry.n_evaluated, entry.passed) == (6 * 33, True)
 
 
-def test_coincidence_sees_normal_and_binormal_turned(monkeypatch):
-    # N and B turned by 1e-6 rad in their own plane keep every norm and
-    # inner product; only a Frenet frame built from the jet tells them apart
-    assemble, a = frames._assemble, 1e-6
+TURN = 1e-6
+
+
+def _turned_coincidence(monkeypatch, families=None):
+    # the frame-coincidence entry with N and B turned by TURN rad in their
+    # own plane, which keeps every norm and inner product
+    assemble, a = frames._assemble, TURN
 
     def turned(*jet):
         T, N, B, *rest = assemble(*jet)
@@ -201,8 +205,53 @@ def test_coincidence_sees_normal_and_binormal_turned(monkeypatch):
     monkeypatch.setattr(frames, "_assemble", turned)
     frames.modified_frame.cache_clear()
     try:
-        [entry] = run_validation(samples=12, only=["frame-coincidence"]).entries
+        [entry] = run_validation(samples=12, only=["frame-coincidence"],
+                                 families=families).entries
     finally:
         frames.modified_frame.cache_clear()
+    return entry
+
+
+def _max_kappa(families):
+    # the largest kappa over the 12-sample grids the entry reads
+    return max(float(frames.modified_frames(spec, curves.arclength_grid(spec, 12)).kappa.max())
+               for spec in families.values())
+
+
+def test_coincidence_sees_normal_and_binormal_turned(monkeypatch):
+    # only a Frenet frame built from the jet tells the turned N and B apart;
+    # the row compares N with kappa n, so it misses by TURN * kappa at the
+    # sample of largest kappa (about 2, on the twisted cubic)
+    entry = _turned_coincidence(monkeypatch)
     assert not entry.passed
-    assert entry.max_residual == pytest.approx(a, rel=1e-3)
+    kappa = _max_kappa(validation.default_families())
+    assert entry.max_residual == pytest.approx(TURN * kappa, rel=1e-3)
+
+
+def test_coincidence_runs_where_kappa_is_not_one(monkeypatch):
+    # helix(2, 1) has kappa = 0.4: every sample is compared, and the turned
+    # frame fails there at TURN * kappa
+    families = {"h": curves.helix(2.0, 1.0)}
+    [entry] = run_validation(samples=12, only=["frame-coincidence"], families=families).entries
+    assert (entry.n_evaluated, entry.passed) == (12, True)
+    turned = _turned_coincidence(monkeypatch, families)
+    assert (turned.n_evaluated, turned.passed) == (12, False)
+    assert turned.max_residual == pytest.approx(TURN * 0.4, rel=1e-3)
+
+
+# Curves shorter than about 2e-4, whose 5 % grid margin cannot hold the
+# finite-difference stencil.
+SHORT = {"circle": curves.circle(1e-5), "salkowski": curves.salkowski(1e4)}
+
+
+@pytest.mark.parametrize("name", SHORT)
+def test_short_curve_gets_a_report(name):
+    # a row whose points would leave the curve skips it; the grid rows run
+    rep = run_validation(samples=8, families={"c": SHORT[name]})
+    entries = {e.name: e for e in rep.entries}
+    skipped = ["frame-ode", "unit-speed", *(n for n in entries if "-ind-" in n)]
+    for n in skipped:
+        assert (entries[n].n_evaluated, entries[n].note) == (
+            0, "not applicable: no sample evaluated"), n
+    assert entries["metric-relations"].n_evaluated == 8
+    assert entries["frame-coincidence"].n_evaluated == 8
