@@ -74,12 +74,11 @@ class CurveSpec(NamedTuple("CurveSpec", [("family", str), ("params", tuple[float
         """The five vectors of :meth:`jet` as the family computes them:
         3-tuples of Python floats at a float ``t``, (..., 3) arrays at an
         array of parameters."""
-        bad = numerics.outside(t, self.t_lo - ABS_TOL, self.t_hi + ABS_TOL)
+        family, params, t_lo, t_hi = self  # one unpack, not four field reads
+        bad = numerics.outside(t, t_lo - ABS_TOL, t_hi + ABS_TOL)
         if bad is not None:
-            raise OutOfRange(
-                f"t = {bad:g} outside [{self.t_lo:g}, {self.t_hi:g}] for {self.family}"
-            )
-        return FAMILIES[self.family].jet(self.params, t)
+            raise OutOfRange(f"t = {bad:g} outside [{t_lo:g}, {t_hi:g}] for {family}")
+        return FAMILIES[family].jet(params, t)
 
     def speed(self, t):
         """Exact |dr/dt| at ``t``, a float or an array of parameters."""
@@ -426,12 +425,13 @@ def at_arclength(spec: CurveSpec, s):
     elementwise, so each element of an array equals the call at that one
     arclength bit for bit, whatever the array's size.
     """
-    # The family row and the table once per call: total_arclength's
-    # expressions, inlined.
-    family = FAMILIES[spec.family]
+    # The spec's fields, the family row and the table once per call:
+    # total_arclength's expressions, inlined.
+    name, params, t_lo, t_hi = spec
+    family = FAMILIES[name]
     if family.constant_speed:
-        v = family.speed(spec.params, spec.t_lo)
-        total = v * (spec.t_hi - spec.t_lo)
+        v = family.speed(params, t_lo)
+        total = v * (t_hi - t_lo)
     else:
         _, cum, panels = _arclength_table(spec)
         total = cum[-1]
@@ -439,10 +439,10 @@ def at_arclength(spec: CurveSpec, s):
     if bad is not None:
         raise TargetOutOfRange(f"arclength {bad:g} outside [0, {total:g}]")
     if family.constant_speed:
-        t = spec.t_lo + s / v
+        t = t_lo + s / v
         if isinstance(t, np.ndarray):
-            return np.clip(t, spec.t_lo, spec.t_hi)
-        return min(max(t, spec.t_lo), spec.t_hi)
+            return np.clip(t, t_lo, t_hi)
+        return min(max(t, t_lo), t_hi)
     # The table brackets s within one panel (the count of inner panel
     # edges at or below s) and gives its image [c0, c1].  The first guess
     # is the cubic Hermite interpolant of t(s) across the panel, with the
@@ -456,7 +456,7 @@ def at_arclength(spec: CurveSpec, s):
     u = (s - c0) / (c1 - c0)
     guess = lo + u * (hi - lo + (1.0 - u) * ((1.0 - u) * bend0 - u * bend1))
     return numerics.invert_monotone(lambda t: c0 + (t - lo) * _horner(coef, (t - mid) / half),
-                                    partial(family.speed, spec.params), s, lo, hi, guess,
+                                    partial(family.speed, params), s, lo, hi, guess,
                                     (c0, c1))
 
 

@@ -10,7 +10,7 @@ frame builds on the first read and keeps, read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ from .numerics import ABS_TOL, Vec3, _read_only, blank, cross, norm, undefined
 CONST_KAPPA_GATE = 1e-6
 
 
-@dataclass(frozen=True)
-class DarbouxData:
+class DarbouxData(NamedTuple):
     """Rotation vector w, its norm, the Lancret angle and pole direction."""
 
     w: Vec3

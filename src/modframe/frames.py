@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import importlib
 import math
-from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +39,6 @@ class FrenetFrame(NamedTuple):
     tau: float
 
 
-@dataclass(frozen=True)
 class ModifiedFrame:
     """Orthogonal frame {T, N, B} with |T| = 1 and |N| = |B| = kappa.
 
@@ -50,25 +48,48 @@ class ModifiedFrame:
     are undefined there (tau, kappa', tau') are reported as 0.  ``t`` is
     the curve parameter of the point and ``r`` its position.  From
     :func:`modified_frames` every field carries a leading axis of points;
-    its array fields are read-only from the library's producers.
+    its array fields are read-only from the library's producers.  A
+    slotted record that refuses assignment; ``_fields`` names its fields.
     """
 
-    T: Vec3
-    N: Vec3
-    B: Vec3
-    kappa: float
-    tau: float
-    kappa_prime: float
-    tau_prime: float
-    t: float
-    r: Vec3
+    _fields = ("T", "N", "B", "kappa", "tau", "kappa_prime", "tau_prime", "t", "r")
+    __slots__ = (*_fields, "_darboux")
 
-    @cached_property
+    def __init__(self, T, N, B, kappa, tau, kappa_prime, tau_prime, t, r) -> None:
+        # Through the slots' own setters (bound below), past __setattr__.
+        _set_T(self, T)
+        _set_N(self, N)
+        _set_B(self, B)
+        _set_kappa(self, kappa)
+        _set_tau(self, tau)
+        _set_kappa_prime(self, kappa_prime)
+        _set_tau_prime(self, tau_prime)
+        _set_t(self, t)
+        _set_r(self, r)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"a ModifiedFrame is read-only: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"ModifiedFrame({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __reduce__(self):  # copy and pickle build through __init__
+        return ModifiedFrame, tuple(getattr(self, f) for f in self._fields)
+
+    @property
     def darboux(self):
         """The frame's DarbouxData, built on the first read and kept.  The
         builder :func:`modframe.darboux.darboux` is looked up in its module
         at each build, so that a patched one (a tracer, a counter) runs."""
-        return importlib.import_module(".darboux", __package__).darboux(self)
+        if not hasattr(self, "_darboux"):
+            _set_darboux(self, importlib.import_module(".darboux", __package__).darboux(self))
+        return self._darboux
+
+
+(_set_T, _set_N, _set_B, _set_kappa, _set_tau, _set_kappa_prime, _set_tau_prime, _set_t,
+ _set_r, _set_darboux) = (getattr(ModifiedFrame, name).__set__ for name in ModifiedFrame.__slots__)
 
 
 def curvature(jet: Jet):
@@ -183,9 +204,9 @@ def _assemble(r1, r2, r3, r4):
     T, N, B = np.array(T), np.array(N), np.array(B)
     if not one:
         T, N, B = T.T, N.T, B.T
-    T.setflags(write=False)
-    N.setflags(write=False)
-    B.setflags(write=False)
+    T.setflags(False)  # write=False, without keyword parsing
+    N.setflags(False)
+    B.setflags(False)
     return (T, N, B, kappa, *rates)
 
 
@@ -222,7 +243,7 @@ def _frame_at(spec: CurveSpec, t) -> ModifiedFrame:
     # T, N and B are arrays, and each is flagged read-only where it is made.
     r, *derivatives = spec.jet_components(t)
     r = np.asarray(r, dtype=float)
-    r.setflags(write=False)
+    r.setflags(False)
     if not isinstance(t, np.ndarray):
         return ModifiedFrame(*_assemble(*derivatives), t, r)
     with np.errstate(all="ignore"):  # _check_scale refuses what overflowed
@@ -253,14 +274,14 @@ class FrameTable:
         keep[1:] = s[1:] != s[:-1]
         self.s = s[keep]
         mf = modified_frames(spec, self.s)
-        rows = [np.atleast_2d(getattr(mf, f.name).T) for f in fields(mf)]
+        rows = [np.atleast_2d(getattr(mf, name).T) for name in mf._fields]
         # A field's rows in the block: an index for a scalar, a slice of
         # three for a vector.
         ends = np.cumsum([len(r) for r in rows]).tolist()
         self._rows = [e - 1 if len(r) == 1 else slice(e - len(r), e)
                       for r, e in zip(rows, ends)]
         self._block = np.concatenate(rows)
-        self._block.setflags(write=False)
+        self._block.setflags(False)
 
     def __call__(self, s) -> ModifiedFrame:
         i = np.searchsorted(self.s, s)
@@ -269,7 +290,7 @@ class FrameTable:
         if (self.s.take(i, mode="clip") != s).any():
             raise ValueError("arclength not in the frame table")
         col = self._block[:, i]
-        col.setflags(write=False)  # every field below is a view of it
+        col.setflags(False)  # every field below is a view of it
         return ModifiedFrame(*(col[k].T for k in self._rows))
 
 

@@ -44,7 +44,7 @@ def _read_only(*values) -> tuple:
     # None of them makes an ndarray subclass, so an exact type test serves.
     for value in values:
         if type(value) is np.ndarray:
-            value.setflags(write=False)
+            value.setflags(False)
     return values
 
 

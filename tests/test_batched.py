@@ -6,7 +6,6 @@ Where the scalar form raises, the batch marks that row with NaN, except
 for the constant-curvature gate, which refuses the whole batch.
 """
 
-import dataclasses
 import enum
 
 import numpy as np
@@ -40,10 +39,8 @@ def _grid(spec):
 
 def _fields(result):
     # The per-point parts of a result, in a fixed order: the fields of a
-    # record (a NamedTuple or a dataclass) but its kind, or a tuple's items.
-    if dataclasses.is_dataclass(result):
-        result = vars(result).values()
-    elif not isinstance(result, tuple | list):
+    # record (a NamedTuple) but its kind, or a tuple's items.
+    if not isinstance(result, tuple | list):
         return [result]
     return [v for v in result if not isinstance(v, enum.Enum)]
 
@@ -239,7 +236,7 @@ def test_table_refuses_an_arclength_it_does_not_hold():
 
 def _bits(x):
     # every field of a frame as its raw bytes: -0.0 and NaN compare exactly
-    return [np.asarray(getattr(x, f.name)).tobytes() for f in dataclasses.fields(x)]
+    return [np.asarray(getattr(x, name)).tobytes() for name in x._fields]
 
 
 @pytest.mark.parametrize("name", ["twisted_cubic", "salkowski"])
@@ -277,10 +274,10 @@ def test_table_fields_are_read_only():
     s = np.array([0.1, 0.2, 0.3])
     table = frames.FrameTable(spec, s)
     for mf in (table(s), table(0.2)):
-        for f in dataclasses.fields(mf):
-            value = getattr(mf, f.name)
+        for name in mf._fields:
+            value = getattr(mf, name)
             if isinstance(value, np.ndarray):
-                assert not value.flags.writeable, f.name
+                assert not value.flags.writeable, name
                 with pytest.raises(ValueError):
                     value[...] = 0.0
 

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import math
 
@@ -275,8 +274,8 @@ class TestDarbouxBuilds:
     @pytest.mark.parametrize("batch", [False, True], ids=["point", "batch"])
     def test_data_is_read_only(self, batch):
         dd = self.frame(salkowski(0.5), batch).darboux
-        for f in dataclasses.fields(dd):
-            value = getattr(dd, f.name)
+        for name in dd._fields:
+            value = getattr(dd, name)
             if isinstance(value, np.ndarray):
                 with pytest.raises(ValueError):
                     value[...] = 0.0

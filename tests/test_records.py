@@ -1,19 +1,23 @@
 """The library's value records are NamedTuples with the layout they had as
-frozen dataclasses; only ModifiedFrame and DarbouxData stay dataclasses."""
+frozen dataclasses; ModifiedFrame is a slotted record with the same fields."""
 
+import copy
 import csv
 import dataclasses
 import io
 import json
 import math
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import modframe
 from modframe import cli, curves, frames, geodesic, indicatrix, involute, validation
+from modframe.darboux import DarbouxData
 from modframe.indicatrix import IndicatrixKind
 
 SPEC = curves.helix(2.0, 1.0)
@@ -27,6 +31,7 @@ LAYOUTS = {
     curves.Family: (("name", "arity", "factory", "jet", "speed", "constant_speed",
                      "constant_kappa", "kappa_zeros"), {"kappa_zeros": ()}),
     frames.FrenetFrame: (("t_vec", "n_vec", "b_vec", "kappa", "tau"), {}),
+    DarbouxData: (("w", "w_norm", "phi", "phi_prime", "C"), {}),
     frames.FrameOdeResult: (("s", "residual_T", "residual_N", "residual_B"), {}),
     indicatrix.Kind: (("constant_kappa", "on_unit_sphere", "point", "rate", "tangent", "cov",
                        "gamma", "singular", "unweighted"),
@@ -53,6 +58,7 @@ def _instances():
     report = validation.run_validation(samples=4, only=["unit-speed"])
     return [
         SPEC, SPEC.jet(0.5), curves.FAMILIES["helix"], frames.frenet_frame(SPEC, 0.5),
+        frames.modified_frames(SPEC, [0.5]).darboux,
         frames.check_frame_ode(SPEC, 0.5), indicatrix.KINDS[IndicatrixKind.POLE],
         indicatrix.sample(IndicatrixKind.TANGENT, SPEC, 0.5),
         geodesic.geodesic_report(IndicatrixKind.TANGENT, SPEC, 0.5),
@@ -140,27 +146,87 @@ def test_validate_output_bytes_as_from_dataclass_records(capsys, fmt):
     assert code == cli.EXIT_OK and out == expected
 
 
-def test_import_leaves_two_dataclasses():
-    """A fresh ``import modframe.cli`` builds two dataclasses, ModifiedFrame
-    and DarbouxData: 12 generated functions, where the 14 dataclass
-    records made 81."""
-    code = (
-        "import dataclasses, sys\n"
-        "made = []\n"
-        "create = getattr(dataclasses, '_create_fn', None)\n"
-        "if create is not None:\n"
-        "    dataclasses._create_fn = lambda *a, **k: made.append(a[0]) or create(*a, **k)\n"
-        "import modframe.cli\n"
-        "print(sorted({c.__qualname__ for m in list(sys.modules.values())\n"
-        "              if m.__name__.startswith('modframe') for c in vars(m).values()\n"
-        "              if isinstance(c, type) and dataclasses.is_dataclass(c)}))\n"
-        "print(len(made) if create is not None else None)\n")
+def test_import_leaves_dataclasses_out():
+    """A fresh ``import modframe.cli`` defines no dataclass, so it leaves
+    the ``dataclasses`` module unloaded (numpy does not load it either)."""
+    code = "import sys, modframe.cli\nprint('dataclasses' in sys.modules)\n"
     src = str(Path(modframe.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
-                         check=True, timeout=60).stdout.split("\n")
-    assert out[0] == "['DarbouxData', 'ModifiedFrame']"
-    assert out[1] in ("12", "None")  # the count where dataclasses has _create_fn (3.11)
+                         check=True, timeout=60).stdout
+    assert out == "False\n"
+
+
+# What the frozen dataclass gave a frame, kept by the slotted record.
+FRAME_FIELDS = ("T", "N", "B", "kappa", "tau", "kappa_prime", "tau_prime", "t", "r")
+
+
+def _frames():
+    # a one-point frame, a batch and a table read, each from its producer
+    table = frames.FrameTable(SPEC, [0.25, 0.5])
+    return [frames.modified_frame(SPEC, 0.5), frames.modified_frames(SPEC, [0.25, 0.5]),
+            table(0.5), table(np.array([0.25, 0.5]))]
+
+
+def _same(a, b):
+    # every field equal bit for bit, as raw bytes
+    return all(np.asarray(getattr(a, f)).tobytes() == np.asarray(getattr(b, f)).tobytes()
+               for f in FRAME_FIELDS)
+
+
+def test_frame_lists_its_fields_in_order():
+    assert frames.ModifiedFrame._fields == FRAME_FIELDS
+    assert not dataclasses.is_dataclass(frames.ModifiedFrame)
+
+
+def test_frame_builds_by_keyword():
+    mf = frames.modified_frame(SPEC, 0.5)
+    again = frames.ModifiedFrame(**{f: getattr(mf, f) for f in FRAME_FIELDS})
+    assert _same(again, mf)
+
+
+def test_frame_repr_names_its_fields():
+    mf = frames.modified_frame(SPEC, 0.5)
+    fields = ", ".join(f"{f}={getattr(mf, f)!r}" for f in FRAME_FIELDS)
+    assert repr(mf) == f"ModifiedFrame({fields})"
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda mf: pickle.loads(pickle.dumps(mf))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_frame_copies_and_pickles(clone):
+    for mf in _frames():
+        twin = clone(mf)
+        assert type(twin) is frames.ModifiedFrame and twin is not mf and _same(twin, mf)
+        # the twin builds its own Darboux data, equal to the original's
+        assert all(np.array_equal(a, b) for a, b in zip(twin.darboux, mf.darboux))
+
+
+def test_frame_refuses_assignment_and_new_attributes():
+    for mf in _frames():
+        for name in FRAME_FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(mf, name, getattr(mf, name))
+            with pytest.raises(AttributeError):
+                delattr(mf, name)
+        with pytest.raises(AttributeError):
+            mf.extra = 1.0
+        with pytest.raises(AttributeError):
+            mf._darboux = None  # the Darboux slot is filled by its first read only
+
+
+def test_held_frame_is_one_slotted_object():
+    """A held frame has no instance dict, so its record is one object of a
+    fixed size: CPython's object header (sys.getsizeof(object()), a reference
+    count and a type pointer), the two-pointer link every object the garbage
+    collector tracks carries, and one pointer for each of its ten slots: on
+    64-bit CPython 16 + 16 + 80 = 112 bytes, whatever the fields hold."""
+    mf = frames.modified_frame(SPEC, 0.5)
+    mf.darboux  # noqa: B018  (the Darboux slot filled too)
+    assert not hasattr(mf, "__dict__")
+    pointer = np.dtype(np.intp).itemsize
+    bound = sys.getsizeof(object()) + 2 * pointer + pointer * len(frames.ModifiedFrame.__slots__)
+    assert sys.getsizeof(mf) <= bound
 
 
 def test_report_default_is_empty():
