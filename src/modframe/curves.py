@@ -3,7 +3,8 @@
 Everything the library knows about a family sits in one row of
 :data:`FAMILIES`: its arity and factory, a closed-form jet (position and
 parameter-derivatives up to order 4), an exact speed, and the properties
-validation selects curves by.  Arclength comes from one table per curve,
+validation selects curves by.  Arclength comes from the family's exact
+length map where it has one (salkowski), else from one table per curve,
 so the frame formulas can assume unit speed: cumulative lengths at 257
 parameter nodes (a 16-node Gauss-Legendre rule per panel) and, per panel,
 a degree-9 length polynomial from the degree-8 Chebyshev interpolant of
@@ -206,7 +207,7 @@ def _monomials(*powers: int | None):
     return jet, speed
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # bounded as the tables are: a process may make any number of curves
 def _salkowski_terms(m: float):
     """(frequencies, factors, (c, a)) of the salkowski curve with parameter m.
 
@@ -255,6 +256,24 @@ def _salkowski_speed(p, t):
     return a * abs(math.cos(c * t))
 
 
+@lru_cache(maxsize=64)
+def _salkowski_length(spec: CurveSpec):
+    """(g, guess, L): salkowski's length map g(t) = (a/c)(sin(c t) - sin(c t_lo)),
+    the guess arcsin(sin(c t_lo) + c s/a)/c of its inverse, floats and arrays
+    alike, and the length L = g(t_hi)."""
+    c, a = _salkowski_terms(spec.params[0])[2]
+    k, s_lo = a / c, math.sin(c * spec.t_lo)
+
+    def g(t):
+        return k * ((np.sin if isinstance(t, np.ndarray) else math.sin)(c * t) - s_lo)
+
+    def guess(s):  # np.arcsin at a float too: math.asin can differ in the last bit
+        t = np.arcsin(s_lo + s / k)
+        return t / c if isinstance(s, np.ndarray) else float(t) / c
+
+    return g, guess, g(spec.t_hi)
+
+
 class Family(NamedTuple):
     """One curve family: how to build it, evaluate it, and what it is.
 
@@ -264,6 +283,8 @@ class Family(NamedTuple):
     ``constant_kappa(params)`` is the curvature when it is the same at
     every point and None otherwise;
     ``kappa_zeros`` lists the parameters of isolated curvature zeros.
+    ``length_map(spec)``, where the length is elementary, gives the exact
+    length map, a first guess of its inverse and the total length.
     """
 
     name: str
@@ -274,6 +295,7 @@ class Family(NamedTuple):
     constant_speed: bool
     constant_kappa: Callable[[tuple], float | None]
     kappa_zeros: tuple[float, ...] = ()
+    length_map: Callable[[CurveSpec], tuple] | None = None
 
 
 FAMILIES: dict[str, Family] = {f.name: f for f in (
@@ -288,7 +310,7 @@ FAMILIES: dict[str, Family] = {f.name: f for f in (
     Family("planar_cubic", 0, planar_cubic, *_monomials(1, 3, None), False,
            lambda p: None, (0.0,)),
     Family("salkowski", 1, salkowski, _salkowski_jet, _salkowski_speed, False,
-           lambda p: 1.0),
+           lambda p: 1.0, length_map=_salkowski_length),
 )}
 
 
@@ -410,18 +432,20 @@ def arclength(spec: CurveSpec, t0: float, t1: float) -> float:
 
 
 def total_arclength(spec: CurveSpec) -> float:
-    if FAMILIES[spec.family].constant_speed:
+    family = FAMILIES[spec.family]
+    if family.constant_speed:
         return arclength(spec, spec.t_lo, spec.t_hi)
-    return _arclength_table(spec)[1][-1]
+    return family.length_map(spec)[2] if family.length_map else _arclength_table(spec)[1][-1]
 
 
 def at_arclength(spec: CurveSpec, s):
     """Parameter t with arclength(spec, t_lo, t) = s; for an array of
     arclengths, an array of parameters from one elementwise solve.
 
-    On a curve of varying speed the length map inverted is the panel's
-    length polynomial c0 + (t - t0) m(u) from :func:`_arclength_table`,
-    with the exact speed as its derivative.  Every step of the solve is
+    On a curve of varying speed the length map inverted is the family's
+    exact one if it has one, else the panel's length polynomial
+    c0 + (t - t0) m(u) from :func:`_arclength_table`, with the exact speed
+    as its derivative.  Every step of the solve is
     elementwise, so each element of an array equals the call at that one
     arclength bit for bit, whatever the array's size.
     """
@@ -432,6 +456,8 @@ def at_arclength(spec: CurveSpec, s):
     if family.constant_speed:
         v = family.speed(params, t_lo)
         total = v * (t_hi - t_lo)
+    elif family.length_map:
+        g, guess, total = family.length_map(spec)
     else:
         _, cum, panels = _arclength_table(spec)
         total = cum[-1]
@@ -443,6 +469,9 @@ def at_arclength(spec: CurveSpec, s):
         if isinstance(t, np.ndarray):
             return np.clip(t, t_lo, t_hi)
         return min(max(t, t_lo), t_hi)
+    if family.length_map:
+        return numerics.invert_monotone(g, partial(family.speed, params), s, t_lo, t_hi,
+                                        guess(s), (0.0, total))
     # The table brackets s within one panel (the count of inner panel
     # edges at or below s) and gives its image [c0, c1].  The first guess
     # is the cubic Hermite interpolant of t(s) across the panel, with the

@@ -75,8 +75,11 @@ class ModifiedFrame:
     def __repr__(self) -> str:
         return f"ModifiedFrame({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
 
-    def __reduce__(self):  # copy and pickle build through __init__
-        return ModifiedFrame, tuple(getattr(self, f) for f in self._fields)
+    def __reduce__(self):  # deepcopy and pickle, through _rebuilt
+        return _rebuilt, tuple(getattr(self, f) for f in self._fields)
+
+    def __copy__(self):  # shares the fields: flags none of a hand-built frame's arrays
+        return ModifiedFrame(*(getattr(self, f) for f in self._fields))
 
     @property
     def darboux(self):
@@ -86,6 +89,10 @@ class ModifiedFrame:
         if not hasattr(self, "_darboux"):
             _set_darboux(self, importlib.import_module(".darboux", __package__).darboux(self))
         return self._darboux
+
+
+def _rebuilt(*fields) -> ModifiedFrame:  # deepcopy and pickle give writable arrays
+    return ModifiedFrame(*_read_only(*fields))
 
 
 (_set_T, _set_N, _set_B, _set_kappa, _set_tau, _set_kappa_prime, _set_tau_prime, _set_t,

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from modframe import cli, curves, frames, numerics
 from modframe.curves import (
@@ -17,7 +19,7 @@ from modframe.curves import (
     total_arclength,
     twisted_cubic,
 )
-from modframe.errors import OutOfRange, TargetOutOfRange, UnresolvedArclength
+from modframe.errors import NotMonotone, OutOfRange, TargetOutOfRange, UnresolvedArclength
 
 ALL_FAMILIES = [
     line(),
@@ -339,15 +341,18 @@ class TestAtArclength:
         with pytest.raises(TargetOutOfRange):
             at_arclength(twisted_cubic(), np.array([0.1, -0.5, 0.2]))
 
-    @pytest.mark.parametrize("spec", [twisted_cubic(), salkowski(0.5)],
-                             ids=lambda s: s.family)
-    def test_inversion_work_per_point(self, spec, monkeypatch):
+    @pytest.mark.parametrize("spec, most, share", [(twisted_cubic(), 3, 1 / 2),
+                                                   (salkowski(0.5), 2, 1 / 3)],
+                             ids=["twisted_cubic", "salkowski"])
+    def test_inversion_work_per_point(self, spec, most, share, monkeypatch):
         # The table gives the bracket's image and a Hermite first guess, so
         # Newton needs two rules and the final check one: at most three
         # evaluations of g per point, at the table edges, at both ends and
         # inside the panels.  The final check reuses the last Newton
         # residual when the root is that iterate, so most interior points
-        # take two.
+        # take two.  Salkowski's exact map guesses the root to rounding, so
+        # Newton stops after one rule: at most two evaluations, and one
+        # wherever the root is that rule's iterate (about half the points).
         evals = []
         invert = numerics.invert_monotone
 
@@ -369,14 +374,14 @@ class TestAtArclength:
             t = at_arclength(spec, s)
             assert abs(arclength(spec, spec.t_lo, t) - s) <= 1e-12 * max(1.0, s)
         assert len(evals) == len(targets)
-        assert max(evals) <= 3
-        assert evals[-len(interior):].count(2) >= len(interior) / 2
+        assert max(evals) <= most
+        assert evals[-len(interior):].count(most - 1) >= share * len(interior)
 
     def test_hermite_guess_falls_back_to_linear(self, monkeypatch):
         # A node speed that is 0, infinite or NaN makes the first guess on
         # both panels at that node the linear one, with no warning; the
         # solve still lands on the root.
-        spec = salkowski(0.4567)  # used by no other test, so no table is cached
+        spec = curves.CurveSpec("twisted_cubic", (), -1.0, 0.875)  # a range no other test uses
         nodes = {10: 0.0, 20: math.inf, 30: math.nan}
         speed = curves.CurveSpec.speed
 
@@ -426,6 +431,15 @@ class TestAtArclength:
         assert rebuilt is not kept
         for old, new in zip(kept, rebuilt):
             assert np.array_equal(np.asarray(old), np.asarray(new))
+
+    def test_salkowski_caches_are_bounded(self):
+        # a process that makes new salkowski curves keeps a fixed number of
+        # their terms and length maps
+        for k in range(3000):
+            spec = salkowski(0.3 + 1e-4 * k)
+            at_arclength(spec, 0.5 * total_arclength(spec))
+        for cache in (curves._salkowski_terms, curves._salkowski_length):
+            assert cache.cache_info().currsize <= cache.cache_info().maxsize == 64
 
     def test_cached_table_is_read_only(self):
         # every caller shares the table, so no caller may change it
@@ -488,6 +502,60 @@ class TestAtArclength:
             fd = numerics.diff_vec(
                 lambda x: curves.position_at_arclength(spec, x), float(s))
             assert numerics.norm(fd) == pytest.approx(1.0, rel=1e-6)
+
+
+class TestExactLengthMap:
+    """Salkowski's speed a cos(c t) has the closed-form length map
+    (a/c)(sin(c t) - sin(c t_lo)), which at_arclength inverts with no
+    table."""
+
+    @given(st.floats(0.01, 100.0) | st.floats(-100.0, -0.01), st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None, database=None)
+    def test_batch_equals_one_point_bit_for_bit(self, m, u):
+        assume(abs(abs(m) - 1.0 / math.sqrt(3.0)) > 1e-6)
+        spec = salkowski(m)
+        total = total_arclength(spec)
+        s = np.array([u * total, (1.0 - u) * total, 0.5 * u * total, total, 0.0])
+        assert at_arclength(spec, s).tobytes() == np.array(
+            [at_arclength(spec, x) for x in s.tolist()]).tobytes()
+
+    @pytest.mark.parametrize("m", [0.5, -0.7, 3.0, 1e-4, 1e3])
+    def test_matches_a_40_digit_inverse(self, m):
+        mpmath = pytest.importorskip("mpmath")
+        spec = salkowski(m)
+        with mpmath.workdps(40):
+            mm = mpmath.mpf(m)
+            c, a = mm / mpmath.sqrt(1 + mm * mm), 1 / mpmath.sqrt(1 + mm * mm)
+            start = mpmath.sin(c * mpmath.mpf(spec.t_lo))
+            rng = np.random.default_rng(40)
+            for s in rng.uniform(0.0, total_arclength(spec), 300).tolist():
+                exact = mpmath.asin(start + c * mpmath.mpf(s) / a) / c
+                assert abs(at_arclength(spec, s) - exact) <= 1e-15 * abs(exact)
+
+    @pytest.mark.parametrize("m", [0.5, -0.7, 3.0, 1e-4, 1e3, -1e5])
+    def test_total_matches_the_gauss_rule(self, m):
+        spec = salkowski(m)
+        gauss = arclength(spec, spec.t_lo, spec.t_hi)
+        assert abs(total_arclength(spec) - gauss) <= 8 * np.finfo(float).eps * gauss
+
+    def test_frames_build_no_table(self, monkeypatch):
+        def refused(spec):
+            raise AssertionError(f"table built for {spec}")
+
+        monkeypatch.setattr(curves, "_arclength_table", refused)
+        spec = salkowski(0.5)
+        grid = arclength_grid(spec, 9)
+        batch = frames.modified_frames(spec, grid)
+        for k, s in enumerate(grid.tolist()):
+            assert frames.modified_frame(spec, s).t == batch.t[k]
+
+    @pytest.mark.xfail(strict=True, raises=NotMonotone, reason=(
+        "one ulp of t ~ 1.6e11 spans about 3.5e-5 of arclength on salkowski(1e-12), "
+        "so no float t meets the final check at s = 1e-3"))
+    def test_small_m_start_of_the_curve(self):
+        spec = salkowski(1e-12)
+        t = at_arclength(spec, 1e-3)
+        assert abs(arclength(spec, spec.t_lo, t) - 1e-3) <= 1e-9
 
 
 class TestLengthPolynomial:

@@ -29,7 +29,8 @@ LAYOUTS = {
     curves.CurveSpec: (("family", "params", "t_lo", "t_hi"), {}),
     curves.Jet: (("r", "r1", "r2", "r3", "r4"), {}),
     curves.Family: (("name", "arity", "factory", "jet", "speed", "constant_speed",
-                     "constant_kappa", "kappa_zeros"), {"kappa_zeros": ()}),
+                     "constant_kappa", "kappa_zeros", "length_map"),
+                    {"kappa_zeros": (), "length_map": None}),
     frames.FrenetFrame: (("t_vec", "n_vec", "b_vec", "kappa", "tau"), {}),
     DarbouxData: (("w", "w_norm", "phi", "phi_prime", "C"), {}),
     frames.FrameOdeResult: (("s", "residual_T", "residual_N", "residual_B"), {}),
@@ -198,6 +199,11 @@ def test_frame_copies_and_pickles(clone):
     for mf in _frames():
         twin = clone(mf)
         assert type(twin) is frames.ModifiedFrame and twin is not mf and _same(twin, mf)
+        # numpy's pickling and deepcopy make writable arrays; the twin's are
+        # read-only, as its producer made the original's
+        arrays = [getattr(twin, f) for f in FRAME_FIELDS
+                  if isinstance(getattr(twin, f), np.ndarray)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
         # the twin builds its own Darboux data, equal to the original's
         assert all(np.array_equal(a, b) for a, b in zip(twin.darboux, mf.darboux))
 
