@@ -2,17 +2,19 @@
 
 Everything the library knows about a family sits in one row of
 :data:`FAMILIES`: its arity and factory, a closed-form jet (position and
-parameter-derivatives up to order 4), an exact speed, and the properties
-validation selects curves by.  Arclength comes from the family's exact
-length map where it has one (salkowski), else from one table per curve,
-so the frame formulas can assume unit speed: cumulative lengths at 257
-parameter nodes (a 16-node Gauss-Legendre rule per panel) and, per panel,
-a degree-9 length polynomial from the degree-8 Chebyshev interpolant of
-the speed, which :func:`at_arclength` inverts; the build refuses one that
-misses its panel's Gauss length.  Jets, speeds and arclength inversion
-take a float or an array of points; a float's jet is Python floats until
-:meth:`CurveSpec.jet` wraps it.  Finite differences are never used here;
-they live in :mod:`modframe.numerics` as the independent cross-check.
+parameter-derivatives up to order 4), an exact speed, the properties
+validation selects curves by, and a length record that inverts the length
+map, so the frame formulas can assume unit speed: exactly at constant
+speed, by Newton on salkowski's closed-form map, and on a cubic by Newton
+on one table per curve: cumulative lengths at 257 parameter nodes (a
+16-node Gauss-Legendre rule per panel) and, per panel, a degree-9 length
+polynomial from the degree-8 Chebyshev interpolant of the speed; the build
+refuses one that misses its panel's Gauss length.  :func:`arclength`, that
+rule on every family, is the reference.  Jets, speeds and arclength
+inversion take a float or an array of points; a float's jet is Python
+floats until :meth:`CurveSpec.jet` wraps it.  Finite differences are never
+used here; they live in :mod:`modframe.numerics` as the independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -194,9 +196,9 @@ def _monomials(*powers: int | None):
         tj = [1.0, *[t**j for j in range(1, degree + 1)]]
         return _vectors(t, tuple([a * tj[j] for a, j in terms]))
 
-    # |r'|^2 = sum of n^2 t^(2n - 2), a polynomial in t^2: its
-    # coefficients, highest first, summed by Horner.
-    top, *rest = (k * k if k in powers else 0 for k in range(degree, 0, -1))
+    # |r'|^2 = sum of n^2 t^(2n - 2), a polynomial in t^2 (0 t^2 + 1 on the
+    # line, so that it broadcasts): its coefficients, highest first, by Horner.
+    top, *rest = (k * k if k in powers else 0 for k in range(max(degree, 2), 0, -1))
 
     def speed(p, t):
         t2, acc = t * t, top
@@ -256,22 +258,64 @@ def _salkowski_speed(p, t):
     return a * abs(math.cos(c * t))
 
 
+@lru_cache(maxsize=64)  # the length records are bounded as the tables are
+def _uniform_length(spec: CurveSpec):
+    """(L, inverse) at a constant speed v: t = t_lo + s/v, clipped against rounding."""
+    _, _, t_lo, t_hi = spec
+    v = spec.speed(t_lo)
+
+    def inverse(s):
+        t = t_lo + s / v
+        if isinstance(t, np.ndarray):
+            return np.clip(t, t_lo, t_hi)
+        return min(max(t, t_lo), t_hi)
+
+    return v * (t_hi - t_lo), inverse
+
+
 @lru_cache(maxsize=64)
 def _salkowski_length(spec: CurveSpec):
-    """(g, guess, L): salkowski's length map g(t) = (a/c)(sin(c t) - sin(c t_lo)),
-    the guess arcsin(sin(c t_lo) + c s/a)/c of its inverse, floats and arrays
-    alike, and the length L = g(t_hi)."""
-    c, a = _salkowski_terms(spec.params[0])[2]
-    k, s_lo = a / c, math.sin(c * spec.t_lo)
+    """(L, inverse) of salkowski: Newton on its exact length map
+    g(t) = (a/c)(sin(c t) - sin(c t_lo)), L = g(t_hi), from arcsin(sin(c t_lo) + c s/a)/c."""
+    _, params, t_lo, t_hi = spec
+    c, a = _salkowski_terms(params[0])[2]
+    k, s_lo = a / c, math.sin(c * t_lo)
 
     def g(t):
         return k * ((np.sin if isinstance(t, np.ndarray) else math.sin)(c * t) - s_lo)
 
-    def guess(s):  # np.arcsin at a float too: math.asin can differ in the last bit
-        t = np.arcsin(s_lo + s / k)
-        return t / c if isinstance(s, np.ndarray) else float(t) / c
+    total, speed = g(t_hi), partial(_salkowski_speed, params)
 
-    return g, guess, g(spec.t_hi)
+    def inverse(s):
+        t = np.arcsin(s_lo + s / k)  # at a float too: math.asin can differ in the last bit
+        guess = t / c if isinstance(s, np.ndarray) else float(t) / c
+        return numerics.invert_monotone(g, speed, s, t_lo, t_hi, guess, (0.0, total))
+
+    return total, inverse
+
+
+@lru_cache(maxsize=64)
+def _table_length(spec: CurveSpec):
+    """(L, inverse) from the curve's :func:`_arclength_table`: the panel
+    that holds s (the count of inner edges at or below s) gives the bracket
+    [c0, c1], the Hermite first guess of t(s) and the length polynomial
+    that Newton solves, with the exact speed as its derivative."""
+    _, cum, panels = _arclength_table(spec)
+    speed = partial(FAMILIES[spec.family].speed, spec.params)
+
+    def inverse(s):
+        if isinstance(s, np.ndarray):
+            i = np.searchsorted(cum[1:-1], s, side="right")
+            lo, hi, c0, c1, bend0, bend1, mid, half, *coef = panels[i].T
+        else:  # one point, on Python floats
+            i = bisect.bisect_right(cum, s, 1, _PANELS) - 1
+            lo, hi, c0, c1, bend0, bend1, mid, half, *coef = panels[i].tolist()
+        u = (s - c0) / (c1 - c0)
+        guess = lo + u * (hi - lo + (1.0 - u) * ((1.0 - u) * bend0 - u * bend1))
+        return numerics.invert_monotone(lambda t: c0 + (t - lo) * _horner(coef, (t - mid) / half),
+                                        speed, s, lo, hi, guess, (c0, c1))
+
+    return cum[-1], inverse
 
 
 class Family(NamedTuple):
@@ -280,11 +324,11 @@ class Family(NamedTuple):
     ``jet(params, t)`` and ``speed(params, t)`` are exact, for a float
     ``t`` or an array of them; the jet is the five vectors of a
     :class:`Jet`, 3-tuples of floats at a float ``t``.
+    ``length(spec)`` is the length record (L, inverse): the total length
+    and the inverse of the length map, from arclengths in [0, L] to t.
     ``constant_kappa(params)`` is the curvature when it is the same at
     every point and None otherwise;
     ``kappa_zeros`` lists the parameters of isolated curvature zeros.
-    ``length_map(spec)``, where the length is elementary, gives the exact
-    length map, a first guess of its inverse and the total length.
     """
 
     name: str
@@ -292,25 +336,24 @@ class Family(NamedTuple):
     factory: Callable[..., CurveSpec]
     jet: Callable[[tuple, float | np.ndarray], tuple]
     speed: Callable
-    constant_speed: bool
+    length: Callable[[CurveSpec], tuple]
     constant_kappa: Callable[[tuple], float | None]
     kappa_zeros: tuple[float, ...] = ()
-    length_map: Callable[[CurveSpec], tuple] | None = None
 
 
 FAMILIES: dict[str, Family] = {f.name: f for f in (
-    Family("line", 0, line, *_monomials(1, None, None), True, lambda p: 0.0),
+    Family("line", 0, line, *_monomials(1, None, None), _uniform_length, lambda p: 0.0),
     Family("circle", 1, circle, lambda p, t: _helix_jet((p[0], 0.0), t),
-           lambda p, t: p[0], True, lambda p: 1.0 / p[0]),
-    Family("helix", 2, helix, _helix_jet, lambda p, t: math.hypot(*p), True,
-           lambda p: abs(p[0]) / (p[0] * p[0] + p[1] * p[1])),
-    Family("twisted_cubic", 0, twisted_cubic, *_monomials(1, 2, 3), False, lambda p: None),
+           lambda p, t: p[0] + 0.0 * t, _uniform_length, lambda p: 1.0 / p[0]),
+    Family("helix", 2, helix, _helix_jet, lambda p, t: math.hypot(*p) + 0.0 * t,
+           _uniform_length, lambda p: abs(p[0]) / (p[0] * p[0] + p[1] * p[1])),
+    Family("twisted_cubic", 0, twisted_cubic, *_monomials(1, 2, 3), _table_length, lambda p: None),
     # Curvature vanishes at t = 0: the isolated zero exercised by the
     # modified frame.
-    Family("planar_cubic", 0, planar_cubic, *_monomials(1, 3, None), False,
+    Family("planar_cubic", 0, planar_cubic, *_monomials(1, 3, None), _table_length,
            lambda p: None, (0.0,)),
-    Family("salkowski", 1, salkowski, _salkowski_jet, _salkowski_speed, False,
-           lambda p: 1.0, length_map=_salkowski_length),
+    Family("salkowski", 1, salkowski, _salkowski_jet, _salkowski_speed, _salkowski_length,
+           lambda p: 1.0),
 )}
 
 
@@ -372,7 +415,7 @@ def _arclength_table(spec: CurveSpec):
     lengths there from one 16-node Gauss-Legendre rule per panel (a
     read-only memoryview, so that a one-point :func:`at_arclength` bisects
     them as Python floats, not numpy scalars), and one row per panel of
-    what :func:`at_arclength` reads.  The cache shares all three, so all
+    what :func:`_table_length` reads.  The cache shares all three, so all
     three are read-only.
 
     A row holds the panel's ends t0, t1, their lengths c0, c1, the
@@ -418,13 +461,11 @@ def _arclength_table(spec: CurveSpec):
 
 
 def arclength(spec: CurveSpec, t0: float, t1: float) -> float:
-    """Arc length of the curve between parameters t0 <= t1."""
+    """Arc length between parameters t0 <= t1 on any family, the reference for
+    the length records: the table's whole panels plus a rule per part-panel."""
     for t in (t0, t1):
         if not (spec.t_lo - ABS_TOL <= t <= spec.t_hi + ABS_TOL):
             raise OutOfRange(f"parameter {t:g} outside the declared range")
-    if FAMILIES[spec.family].constant_speed:
-        return spec.speed(t0) * (t1 - t0)
-    # Whole panels from the table, plus one rule over each part-panel.
     ts, cum, *_ = _arclength_table(spec)
     i0, i1 = np.clip(np.searchsorted(ts, (t0, t1), side="right") - 1, 0, _PANELS - 1)
     return (float(cum[i1] - cum[i0])
@@ -432,61 +473,20 @@ def arclength(spec: CurveSpec, t0: float, t1: float) -> float:
 
 
 def total_arclength(spec: CurveSpec) -> float:
-    family = FAMILIES[spec.family]
-    if family.constant_speed:
-        return arclength(spec, spec.t_lo, spec.t_hi)
-    return family.length_map(spec)[2] if family.length_map else _arclength_table(spec)[1][-1]
+    """Length of the curve over its whole range, from its length record."""
+    return FAMILIES[spec.family].length(spec)[0]
 
 
 def at_arclength(spec: CurveSpec, s):
-    """Parameter t with arclength(spec, t_lo, t) = s; for an array of
-    arclengths, an array of parameters from one elementwise solve.
-
-    On a curve of varying speed the length map inverted is the family's
-    exact one if it has one, else the panel's length polynomial
-    c0 + (t - t0) m(u) from :func:`_arclength_table`, with the exact speed
-    as its derivative.  Every step of the solve is
-    elementwise, so each element of an array equals the call at that one
-    arclength bit for bit, whatever the array's size.
-    """
-    # The spec's fields, the family row and the table once per call:
-    # total_arclength's expressions, inlined.
-    name, params, t_lo, t_hi = spec
-    family = FAMILIES[name]
-    if family.constant_speed:
-        v = family.speed(params, t_lo)
-        total = v * (t_hi - t_lo)
-    elif family.length_map:
-        g, guess, total = family.length_map(spec)
-    else:
-        _, cum, panels = _arclength_table(spec)
-        total = cum[-1]
+    """Parameter t with arclength(spec, t_lo, t) = s, from the inverse in
+    the family's length record; for an array of arclengths, an array of
+    parameters from one elementwise solve, so each element equals the call
+    at that one arclength bit for bit, whatever the array's size."""
+    total, inverse = FAMILIES[spec.family].length(spec)
     bad = numerics.outside(s, -ABS_TOL, total + ABS_TOL)
     if bad is not None:
         raise TargetOutOfRange(f"arclength {bad:g} outside [0, {total:g}]")
-    if family.constant_speed:
-        t = t_lo + s / v
-        if isinstance(t, np.ndarray):
-            return np.clip(t, t_lo, t_hi)
-        return min(max(t, t_lo), t_hi)
-    if family.length_map:
-        return numerics.invert_monotone(g, partial(family.speed, params), s, t_lo, t_hi,
-                                        guess(s), (0.0, total))
-    # The table brackets s within one panel (the count of inner panel
-    # edges at or below s) and gives its image [c0, c1].  The first guess
-    # is the cubic Hermite interpolant of t(s) across the panel, with the
-    # exact slope dt/ds = 1/speed at both ends.
-    if isinstance(s, np.ndarray):
-        i = np.searchsorted(cum[1:-1], s, side="right")
-        lo, hi, c0, c1, bend0, bend1, mid, half, *coef = panels[i].T
-    else:  # one point, on Python floats
-        i = bisect.bisect_right(cum, s, 1, _PANELS) - 1
-        lo, hi, c0, c1, bend0, bend1, mid, half, *coef = panels[i].tolist()
-    u = (s - c0) / (c1 - c0)
-    guess = lo + u * (hi - lo + (1.0 - u) * ((1.0 - u) * bend0 - u * bend1))
-    return numerics.invert_monotone(lambda t: c0 + (t - lo) * _horner(coef, (t - mid) / half),
-                                    partial(family.speed, params), s, lo, hi, guess,
-                                    (c0, c1))
+    return inverse(s)
 
 
 def position_at_arclength(spec: CurveSpec, s: float) -> Vec3:

@@ -78,8 +78,11 @@ def test_table_properties_match_jets(spec):
         assert np.allclose(kappas, spec.constant_kappa, rtol=1e-12, atol=1e-12)
     for t in spec.kappa_zeros:
         assert frames.curvature(spec.jet(t)) <= 1e-12
+    # constant speed holds exactly where the family's length record is the
+    # constant-speed one, which inverts s = v (t - t_lo) with no solve
     speeds = [spec.speed(float(t)) for t in ts]
-    assert (np.ptp(speeds) <= 1e-12) == curves.FAMILIES[spec.family].constant_speed
+    uniform = curves.FAMILIES[spec.family].length is curves._uniform_length
+    assert (np.ptp(speeds) == 0.0) == uniform
 
 
 class TestEvalJet:
@@ -124,10 +127,16 @@ class TestEvalJet:
 
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
     def test_speed_matches_jet(self, spec):
-        for t in np.linspace(spec.t_lo, spec.t_hi, 9):
+        ts = np.linspace(spec.t_lo, spec.t_hi, 9)
+        for t in ts:
             jet = spec.jet(float(t))
             assert spec.speed(float(t)) == pytest.approx(
                 numerics.norm(jet.r1), rel=1e-12)
+        # one speed per parameter of an array, constant speeds too, each
+        # equal bit for bit to the float call
+        speeds = spec.speed(ts)
+        assert speeds.shape == (9,)
+        assert speeds.tobytes() == np.array([spec.speed(t) for t in ts.tolist()]).tobytes()
 
     @pytest.mark.parametrize("spec, closed", [
         (twisted_cubic(), lambda t: np.sqrt(1.0 + 4.0 * t**2 + 9.0 * t**4)),
@@ -226,15 +235,16 @@ class TestEvalJet:
 
 
 class TestArclength:
+    # The Gauss-Legendre rule against the closed form v (t1 - t0).
     def test_line_unit(self):
-        assert arclength(line(), 0.0, 1.0) == pytest.approx(1.0)
+        assert arclength(line(), 0.0, 1.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_circle(self):
-        assert arclength(circle(2.0), 0.0, math.pi) == pytest.approx(2 * math.pi)
+        assert arclength(circle(2.0), 0.0, math.pi) == pytest.approx(2 * math.pi, rel=1e-14)
 
     def test_helix(self):
         assert arclength(helix(2, 1), 0.0, 2 * math.pi) == pytest.approx(
-            2 * math.pi * math.sqrt(5), rel=1e-12)
+            2 * math.pi * math.sqrt(5), rel=1e-14)
 
     @pytest.mark.parametrize("m", [0.5, -0.3, 2.0])
     def test_salkowski_closed_form(self, m):
@@ -337,6 +347,27 @@ class TestAtArclength:
         assert {b.size for b in batches[:-1]} <= set(range(2, 12))
         assert np.concatenate([at_arclength(spec, b) for b in batches]).tobytes() == ts.tobytes()
 
+    @pytest.mark.parametrize("spec, solves", [
+        (line(), False), (circle(0.5), False), (helix(2.0, 1.0), False),
+        (twisted_cubic(), True), (planar_cubic(), True), (salkowski(0.5), True),
+    ], ids=["line", "circle", "helix", "twisted_cubic", "planar_cubic", "salkowski"])
+    def test_exact_inverse_needs_no_solve(self, spec, solves, monkeypatch):
+        # Line, circle and helix invert s = v (t - t_lo) exactly, at a float
+        # and over an array; the cubics and salkowski solve with Newton.
+        calls = []
+        invert = numerics.invert_monotone
+
+        def counted(*args):
+            calls.append(0)
+            return invert(*args)
+
+        monkeypatch.setattr(numerics, "invert_monotone", counted)
+        total = total_arclength(spec)
+        at_arclength(spec, 0.37 * total)
+        at_float = len(calls)
+        at_arclength(spec, np.linspace(0.0, total, 1000))
+        assert (at_float >= 1, len(calls) > at_float) == (solves, solves)
+
     def test_array_out_of_range(self):
         with pytest.raises(TargetOutOfRange):
             at_arclength(twisted_cubic(), np.array([0.1, -0.5, 0.2]))
@@ -414,6 +445,7 @@ class TestAtArclength:
                     assert abs(arclength(spec, spec.t_lo, t) - s) <= 1e-12 * max(1.0, s)
         finally:
             curves._arclength_table.cache_clear()
+            curves._table_length.cache_clear()
 
     def test_table_cache_is_bounded(self):
         # each curve of varying speed has a table of about 40 KB; the cache
@@ -431,6 +463,15 @@ class TestAtArclength:
         assert rebuilt is not kept
         for old, new in zip(kept, rebuilt):
             assert np.array_equal(np.asarray(old), np.asarray(new))
+
+    def test_length_record_caches_are_bounded(self):
+        # each family builds its length record once per curve and keeps a
+        # fixed number of them, as it keeps the tables
+        for family in curves.FAMILIES.values():
+            assert family.length.cache_info().maxsize == 64
+        for k in range(100):
+            total_arclength(helix(1.0 + 1e-3 * k, 0.5))
+        assert curves._uniform_length.cache_info().currsize <= 64
 
     def test_salkowski_caches_are_bounded(self):
         # a process that makes new salkowski curves keeps a fixed number of

@@ -28,9 +28,9 @@ SPEC = curves.helix(2.0, 1.0)
 LAYOUTS = {
     curves.CurveSpec: (("family", "params", "t_lo", "t_hi"), {}),
     curves.Jet: (("r", "r1", "r2", "r3", "r4"), {}),
-    curves.Family: (("name", "arity", "factory", "jet", "speed", "constant_speed",
-                     "constant_kappa", "kappa_zeros", "length_map"),
-                    {"kappa_zeros": (), "length_map": None}),
+    curves.Family: (("name", "arity", "factory", "jet", "speed", "length",
+                     "constant_kappa", "kappa_zeros"),
+                    {"kappa_zeros": ()}),
     frames.FrenetFrame: (("t_vec", "n_vec", "b_vec", "kappa", "tau"), {}),
     DarbouxData: (("w", "w_norm", "phi", "phi_prime", "C"), {}),
     frames.FrameOdeResult: (("s", "residual_T", "residual_N", "residual_B"), {}),
