@@ -237,7 +237,8 @@ def _salkowski_jet(p, t) -> tuple:
     # k turns (c, s) by k quarter turns: (-s, c), (-c, -s), (s, -c), (c, s).
     freqs, factors, _ = _salkowski_terms(p[0])
     cos, sin = (np.cos, np.sin) if isinstance(t, np.ndarray) else (math.cos, math.sin)
-    g0, g1, g2, gz = [w * t for w in freqs]
+    w0, w1, w2, wz = freqs
+    g0, g1, g2, gz = w0 * t, w1 * t, w2 * t, wz * t
     c0, c1, c2, cz = cos(g0), cos(g1), cos(g2), cos(gz)
     s0, s1, s2, sz = sin(g0), sin(g1), sin(g2), sin(gz)
     (a0, a1, a2, az), (b0, b1, b2, bz), (d0, d1, d2, dz), (e0, e1, e2, ez), \
@@ -402,9 +403,10 @@ def _length_fit() -> tuple[np.ndarray, np.ndarray]:
 
 def _horner(coef, u):
     """The polynomial with coefficients ``coef``, highest power first, at
-    ``u``; floats and arrays alike, elementwise."""
-    acc = coef[0]
-    for a in coef[1:]:
+    ``u``; floats and arrays alike, elementwise.  It starts from 0.0, not
+    from a slice of ``coef``: at a finite ``u``, 0.0 * u + coef[0] is coef[0]."""
+    acc = 0.0
+    for a in coef:
         acc = acc * u + a
     return acc
 

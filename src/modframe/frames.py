@@ -129,9 +129,8 @@ def torsion_general(jet: Jet):
 
 def _check_scale(r1, divisor) -> None:
     # A divisor of the assembly that overflowed or underflowed: the frame
-    # algebra cannot represent a curve moving at this speed.
-    if isinstance(divisor, float) and 0.0 < divisor < math.inf:
-        return
+    # algebra cannot represent a curve moving at this speed.  The assembly
+    # tests a float divisor itself and calls this only where it fails.
     ok = np.logical_and(0.0 < divisor, divisor < math.inf)
     if not ok.all():
         speed = np.hypot(np.hypot(r1[0], r1[1]), r1[2])  # free of overflow
@@ -145,28 +144,16 @@ def _check_scale(r1, divisor) -> None:
 # over a batch alike.  Each dot and cross product is written out on x, y
 # and z, in the order of numerics.dot and numerics.cross.
 
-def _sqrt(x):
-    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
-
-
-def _pow(x, n: int):
-    # x**n, inf where a float overflows (as an array overflows), so that
-    # _check_scale refuses it
-    try:
-        return x**n
-    except OverflowError:
-        return math.inf
-
-
-def _rates(r1, r2, r3, r4, v, v3, v5):
+def _rates(r1, r2, r3, r4, v, v3, v5, sqrt):
     # tau = det(r1,r2,r3) / |r1 x r2|^2, and the arclength derivatives of
     # kappa = |r1 x r2| / |r1|^3 and of tau (d/dt over the speed).
     (x1, y1, z1), (x2, y2, z2), (x3, y3, z3), (x4, y4, z4) = r1, r2, r3, r4
     ux, uy, uz = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2  # r1 x r2
     u2 = ux * ux + uy * uy + uz * uz
     uu = u2 * u2
-    _check_scale(r1, uu)
-    un = _sqrt(u2)
+    if sqrt is np.sqrt or not 0.0 < uu < math.inf:  # a batch, or a float out of range
+        _check_scale(r1, uu)
+    un = sqrt(u2)
     uup = ux * (y1 * z3 - z1 * y3) + uy * (z1 * x3 - x1 * z3) + uz * (x1 * y3 - y1 * x3)
     d = ux * x3 + uy * y3 + uz * z3
     dp = ux * x4 + uy * y4 + uz * z4
@@ -180,32 +167,41 @@ def _assemble(r1, r2, r3, r4):
     in any parameter: the one assembly behind both frame paths.  They are
     3-tuples of floats at one point (:meth:`CurveSpec.jet_components`), or
     (..., 3) arrays at many, worked on as (3, ...) arrays; both unpack to
-    x, y, z alike.  T, N and B come back as read-only (3,) or (..., 3)
-    arrays.  Over a batch, call it under ``np.errstate(all="ignore")``:
-    _check_scale refuses what overflowed.  Python floats never touch
-    numpy's error state: _pow catches the one float overflow that raises,
-    and _check_scale runs before every division."""
+    x, y, z alike, and the one test of which it is picks math.sqrt or
+    np.sqrt for the whole assembly.  T, N and B come back as read-only (3,)
+    or (..., 3) arrays.  Over a batch, call it under
+    ``np.errstate(all="ignore")``: _check_scale refuses what overflowed.
+    Python floats never touch numpy's error state: the float overflow of
+    v**3 or v**5, the one that raises, becomes inf for _check_scale to
+    refuse, and _check_scale runs before every division."""
     one = not isinstance(r1, np.ndarray)
-    if not one:
+    if one:
+        sqrt = math.sqrt
+    else:
+        sqrt = np.sqrt
         r1, r2, r3, r4 = r1.T, r2.T, r3.T, r4.T
     (x1, y1, z1), (x2, y2, z2) = r1, r2
-    v = _sqrt(x1 * x1 + y1 * y1 + z1 * z1)
-    v3, v5 = _pow(v, 3), _pow(v, 5)
-    _check_scale(r1, v5)
+    v = sqrt(x1 * x1 + y1 * y1 + z1 * z1)
+    try:
+        v3, v5 = v**3, v**5
+    except OverflowError:  # a float's: an array overflows to inf
+        v3 = v5 = math.inf
+    if not one or not 0.0 < v5 < math.inf:  # a batch, or a float out of range
+        _check_scale(r1, v5)
     vp = (x1 * x2 + y1 * y2 + z1 * z2) / v
     T = tx, ty, tz = x1 / v, y1 / v, z1 / v
     v2, c = v**2, vp / v3
     N = nx, ny, nz = x2 / v2 - x1 * c, y2 / v2 - y1 * c, z2 / v2 - z1 * c
-    kappa = _sqrt(nx * nx + ny * ny + nz * nz)
+    kappa = sqrt(nx * nx + ny * ny + nz * nz)
     B = ty * nz - tz * ny, tz * nx - tx * nz, tx * ny - ty * nx  # T x N
     # tau, kappa' and tau' only where kappa > ABS_TOL; 0 elsewhere
     live = kappa > ABS_TOL
     if one:
-        rates = _rates(r1, r2, r3, r4, v, v3, v5) if live else (0.0, 0.0, 0.0)
+        rates = _rates(r1, r2, r3, r4, v, v3, v5, sqrt) if live else (0.0, 0.0, 0.0)
     else:
         rates = np.zeros((3,) + live.shape)
         rates[:, live] = _rates(*(r[:, live] for r in (r1, r2, r3, r4)),
-                                v[live], v3[live], v5[live])
+                                v[live], v3[live], v5[live], sqrt)
     # Back to the jet's shape: (3,) arrays that own their memory at one
     # point, (..., 3) views of (3, ...) arrays over a batch.
     T, N, B = np.array(T), np.array(N), np.array(B)
@@ -245,16 +241,17 @@ def modified_frames(spec: CurveSpec, s) -> ModifiedFrame:
 
 
 def _frame_at(spec: CurveSpec, t) -> ModifiedFrame:
-    # The frame at parameter t, a float or an array: the family's jet
-    # goes straight to the assembly, floats and all.  At a float only r,
-    # T, N and B are arrays, and each is flagged read-only where it is made.
-    r, *derivatives = spec.jet_components(t)
-    r = np.asarray(r, dtype=float)
+    # The frame at parameter t, a float or an array that at_arclength gave
+    # inside the range: the family's jet, checked no further, goes straight
+    # to the assembly, floats and all.  At a float only r, T, N and B are
+    # arrays, and each is flagged read-only where it is made.
+    r, r1, r2, r3, r4 = curves.FAMILIES[spec.family].jet(spec.params, t)
+    r = np.asarray(r)  # a jet's components are floats
     r.setflags(False)
     if not isinstance(t, np.ndarray):
-        return ModifiedFrame(*_assemble(*derivatives), t, r)
+        return ModifiedFrame(*_assemble(r1, r2, r3, r4), t, r)
     with np.errstate(all="ignore"):  # _check_scale refuses what overflowed
-        T, N, B, *scalars = _assemble(*derivatives)
+        T, N, B, *scalars = _assemble(r1, r2, r3, r4)
     return ModifiedFrame(T, N, B, *_read_only(*scalars, t), r)
 
 

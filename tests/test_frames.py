@@ -375,8 +375,9 @@ class TestExtremeScales:
             assert math.isfinite(mf.tau) and mf.tau > 0.0
 
     # The one-point assembly enters no np.errstate: it works on Python
-    # floats, where only a power can raise (caught by frames._pow) and
-    # _check_scale runs before every division.  So numpy's error state,
+    # floats, where only a power can raise (v**3 or v**5, which
+    # frames._assemble catches) and the scale check runs before every
+    # division.  So numpy's error state,
     # even set to raise, changes nothing at one point.
     @pytest.mark.parametrize("spec", EXTREME_SCALES + POWER_SCALES,
                              ids=lambda s: f"{s.family}{s.params}")
