@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
@@ -403,8 +404,8 @@ def _length_fit() -> tuple[np.ndarray, np.ndarray]:
 
 def _horner(coef, u):
     """The polynomial with coefficients ``coef``, highest power first, at
-    ``u``; floats and arrays alike, elementwise.  It starts from 0.0, not
-    from a slice of ``coef``: at a finite ``u``, 0.0 * u + coef[0] is coef[0]."""
+    ``u``; floats and arrays alike, elementwise.  It starts from 0.0, so a
+    call slices nothing: at a finite ``u``, 0.0 * u + coef[0] is coef[0]."""
     acc = 0.0
     for a in coef:
         acc = acc * u + a
@@ -434,7 +435,8 @@ def _arclength_table(spec: CurveSpec):
     built-in families).  The build raises UnresolvedArclength where it
     misses by more than _FIT_TOL = 1e-12 of it, the relative miss the
     inversion's final check allows, so a speed the degree cannot resolve
-    is refused rather than inverted wrongly.
+    is refused rather than inverted wrongly; and where a panel's length is
+    subnormal, below sys.float_info.min, where rounding has no relative bound.
     """
     ts = np.linspace(spec.t_lo, spec.t_hi, _PANELS + 1)
     lengths = _gauss(spec, ts[:-1], ts[1:])
@@ -449,13 +451,13 @@ def _arclength_table(spec: CurveSpec):
     nodes, fit = _length_fit()
     coef = np.einsum("pj,jk->pk", spec.speed(mid[:, None] + half[:, None] * nodes), fit)
     miss = np.abs(width * _horner(coef.T, 1.0) - lengths)
-    unresolved = ~(miss <= _FIT_TOL * lengths)  # NaN included
+    unresolved = ~(miss <= _FIT_TOL * lengths) | (lengths < sys.float_info.min)  # NaN too
     if unresolved.any():
         i = int(np.argmax(unresolved))
         raise UnresolvedArclength(
             f"{spec.family}{spec.params}: the length polynomial of panel "
             f"[{ts[i]:g}, {ts[i + 1]:g}] misses its Gauss length {lengths[i]:g} "
-            f"by {miss[i]:g}, above {_FIT_TOL:g} of it"
+            f"by {miss[i]:g}: above {_FIT_TOL:g} of it, or the length is subnormal"
         )
     ts, panels = numerics._read_only(
         ts, np.column_stack((ts[:-1], ts[1:], cum[:-1], cum[1:], bend0, bend1, mid, half, coef)))

@@ -167,13 +167,12 @@ def _assemble(r1, r2, r3, r4):
     in any parameter: the one assembly behind both frame paths.  They are
     3-tuples of floats at one point (:meth:`CurveSpec.jet_components`), or
     (..., 3) arrays at many, worked on as (3, ...) arrays; both unpack to
-    x, y, z alike, and the one test of which it is picks math.sqrt or
-    np.sqrt for the whole assembly.  T, N and B come back as read-only (3,)
-    or (..., 3) arrays.  Over a batch, call it under
-    ``np.errstate(all="ignore")``: _check_scale refuses what overflowed.
-    Python floats never touch numpy's error state: the float overflow of
-    v**3 or v**5, the one that raises, becomes inf for _check_scale to
-    refuse, and _check_scale runs before every division."""
+    x, y, z alike, and one test of which it is picks math.sqrt or np.sqrt.
+    T, N and B come back as read-only (3,) or (..., 3) arrays.  Over a
+    batch, call it under ``np.errstate(all="ignore")``: _check_scale
+    refuses what overflowed.  Python floats never touch numpy's error
+    state: a float v**3 or v**5 that overflows, the one that raises, is
+    inf, and every divisor is tested before it divides."""
     one = not isinstance(r1, np.ndarray)
     if one:
         sqrt = math.sqrt

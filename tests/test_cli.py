@@ -107,6 +107,16 @@ class TestFrames:
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 3: at small m each salkowski angle w*t rounds by about "
+        "t*eps with t up to pi/(2m), so the command exits 0 with kappa up to 1.000245"))
+    def test_salkowski_small_m_prints_unit_curvature(self, capsys):
+        code, out, err = run(capsys, "frames", "--curve", "salkowski:1e-12", "--samples", "5")
+        assert code == EXIT_OK
+        kappas = [float(row["kappa"]) for row in csv.DictReader(io.StringIO(out))]
+        assert len(kappas) == 5
+        assert all(abs(k - 1.0) <= 1e-14 for k in kappas), kappas
+
     @pytest.mark.parametrize("curve", ["circle:1e300", "helix:1e200,1e200",
                                        "circle:1e-160", "circle:1e-200", "circle:1e70"])
     def test_extreme_scale_refused(self, capsys, curve):

@@ -255,6 +255,21 @@ class TestArclength:
             exact = a / c * (math.sin(c * t1) - math.sin(c * t0))
             assert arclength(spec, t0, t1) == pytest.approx(exact, rel=1e-14, abs=1e-14)
 
+    def test_tiny_circle_matches_its_length(self):
+        # Panel lengths of about 2.5e-302 are normal floats: the rule keeps
+        # its relative accuracy (a miss of 3.0e-15).
+        spec = circle(1e-300)
+        assert arclength(spec, 0.0, 2 * math.pi) == pytest.approx(
+            curves.total_arclength(spec), rel=1e-14)
+
+    @pytest.mark.parametrize("radius", [1e-308, 1e-310, 1e-320])
+    def test_subnormal_panel_lengths_are_refused(self, radius):
+        # Below sys.float_info.min a length rounds with no relative bound:
+        # the rule missed 2 pi r by 1.7e-13 at r = 1e-310 and 6.5e-3 at
+        # 1e-320, which the fit check, rounding alike, did not see.
+        with pytest.raises(UnresolvedArclength, match="subnormal"):
+            arclength(circle(radius), 0.0, 2 * math.pi)
+
     def test_parameter_before_the_range(self):
         spec = twisted_cubic()
         with pytest.raises(OutOfRange):
