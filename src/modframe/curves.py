@@ -70,19 +70,13 @@ class CurveSpec(NamedTuple("CurveSpec", [("family", str), ("params", tuple[float
 
     def jet(self, t) -> Jet:
         """Exact position and derivatives of the curve at parameter ``t``,
-        a float or an array of parameters."""
-        return Jet(*numerics._read_only(*(np.asarray(v, dtype=float)
-                                          for v in self.jet_components(t))))
-
-    def jet_components(self, t) -> tuple:
-        """The five vectors of :meth:`jet` as the family computes them:
-        3-tuples of Python floats at a float ``t``, (..., 3) arrays at an
-        array of parameters."""
+        a float or an array of parameters, from the family's jet."""
         family, params, t_lo, t_hi = self  # one unpack, not four field reads
         bad = numerics.outside(t, t_lo - ABS_TOL, t_hi + ABS_TOL)
         if bad is not None:
             raise OutOfRange(f"t = {bad:g} outside [{t_lo:g}, {t_hi:g}] for {family}")
-        return FAMILIES[family].jet(params, t)
+        return Jet(*numerics._read_only(*(np.asarray(v, dtype=float)
+                                          for v in FAMILIES[family].jet(params, t))))
 
     def speed(self, t):
         """Exact |dr/dt| at ``t``, a float or an array of parameters."""
@@ -262,9 +256,13 @@ def _salkowski_speed(p, t):
 
 @lru_cache(maxsize=64)  # the length records are bounded as the tables are
 def _uniform_length(spec: CurveSpec):
-    """(L, inverse) at a constant speed v: t = t_lo + s/v, clipped against rounding."""
+    """(L, inverse) at a constant speed v: t = t_lo + s/v, clipped against
+    rounding.  Raises UnresolvedArclength where L overflows."""
     _, _, t_lo, t_hi = spec
     v = spec.speed(t_lo)
+    total = v * (t_hi - t_lo)
+    if not math.isfinite(total):
+        raise UnresolvedArclength(f"{spec.family}{spec.params}: its length {total:g} overflows")
 
     def inverse(s):
         t = t_lo + s / v
@@ -272,7 +270,7 @@ def _uniform_length(spec: CurveSpec):
             return np.clip(t, t_lo, t_hi)
         return min(max(t, t_lo), t_hi)
 
-    return v * (t_hi - t_lo), inverse
+    return total, inverse
 
 
 @lru_cache(maxsize=64)
@@ -360,14 +358,9 @@ FAMILIES: dict[str, Family] = {f.name: f for f in (
 
 
 def _gauss(spec: CurveSpec, a, b):
-    # One 16-node Gauss-Legendre rule for the length over [a, b],
-    # elementwise over arrays of ends; an empty interval needs no rule.
+    # One 16-node Gauss-Legendre rule over [a, b]: numpy floats, or arrays elementwise.
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    if isinstance(half, np.ndarray):
-        return half * (spec.speed(mid[..., None] + half[..., None] * _GL_NODES) @ _GL_WEIGHTS)
-    if a == b:
-        return 0.0
-    return half * float(_GL_WEIGHTS @ spec.speed(mid + half * _GL_NODES))
+    return half * (spec.speed(mid[..., None] + half[..., None] * _GL_NODES) @ _GL_WEIGHTS)
 
 
 @lru_cache(maxsize=None)
@@ -472,8 +465,9 @@ def arclength(spec: CurveSpec, t0: float, t1: float) -> float:
             raise OutOfRange(f"parameter {t:g} outside the declared range")
     ts, cum, *_ = _arclength_table(spec)
     i0, i1 = np.clip(np.searchsorted(ts, (t0, t1), side="right") - 1, 0, _PANELS - 1)
+    # a rule per part-panel: a (2, 16) matrix product sums in another order
     return (float(cum[i1] - cum[i0])
-            + _gauss(spec, float(ts[i1]), t1) - _gauss(spec, float(ts[i0]), t0))
+            + float(_gauss(spec, ts[i1], t1)) - float(_gauss(spec, ts[i0], t0)))
 
 
 def total_arclength(spec: CurveSpec) -> float:

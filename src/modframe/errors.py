@@ -18,8 +18,9 @@ class NotMonotone(ModFrameError):
 
 
 class UnresolvedArclength(ModFrameError):
-    """A panel's length polynomial misses the panel's Gauss length: the
-    curve's speed varies too fast for the arclength table's degree."""
+    """A panel's length polynomial misses the panel's Gauss length (the
+    curve's speed varies too fast for the arclength table's degree), or
+    the curve's length overflows."""
 
 
 class OutOfRange(ModFrameError):

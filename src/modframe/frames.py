@@ -16,7 +16,6 @@ oracles along one grid computes each frame once.
 
 from __future__ import annotations
 
-import importlib
 import math
 from functools import lru_cache
 from typing import NamedTuple
@@ -87,7 +86,7 @@ class ModifiedFrame:
         builder :func:`modframe.darboux.darboux` is looked up in its module
         at each build, so that a patched one (a tracer, a counter) runs."""
         if not hasattr(self, "_darboux"):
-            _set_darboux(self, importlib.import_module(".darboux", __package__).darboux(self))
+            _set_darboux(self, _darboux.darboux(self))
         return self._darboux
 
 
@@ -165,7 +164,7 @@ def _rates(r1, r2, r3, r4, v, v3, v5, sqrt):
 def _assemble(r1, r2, r3, r4):
     """T, N, B, kappa, tau, kappa' and tau' from the derivatives of a jet
     in any parameter: the one assembly behind both frame paths.  They are
-    3-tuples of floats at one point (:meth:`CurveSpec.jet_components`), or
+    3-tuples of floats at one point (a family's jet at a float), or
     (..., 3) arrays at many, worked on as (3, ...) arrays; both unpack to
     x, y, z alike, and one test of which it is picks math.sqrt or np.sqrt.
     T, N and B come back as read-only (3,) or (..., 3) arrays.  Over a
@@ -297,11 +296,12 @@ class FrameTable:
         return ModifiedFrame(*(col[k].T for k in self._rows))
 
 
-def frame_table(spec, s) -> FrameTable:
+def frame_table(spec, s, order=1, step=None) -> FrameTable:
     """The table an oracle at ``s`` reads: ``spec`` itself when it is a
     FrameTable, which computes nothing, else the table of the CurveSpec
-    ``spec`` over :func:`numerics.stencil` of ``s``."""
-    return spec if isinstance(spec, FrameTable) else FrameTable(spec, numerics.stencil(s))
+    ``spec`` over :func:`numerics.stencil` of ``s``, ``order`` and ``step``."""
+    return spec if isinstance(spec, FrameTable) else FrameTable(
+        spec, numerics.stencil(s, order, step))
 
 
 def frames_at(spec, s) -> ModifiedFrame:
@@ -380,3 +380,6 @@ def metric_residual(spec, s):
         np.abs(dot(T, B)),
         np.abs(dot(N, B)),
     ])
+
+
+from . import darboux as _darboux  # noqa: E402  (darboux imports this module; bound once defined)

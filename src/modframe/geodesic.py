@@ -111,13 +111,12 @@ def geodesic_curvature_sphere_at(kind: IndicatrixKind, spec, s):
     """Determinant oracle on a unit-sphere indicatrix (a kind whose row is
     ``on_unit_sphere``) at ``s`` (a float or an array), with g' and g''
     from :func:`~modframe.numerics.diff_vec` at step 2 * SPHERE_STEP.
-    ``spec`` is a CurveSpec, tabled here over that stencil, or a
-    :class:`~modframe.frames.FrameTable` that holds it."""
+    ``spec`` is a CurveSpec, tabled over that stencil by
+    :func:`~modframe.frames.frame_table`, or a FrameTable that holds it."""
     if not KINDS[kind].on_unit_sphere:
         raise NotOnUnitSphere(f"{kind.value} indicatrix does not lie on the unit sphere")
     h = 2 * SPHERE_STEP
-    at = spec if isinstance(spec, frames.FrameTable) else frames.FrameTable(
-        spec, numerics.stencil(s, 2, h))
+    at = frames.frame_table(spec, s, 2, h)
     point = lambda x: indicatrix_point(kind, at(x))
     g1, g2 = (numerics.diff_vec(point, s, k, h) for k in (1, 2))
     return geodesic_curvature_sphere(point(s), g1, g2)

@@ -121,12 +121,14 @@ def _det_points(spec, samples):
 # of the grid s, NaN where the sample is skipped as degenerate.
 
 def _lancret(table, s):
+    # |w| against the norm of the vector w = tau T + B: with T orthogonal
+    # to B and |B| = kappa, it is hypot(kappa, tau)
     mf = table(s)
     dd = mf.darboux
     return np.maximum.reduce([
         np.abs(np.sin(dd.phi) * dd.w_norm - mf.tau),
         np.abs(np.cos(dd.phi) * dd.w_norm - mf.kappa),
-        np.abs(dd.w_norm - np.hypot(mf.kappa, mf.tau)),
+        np.abs(dd.w_norm - norm(dd.w.T)),
     ])
 
 

@@ -125,6 +125,17 @@ class TestFrames:
         assert out == ""
         assert err.count("\n") == 1 and "speed" in err
 
+    @pytest.mark.parametrize("curve", ["circle:1e308", "helix:1e308,1"])
+    @pytest.mark.parametrize("command", [["frames"], ["indicatrix", "--kind", "tangent"],
+                                         ["validate"]], ids=lambda c: c[0])
+    def test_overflowing_length_refused(self, capsys, command, curve):
+        # a length of 1e308 x 2 pi overflows: one line and exit 3 from
+        # every command, no numpy warning (which the test setup raises)
+        code, out, err = run(capsys, *command, "--curve", curve, "--samples", "3")
+        assert code == EXIT_INADMISSIBLE
+        assert out == ""
+        assert err.count("\n") == 1 and "overflows" in err
+
     def test_salkowski_large_m(self, capsys):
         code, out, err = run(capsys, "frames", "--curve", "salkowski:1000",
                              "--samples", "8")

@@ -164,12 +164,12 @@ class TestEvalJet:
 
         ts = np.linspace(spec.t_lo, spec.t_hi, 1001)
         assert 0.0 in ts
-        batch = spec.jet_components(ts)
+        batch = curves.FAMILIES[spec.family].jet(spec.params, ts)
         for k, row in enumerate(textbook(ts)):
             expected = np.column_stack([np.broadcast_to(c, ts.shape) for c in row])
             assert batch[k].tobytes() == expected.tobytes(), k
         for t in ts.tolist():
-            one = spec.jet_components(t)
+            one = curves.FAMILIES[spec.family].jet(spec.params, t)
             assert [[x.hex() for x in v] for v in one] == \
                 [[x.hex() for x in row] for row in textbook(t)], t
 
@@ -234,6 +234,21 @@ class TestEvalJet:
             assert numerics.norm(spec.jet(float(t)).r1) > 1e-6
 
 
+# The cubics' speeds, written out as functions of u**2.
+CUBIC_SPEEDS = {"twisted_cubic": lambda u2: np.sqrt(1.0 + 4.0 * u2 + 9.0 * u2 * u2),
+                "planar_cubic": lambda u2: np.sqrt(1.0 + 9.0 * u2 * u2)}
+
+
+def finer_rule(spec, t0, t1):
+    """Length of a cubic over [t0, t1] by composite 24-node Gauss-Legendre
+    on 1024 panels of the interval, far finer than the library's table."""
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    edges = np.linspace(t0, t1, 1025)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    u = mid[:, None] + half[:, None] * nodes
+    return float(np.sum(half[:, None] * weights * CUBIC_SPEEDS[spec.family](u * u)))
+
+
 class TestArclength:
     # The Gauss-Legendre rule against the closed form v (t1 - t0).
     def test_line_unit(self):
@@ -270,6 +285,14 @@ class TestArclength:
         with pytest.raises(UnresolvedArclength, match="subnormal"):
             arclength(circle(radius), 0.0, 2 * math.pi)
 
+    @pytest.mark.parametrize("spec", [circle(1e308), helix(1e308, 1.0)], ids=["circle", "helix"])
+    def test_overflowing_length_is_refused(self, spec):
+        # 1e308 x 2 pi overflows: the length record refuses the curve
+        # rather than inverting arclengths in [0, inf]
+        for call in (lambda: total_arclength(spec), lambda: at_arclength(spec, 1.0)):
+            with pytest.raises(UnresolvedArclength, match="overflows"):
+                call()
+
     def test_parameter_before_the_range(self):
         spec = twisted_cubic()
         with pytest.raises(OutOfRange):
@@ -282,20 +305,10 @@ class TestArclength:
         assert curves._GL_WEIGHTS.tobytes() == weights.tobytes()
 
     def test_twisted_cubic_against_finer_rule(self):
-        # Composite 24-node Gauss-Legendre on 1024 panels per interval, far
-        # finer than the library's table.
-        nodes, weights = np.polynomial.legendre.leggauss(24)
-
-        def reference(t0, t1):
-            edges = np.linspace(t0, t1, 1025)
-            mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-            u = mid[:, None] + half[:, None] * nodes
-            return float(np.sum(half[:, None] * weights
-                                * np.sqrt(1.0 + 4.0 * u**2 + 9.0 * u**4)))
-
         spec = twisted_cubic()
         for t0, t1 in ((-1.0, 1.0), (-0.731, 0.2), (0.003, 0.9999)):
-            assert arclength(spec, t0, t1) == pytest.approx(reference(t0, t1), rel=1e-14)
+            assert arclength(spec, t0, t1) == pytest.approx(
+                finer_rule(spec, t0, t1), rel=1e-14)
 
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
     def test_additive_over_subintervals(self, spec):
@@ -303,6 +316,7 @@ class TestArclength:
         tm = 0.5 * (t0 + t1)
         assert arclength(spec, t0, tm) + arclength(spec, tm, t1) == pytest.approx(
             arclength(spec, t0, t1), abs=1e-10)
+        assert arclength(spec, tm, tm) == 0.0  # an empty interval
 
 
 class TestAtArclength:
@@ -534,13 +548,23 @@ class TestAtArclength:
         assert ts.tolist() == [at_arclength(spec, x) for x in s]
         assert (ts[0], ts[-1]) == (spec.t_lo, spec.t_hi)
 
-    def test_empty_interval_needs_no_rule(self, monkeypatch):
-        calls = []
-        speed = curves.CurveSpec.speed
-        monkeypatch.setattr(curves.CurveSpec, "speed",
-                            lambda self, t: calls.append(t) or speed(self, t))
-        assert curves._gauss(twisted_cubic(), 0.3, 0.3) == 0.0
-        assert calls == []
+    @pytest.mark.parametrize("spec", [twisted_cubic(), planar_cubic()], ids=lambda s: s.family)
+    def test_cubic_inversion_against_finer_rule(self, spec):
+        # On the cubics at_arclength and arclength read the same cumulative
+        # Gauss sums, so a round trip cannot see a wrong sum.  Here the
+        # length up to each t that at_arclength returns, one point and a
+        # batch alike, comes from the independent finer rule instead, at
+        # 100 seeded arclengths and both ends.  It misses s by at most
+        # 6.9e-16 (twisted) and 3.3e-16 (planar) relative.  The bound,
+        # 1e-13 relative above s = 1 and absolute below it, where s -> 0
+        # leaves no relative scale, sits 100x above that and 10x below the
+        # 1e-12 relative miss that the inversion's own final check allows.
+        total = total_arclength(spec)
+        s = [0.0, total, *np.random.default_rng(14).uniform(0.0, total, 100).tolist()]
+        ts = at_arclength(spec, np.array(s))
+        assert ts.tolist() == [at_arclength(spec, x) for x in s]
+        for t, x in zip(ts.tolist(), s):
+            assert abs(finer_rule(spec, spec.t_lo, t) - x) <= 1e-13 * max(x, 1.0), x
 
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
     def test_round_trip(self, spec):
@@ -670,7 +694,7 @@ def test_float_jet_is_python_floats(spec):
     # float subclass).  test_cached_vectors_own_their_memory holds the
     # frame's scalars to the same contract.
     for t in np.linspace(spec.t_lo, spec.t_hi, 9).tolist():
-        jet = spec.jet_components(t)
+        jet = curves.FAMILIES[spec.family].jet(spec.params, t)
         assert len(jet) == 5
         for v in jet:
             assert type(v) is tuple and len(v) == 3, t

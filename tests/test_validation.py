@@ -1,3 +1,4 @@
+import importlib
 import math
 import subprocess
 import sys
@@ -237,6 +238,20 @@ def test_coincidence_runs_where_kappa_is_not_one(monkeypatch):
     turned = _turned_coincidence(monkeypatch, families)
     assert (turned.n_evaluated, turned.passed) == (12, False)
     assert turned.max_residual == pytest.approx(TURN * 0.4, rel=1e-3)
+
+
+def test_lancret_sees_w_off_its_norm(monkeypatch):
+    # The third Lancret term compares |w| with the norm of the vector
+    # w = tau T + B.  A w scaled by 1 + 1e-6 misses it by 1e-6 |w|, at
+    # least 4e-7 on the constant-kappa defaults, far above 1e-9; |w| and
+    # phi themselves are untouched, so the other two terms cannot see it.
+    module = importlib.import_module("modframe.darboux")
+    real = module.darboux
+    monkeypatch.setattr(module, "darboux", lambda mf: (d := real(mf))._replace(w=d.w * (1 + 1e-6)))
+    frames.modified_frame.cache_clear()
+    [entry] = run_validation(samples=16, only=["lancret-angle"]).entries
+    assert not entry.passed
+    assert entry.max_residual > 4e-7
 
 
 # Curves shorter than about 2e-4, whose 5 % grid margin cannot hold the
