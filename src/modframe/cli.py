@@ -16,11 +16,11 @@ import sys
 
 import numpy as np
 
-from . import curves, frames, indicatrix, validation
+from . import curves, frames, indicatrix, involute, validation
 from .curves import CurveSpec
 from .errors import DegenerateIndicatrix, ModFrameError, NonConstantCurvature
 from .indicatrix import IndicatrixKind
-from .numerics import ABS_TOL, FD_STEP, norm
+from .numerics import FD_STEP, norm
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILED = 1
@@ -135,9 +135,9 @@ def _write_table(args, columns: list[str], block: np.ndarray,
 
 
 def _sample_range(args, spec: CurveSpec, margin: float = 0.0) -> np.ndarray:
-    total = curves.total_arclength(spec)
+    total, end = curves.total_arclength(spec), curves.arclength_range(spec)[1]
     lo, hi = args.s_range if args.s_range else (0.0, total)
-    if not (0.0 <= lo < hi <= total + ABS_TOL):
+    if not (0.0 <= lo < hi <= end):
         raise argparse.ArgumentTypeError(
             f"sample range [{lo:g}, {hi:g}] outside the curve's arclength [0, {total:g}]"
         )
@@ -217,13 +217,11 @@ def cmd_indicatrix(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    only = args.only.split(",") if args.only else None
-    if only:
-        unknown = [n for n in only if n not in validation.IDENTITY_NAMES]
-        if unknown:
-            print(f"error: unknown identity name(s): {', '.join(unknown)}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+    only = None if args.only is None else args.only.split(",")
+    try:
+        validation.select(only)
+    except ValueError as exc:  # an empty or unknown identity name
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     families = None if args.curve is None else {args.curve.family: args.curve}
     report = validation.run_validation(
         samples=args.samples,
@@ -295,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # involute scans in validate need three samples per curve
-    min_samples = 3 if args.command == "validate" else 2
+    # involute scans in validate need their minimum of samples per curve
+    min_samples = involute.MIN_SAMPLES if args.command == "validate" else 2
     if args.samples < min_samples:
         parser.error(f"--samples must be >= {min_samples}")
     if isinstance(getattr(args, "curve", None), CurveSpec):

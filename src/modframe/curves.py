@@ -71,12 +71,9 @@ class CurveSpec(NamedTuple("CurveSpec", [("family", str), ("params", tuple[float
     def jet(self, t) -> Jet:
         """Exact position and derivatives of the curve at parameter ``t``,
         a float or an array of parameters, from the family's jet."""
-        family, params, t_lo, t_hi = self  # one unpack, not four field reads
-        bad = numerics.outside(t, t_lo - ABS_TOL, t_hi + ABS_TOL)
-        if bad is not None:
-            raise OutOfRange(f"t = {bad:g} outside [{t_lo:g}, {t_hi:g}] for {family}")
+        _check_parameters(self, t)
         return Jet(*numerics._read_only(*(np.asarray(v, dtype=float)
-                                          for v in FAMILIES[family].jet(params, t))))
+                                          for v in FAMILIES[self.family].jet(self.params, t))))
 
     def speed(self, t):
         """Exact |dr/dt| at ``t``, a float or an array of parameters."""
@@ -146,6 +143,19 @@ def salkowski(m: float) -> CurveSpec:
     if math.isinf(u_max):
         raise ValueError(f"salkowski m = {m:g} is too small: its range pi/(2c) overflows")
     return CurveSpec("salkowski", (float(m),), 0.1 * u_max, 0.9 * u_max)
+
+
+def _check_parameters(spec: CurveSpec, *ts) -> None:
+    """The one check of a curve's parameter range: refuse with OutOfRange a
+    parameter (a float or an array) outside [t_lo, t_hi] by more than
+    ABS_TOL, and an interval t0, t1 with t1 below t0."""
+    family, _, t_lo, t_hi = spec  # one unpack, not four field reads
+    for t in ts:
+        bad = numerics.outside(t, t_lo - ABS_TOL, t_hi + ABS_TOL)
+        if bad is not None:
+            raise OutOfRange(f"t = {bad:g} outside [{t_lo:g}, {t_hi:g}] for {family}")
+    if ts[1:] and ts[1] < ts[0]:
+        raise OutOfRange(f"t1 = {ts[1]:g} below t0 = {ts[0]:g}")
 
 
 def _vectors(t, c):
@@ -256,7 +266,7 @@ def _salkowski_speed(p, t):
 
 @lru_cache(maxsize=64)  # the length records are bounded as the tables are
 def _uniform_length(spec: CurveSpec):
-    """(L, inverse) at a constant speed v: t = t_lo + s/v, clipped against
+    """The length record at a constant speed v: t = t_lo + s/v, clipped against
     rounding.  Raises UnresolvedArclength where L overflows."""
     _, _, t_lo, t_hi = spec
     v = spec.speed(t_lo)
@@ -270,12 +280,12 @@ def _uniform_length(spec: CurveSpec):
             return np.clip(t, t_lo, t_hi)
         return min(max(t, t_lo), t_hi)
 
-    return total, inverse
+    return _record(total, inverse)
 
 
 @lru_cache(maxsize=64)
 def _salkowski_length(spec: CurveSpec):
-    """(L, inverse) of salkowski: Newton on its exact length map
+    """The length record of salkowski: Newton on its exact length map
     g(t) = (a/c)(sin(c t) - sin(c t_lo)), L = g(t_hi), from arcsin(sin(c t_lo) + c s/a)/c."""
     _, params, t_lo, t_hi = spec
     c, a = _salkowski_terms(params[0])[2]
@@ -291,12 +301,12 @@ def _salkowski_length(spec: CurveSpec):
         guess = t / c if isinstance(s, np.ndarray) else float(t) / c
         return numerics.invert_monotone(g, speed, s, t_lo, t_hi, guess, (0.0, total))
 
-    return total, inverse
+    return _record(total, inverse)
 
 
 @lru_cache(maxsize=64)
 def _table_length(spec: CurveSpec):
-    """(L, inverse) from the curve's :func:`_arclength_table`: the panel
+    """The length record from the curve's :func:`_arclength_table`: the panel
     that holds s (the count of inner edges at or below s) gives the bracket
     [c0, c1], the Hermite first guess of t(s) and the length polynomial
     that Newton solves, with the exact speed as its derivative."""
@@ -315,7 +325,11 @@ def _table_length(spec: CurveSpec):
         return numerics.invert_monotone(lambda t: c0 + (t - lo) * _horner(coef, (t - mid) / half),
                                         speed, s, lo, hi, guess, (c0, c1))
 
-    return cum[-1], inverse
+    return _record(cum[-1], inverse)
+
+
+def _record(total: float, inverse: Callable):  # (L, inverse, lo, hi): see Family
+    return total, inverse, -ABS_TOL, total + ABS_TOL
 
 
 class Family(NamedTuple):
@@ -324,8 +338,9 @@ class Family(NamedTuple):
     ``jet(params, t)`` and ``speed(params, t)`` are exact, for a float
     ``t`` or an array of them; the jet is the five vectors of a
     :class:`Jet`, 3-tuples of floats at a float ``t``.
-    ``length(spec)`` is the length record (L, inverse): the total length
-    and the inverse of the length map, from arclengths in [0, L] to t.
+    ``length(spec)`` is the length record (L, inverse, lo, hi): the total
+    length, the inverse of the length map, and the arclengths it takes,
+    [lo, hi] = [-ABS_TOL, L + ABS_TOL].
     ``constant_kappa(params)`` is the curvature when it is the same at
     every point and None otherwise;
     ``kappa_zeros`` lists the parameters of isolated curvature zeros.
@@ -459,10 +474,9 @@ def _arclength_table(spec: CurveSpec):
 
 def arclength(spec: CurveSpec, t0: float, t1: float) -> float:
     """Arc length between parameters t0 <= t1 on any family, the reference for
-    the length records: the table's whole panels plus a rule per part-panel."""
-    for t in (t0, t1):
-        if not (spec.t_lo - ABS_TOL <= t <= spec.t_hi + ABS_TOL):
-            raise OutOfRange(f"parameter {t:g} outside the declared range")
+    the length records: the table's whole panels plus a rule per part-panel.
+    Raises OutOfRange for a parameter outside the range, or t1 below t0."""
+    _check_parameters(spec, t0, t1)
     ts, cum, *_ = _arclength_table(spec)
     i0, i1 = np.clip(np.searchsorted(ts, (t0, t1), side="right") - 1, 0, _PANELS - 1)
     # a rule per part-panel: a (2, 16) matrix product sums in another order
@@ -475,13 +489,19 @@ def total_arclength(spec: CurveSpec) -> float:
     return FAMILIES[spec.family].length(spec)[0]
 
 
+def arclength_range(spec: CurveSpec) -> tuple[float, float]:
+    """[-ABS_TOL, L + ABS_TOL], the arclengths :func:`at_arclength` takes."""
+    return FAMILIES[spec.family].length(spec)[2:]
+
+
 def at_arclength(spec: CurveSpec, s):
     """Parameter t with arclength(spec, t_lo, t) = s, from the inverse in
     the family's length record; for an array of arclengths, an array of
     parameters from one elementwise solve, so each element equals the call
-    at that one arclength bit for bit, whatever the array's size."""
-    total, inverse = FAMILIES[spec.family].length(spec)
-    bad = numerics.outside(s, -ABS_TOL, total + ABS_TOL)
+    at that one arclength bit for bit, whatever the array's size.  Raises
+    TargetOutOfRange for an s outside :func:`arclength_range`."""
+    total, inverse, lo, hi = FAMILIES[spec.family].length(spec)
+    bad = numerics.outside(s, lo, hi)
     if bad is not None:
         raise TargetOutOfRange(f"arclength {bad:g} outside [0, {total:g}]")
     return inverse(s)

@@ -24,7 +24,8 @@ class UnresolvedArclength(ModFrameError):
 
 
 class OutOfRange(ModFrameError):
-    """Parameter value outside the curve's declared range."""
+    """Parameter value outside the curve's declared range, or the end of a
+    parameter interval below its start."""
 
 
 class CurvatureVanishes(ModFrameError):

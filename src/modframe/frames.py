@@ -304,6 +304,11 @@ def frame_table(spec, s, order=1, step=None) -> FrameTable:
         spec, numerics.stencil(s, order, step))
 
 
+def curve_of(spec) -> CurveSpec:
+    """The curve of ``spec``: a CurveSpec itself, or a FrameTable's curve."""
+    return spec if isinstance(spec, CurveSpec) else spec.spec
+
+
 def frames_at(spec, s) -> ModifiedFrame:
     """Frames of ``spec`` (a CurveSpec or a FrameTable) at ``s``: the cached
     scalar frame for one point of a CurveSpec, else a batch."""
@@ -320,7 +325,7 @@ def frenet_frame(spec, s) -> FrenetFrame:
     mf = frames_at(spec, s)
     flat = undefined(mf.kappa <= ABS_TOL, CurvatureVanishes,
                      "Frenet frame undefined at s = {:g} (kappa = {:g})", s, mf.kappa)
-    jet = (spec.spec if isinstance(spec, FrameTable) else spec).jet(mf.t)
+    jet = curve_of(spec).jet(mf.t)
     t, b = (v / norm(v) for v in (jet.r1.T, cross(jet.r1.T, jet.r2.T)))  # component-first
     n, b = (blank(flat, v.T) for v in (cross(b, t), b))
     return FrenetFrame(*_read_only(t.T, n, b, mf.kappa, mf.tau))
@@ -369,8 +374,7 @@ def metric_residual(spec, s):
     orthogonality; kappa^2 taken from the cross-product formula so the two
     curvature paths check each other."""
     mf = frames_at(spec, s)
-    base = spec.spec if isinstance(spec, FrameTable) else spec
-    k2 = curvature(base.jet(mf.t)) ** 2
+    k2 = curvature(curve_of(spec).jet(mf.t)) ** 2
     T, N, B = mf.T.T, mf.N.T, mf.B.T
     return np.maximum.reduce([
         np.abs(dot(T, T) - 1.0),

@@ -32,6 +32,9 @@ from .numerics import ABS_TOL, blank, det3, norm, undefined
 #: Spacing of the determinant oracle's stencil points: its
 #: :func:`~modframe.numerics.diff_vec` steps 2 * SPHERE_STEP.
 SPHERE_STEP = 1e-3
+#: Its stencil (order, step), g'' and g' from the same points: at ``s`` it
+#: reads the arclengths ``numerics.stencil(s, *SPHERE_STENCIL)``.
+SPHERE_STENCIL = (2, 2 * SPHERE_STEP)
 
 
 class GeodesicReport(NamedTuple):
@@ -115,8 +118,7 @@ def geodesic_curvature_sphere_at(kind: IndicatrixKind, spec, s):
     :func:`~modframe.frames.frame_table`, or a FrameTable that holds it."""
     if not KINDS[kind].on_unit_sphere:
         raise NotOnUnitSphere(f"{kind.value} indicatrix does not lie on the unit sphere")
-    h = 2 * SPHERE_STEP
-    at = frames.frame_table(spec, s, 2, h)
+    at = frames.frame_table(spec, s, *SPHERE_STENCIL)
     point = lambda x: indicatrix_point(kind, at(x))
-    g1, g2 = (numerics.diff_vec(point, s, k, h) for k in (1, 2))
+    g1, g2 = (numerics.diff_vec(point, s, k, SPHERE_STENCIL[1]) for k in (1, 2))
     return geodesic_curvature_sphere(point(s), g1, g2)

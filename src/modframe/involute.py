@@ -22,6 +22,9 @@ from .curves import arclength_grid
 from .indicatrix import IndicatrixKind, indicatrix_tangent, pole_tangent_direction
 from .numerics import ABS_TOL, dot
 
+#: The fewest grid samples a scan takes, and so a validation run takes.
+MIN_SAMPLES = 3
+
 
 class InvoluteReport(NamedTuple):
     """Verdict of an orthogonality scan over an arclength grid."""
@@ -60,10 +63,9 @@ def involute_scan(kind: IndicatrixKind, spec, n_samples: int) -> InvoluteReport:
     samples where the frame or the indicatrix degenerates are skipped and
     counted, and every error propagates.
     """
-    if n_samples < 3:
-        raise ValueError("need at least 3 samples")
-    base = spec.spec if isinstance(spec, frames.FrameTable) else spec
-    inner = np.abs(involute_inner(kind, spec, arclength_grid(base, n_samples)))
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
+    inner = np.abs(involute_inner(kind, spec, arclength_grid(frames.curve_of(spec), n_samples)))
     defined = inner[~np.isnan(inner)]
     if not defined.size:
         return InvoluteReport(kind, n_samples, 0, float("inf"), False,

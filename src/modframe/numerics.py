@@ -190,7 +190,8 @@ def invert_monotone(g: Callable, dg: Callable, target, lo, hi, t0, image=None):
         raise TargetOutOfRange(f"target {bad:g} outside the image of its bracket")
     if isinstance(target, np.ndarray):
         t = _newton_elementwise(g, dg, target, lo, hi, t0, g_lo, g_hi)
-        missed = _misses(g(t) - target, target).any()
+        # a target within ABS_TOL outside the image is met at its end, as below
+        missed = _misses(g(t) - np.clip(target, g_lo, g_hi), target).any()
     elif target <= g_lo:
         return float(lo)
     elif target >= g_hi:

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import curves, frames, geodesic, indicatrix, involute, numerics
 from .curves import CurveSpec
-from .darboux import check_alignment, rotation_residuals
+from .darboux import CONST_KAPPA_GATE, check_alignment, rotation_residuals
+from .errors import NonConstantCurvature, NotOnUnitSphere
 from .indicatrix import KINDS, IndicatrixKind
 from .numerics import ABS_TOL, norm
 
@@ -114,7 +115,7 @@ def _det_samples(samples):
 def _det_points(spec, samples):
     grid = curves.arclength_grid(spec, _det_samples(samples))
     return np.concatenate([numerics.stencil(grid),
-                           numerics.stencil(grid, 2, 2 * geodesic.SPHERE_STEP)])
+                           numerics.stencil(grid, *geodesic.SPHERE_STENCIL)])
 
 
 # Per-sample residuals, fn(table, s) for _max_over: one value per sample
@@ -159,6 +160,10 @@ def _det_residual(kind, table, s):
     return np.abs(np.abs(det) - oracle)
 
 
+def _sphere_distance(kind, table, s):
+    return np.abs(norm(indicatrix.indicatrix_point(kind, table(s)).T) - 1.0)
+
+
 def _coincidence(table, s):
     mf = table(s)
     ff = frames.frenet_frame(table, s)
@@ -176,11 +181,19 @@ def _unit_speed(table, s):
 # besides its tolerance, True where it has none.
 
 def _sphere_det(tables, names, samples):
-    # every indicatrix on the unit sphere, on the curves it admits
-    results = [_max_over(tables, [f for f in names if _admits(kind)(tables[f].spec)],
-                         _det_samples(samples), partial(_det_residual, kind))
-               for kind, row in KINDS.items() if row.on_unit_sphere]
-    return max(w for w, _ in results), sum(n for _, n in results), True, ""
+    # every indicatrix on the unit sphere, on the curves it admits; a kind
+    # whose points leave the sphere fails the row by their distance from it
+    results, off = [], []
+    for kind, row in KINDS.items():
+        if row.on_unit_sphere:
+            over = partial(_max_over, tables, [f for f in names if _admits(kind)(tables[f].spec)],
+                           _det_samples(samples))
+            try:
+                results.append(over(partial(_det_residual, kind)))
+            except NotOnUnitSphere:
+                off.append(over(partial(_sphere_distance, kind)))
+    return (max(w for w, _ in off or results), sum(n for _, n in results + off), not off,
+            "points off the unit sphere: the residual is their distance from it" if off else "")
 
 
 def _involute_defect(kind, tables, names, samples):
@@ -296,6 +309,32 @@ IDENTITIES: list[Identity] = [
 IDENTITY_NAMES = [i.name for i in IDENTITIES]
 
 
+def select(only: list[str] | None = None) -> list[Identity]:
+    """The identities named in ``only``, in the order of :data:`IDENTITIES`,
+    or all of them for None; raises ValueError on an empty or unknown name."""
+    if "" in (only or ()):
+        raise ValueError(f"empty identity name in {only}")
+    unknown = [n for n in only or () if n not in IDENTITY_NAMES]
+    if unknown:
+        raise ValueError(f"unknown identity name(s): {', '.join(unknown)}")
+    return [i for i in IDENTITIES if only is None or i.name in only]
+
+
+def _off_gate(tables, names) -> tuple[float, int, str]:
+    # The worst |kappa'| above the constant-curvature gate in the tables of
+    # the named curves that declare constant kappa, the frames above it,
+    # and a note naming each such curve.
+    worst, over, notes = 0.0, 0, []
+    for f in [f for f in names if _const_kappa(tables[f].spec)]:
+        rate = np.abs(tables[f](tables[f].s).kappa_prime)
+        above = rate[rate > CONST_KAPPA_GATE]
+        if above.size:
+            worst, over = max(worst, float(above.max())), over + above.size
+            notes.append(f"{f} declares constant kappa, but |kappa'| reaches {above.max():g} "
+                         f"above the gate {CONST_KAPPA_GATE:g}")
+    return worst, over, "; ".join(notes)
+
+
 def run_validation(
     samples: int = 32,
     tolerance_override: float | None = None,
@@ -306,33 +345,39 @@ def run_validation(
 
     An entry passes when its residual is within ``tolerance_override``
     (else its own tolerance) and its extra condition holds; expected
-    discrepancies pass.  ``only`` restricts to the named identities, and
-    an unknown name raises ValueError.  Each curve's frames come from one
+    discrepancies pass.  ``only`` restricts to the identities it names,
+    through :func:`select`.  Each curve's frames come from one
     :class:`~modframe.frames.FrameTable` that holds every arclength the
     chosen identities read on it; each distinct point set is built once,
-    and kept only if it lies within at_arclength's bounds on the curve.
+    and kept only if it lies within the curve's
+    :func:`~modframe.curves.arclength_range`.  A row whose curves declare
+    constant curvature, but whose frames exceed the gate on kappa', fails
+    and names them.
     """
     specs = families if families is not None else default_families()
-    unknown = [n for n in only or () if n not in IDENTITY_NAMES]
-    if unknown:
-        raise ValueError(f"unknown identity name(s): {', '.join(unknown)}")
-    chosen = [i for i in IDENTITIES if only is None or i.name in only]
+    chosen = select(only)
     tables, fits = {}, {}
     for f, spec in specs.items():
         wanted = dict.fromkeys(i.points for i in chosen if i.assumes(spec))
         sets = {p: p(spec, samples) for p in wanted}
-        end = curves.total_arclength(spec) + ABS_TOL
-        fits[f] = [p for p, s in sets.items() if numerics.outside(s, -ABS_TOL, end) is None]
+        lo, hi = curves.arclength_range(spec)
+        fits[f] = [p for p, s in sets.items() if numerics.outside(s, lo, hi) is None]
         if fits[f]:
             tables[f] = frames.FrameTable(spec, np.concatenate([sets[p] for p in fits[f]]))
     entries = []
     for ident in chosen:
         names = [f for f, spec in specs.items() if ident.assumes(spec) and ident.points in fits[f]]
-        residual, n_evaluated, holds, note = (
-            ident.measure(tables, names, samples) if ident.residual is None
-            else (*_max_over(tables, names, samples, ident.residual), True, ident.note))
+        try:
+            residual, n_evaluated, holds, note = (
+                ident.measure(tables, names, samples) if ident.residual is None
+                else (*_max_over(tables, names, samples, ident.residual), True, ident.note))
+        except NonConstantCurvature:
+            residual, n_evaluated, note = _off_gate(tables, names)
+            if not n_evaluated:
+                raise
+            holds = False
         tol = tolerance_override if tolerance_override is not None else ident.tolerance
-        passed = ident.expected_discrepancy or (residual <= tol and holds)
+        passed = (ident.expected_discrepancy or residual <= tol) and holds
         if not n_evaluated:
             passed, note = False, "not applicable: no sample evaluated"
         entries.append(ValidationEntry(

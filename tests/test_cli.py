@@ -276,7 +276,20 @@ class TestValidate:
     def test_unknown_identity(self, capsys):
         code, out, err = run(capsys, "validate", "--only", "nonsense")
         assert code == EXIT_USAGE
-        assert "unknown identity" in err
+        assert err == "error: unknown identity name(s): nonsense\n"
+
+    def test_wrong_form_fails_a_row(self, capsys, monkeypatch):
+        # a pole point scaled by 1 + 1e-4 leaves the unit sphere: a failed
+        # row (exit 1), not an inadmissible curve (exit 3)
+        row = indicatrix.KINDS[indicatrix.IndicatrixKind.POLE]
+        monkeypatch.setitem(indicatrix.KINDS, indicatrix.IndicatrixKind.POLE,
+                            row._replace(point=lambda mf: row.point(mf) * (1.0 + 1e-4)))
+        frames.modified_frame.cache_clear()
+        code, out, err = run(capsys, "validate", "--samples", "8", "--curve", "salkowski:0.5",
+                             "--only", "geodesic-sphere-det")
+        assert code == EXIT_VALIDATION_FAILED
+        [entry] = json.loads(out)["report"]["entries"]
+        assert entry["max_residual"] == pytest.approx(1e-4, rel=1e-6)
 
     def test_impossible_tolerance_fails(self, capsys):
         code, out, err = run(capsys, "validate", "--samples", "6",
@@ -419,6 +432,15 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["validate", "--samples", "2"])
         assert exc.value.code == EXIT_USAGE
+        assert "--samples must be >= 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("only", ["", ",", "frame-ode,"])
+    def test_empty_identity_name(self, capsys, only):
+        # '' once ran all 25 rows with "only": null; ',' was an unknown name
+        code, out, err = run(capsys, "validate", "--samples", "4", "--only", only)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: empty identity name in [") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["frames", "--curve", "helix:2,1"],

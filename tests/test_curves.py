@@ -20,6 +20,7 @@ from modframe.curves import (
     twisted_cubic,
 )
 from modframe.errors import NotMonotone, OutOfRange, TargetOutOfRange, UnresolvedArclength
+from modframe.numerics import ABS_TOL
 
 ALL_FAMILIES = [
     line(),
@@ -297,6 +298,31 @@ class TestArclength:
         spec = twisted_cubic()
         with pytest.raises(OutOfRange):
             arclength(spec, spec.t_lo - 1.0, spec.t_hi)
+
+    def test_range_message_is_the_jets(self):
+        # one check of the parameter range, one wording, for the jet and arclength
+        spec = twisted_cubic()
+        for call in (lambda: spec.jet(2.0), lambda: arclength(spec, 0.0, 2.0),
+                     lambda: arclength(spec, 2.0, 2.0)):
+            with pytest.raises(OutOfRange, match=r"^t = 2 outside \[-1, 1\] for twisted_cubic$"):
+                call()
+
+    def test_reversed_interval_refused(self):
+        # t1 below t0 used to return a negative length (-0.389 here)
+        spec = twisted_cubic()
+        with pytest.raises(OutOfRange, match=r"t1 = 0.2 below t0 = 0.5"):
+            arclength(spec, 0.5, 0.2)
+        assert arclength(spec, 0.5, 0.5) == 0.0
+
+    @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
+    def test_arclength_range_is_at_arclengths(self, spec):
+        # the range at_arclength takes is [-ABS_TOL, L + ABS_TOL], both ends included
+        lo, hi = curves.arclength_range(spec)
+        assert (lo, hi) == (-ABS_TOL, total_arclength(spec) + ABS_TOL)
+        at_arclength(spec, np.array([lo, hi]))
+        for s in (np.nextafter(lo, -1.0), np.nextafter(hi, np.inf)):
+            with pytest.raises(TargetOutOfRange):
+                at_arclength(spec, s)
 
     def test_gauss_table_is_leggauss(self):
         # the written-out rule is numpy's, bit for bit

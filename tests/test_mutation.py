@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from modframe import frames, indicatrix, validation
-from modframe.errors import ModFrameError, NonConstantCurvature, NotOnUnitSphere
+from modframe.errors import ModFrameError
 from modframe.indicatrix import IndicatrixKind
 
 # Where each field sits in what _assemble returns: T, N, B, kappa, tau, kappa', tau'.
@@ -89,17 +89,9 @@ def test_scaled_field_is_caught(monkeypatch, passing, field):
     _assert_caught(_scaled(monkeypatch, passing, field, 1e-4))
 
 
-# A scaled unit-sphere point leaves the sphere by eps, and the determinant
-# oracle refuses it for the whole run.
-_OFF_SPHERE = pytest.mark.xfail(strict=True, raises=NotOnUnitSphere, reason=(
-    "ROADMAP item 14c: a point off the unit sphere makes run_validation raise "
-    "NotOnUnitSphere instead of failing the geodesic-sphere-det row"))
-
-
-@pytest.mark.parametrize("kind, form", [
-    pytest.param(kind, form, marks=_OFF_SPHERE) if form == "point"
-    and indicatrix.KINDS[kind].on_unit_sphere else (kind, form)
-    for kind, form in FORMS], ids=lambda v: getattr(v, "value", v))
+# A scaled unit-sphere point leaves the sphere by eps: the determinant
+# oracle refuses it, and geodesic-sphere-det fails by that distance.
+@pytest.mark.parametrize("kind, form", FORMS, ids=lambda v: getattr(v, "value", v))
 def test_scaled_form_is_caught(monkeypatch, passing, kind, form):
     _assert_caught(_scaled(monkeypatch, passing, (kind, form), 1e-4))
 
@@ -121,10 +113,8 @@ def test_smallest_scaling_caught(monkeypatch, passing, capsys):
         print("\n" + "\n".join(lines))
 
 
-@pytest.mark.xfail(strict=True, raises=NonConstantCurvature, reason=(
-    "ROADMAP item 14c: a kappa' above the Darboux gate on a curve that declares "
-    "constant kappa makes run_validation raise instead of failing a row"))
 def test_offset_kappa_prime_fails_a_row(monkeypatch, passing):
+    # a kappa' above the Darboux gate, on curves that declare constant kappa
     assert _rows_failed(monkeypatch, passing, _field("kappa_prime", lambda value: value + 1e-5))
 
 

@@ -270,3 +270,58 @@ def test_short_curve_gets_a_report(name):
             0, "not applicable: no sample evaluated"), n
     assert entries["metric-relations"].n_evaluated == 8
     assert entries["frame-coincidence"].n_evaluated == 8
+
+
+def test_select_owns_the_names():
+    assert validation.select() == validation.IDENTITIES
+    assert [i.name for i in validation.select(["unit-speed", "frame-ode"])] == [
+        "frame-ode", "unit-speed"]
+    for only in ([""], ["", ""], ["frame-ode", ""]):
+        with pytest.raises(ValueError, match="empty identity name"):
+            validation.select(only)
+        with pytest.raises(ValueError, match="empty identity name"):
+            run_validation(samples=8, only=only)
+
+
+def test_point_off_the_sphere_fails_the_determinant_row(monkeypatch):
+    # a tangent image scaled by 1 + 1e-6 leaves the unit sphere by 1e-6:
+    # the determinant oracle refuses it, and the row fails by that distance
+    # (below its 1e-5 tolerance) instead of the run raising NotOnUnitSphere
+    from modframe import indicatrix
+    from modframe.indicatrix import IndicatrixKind
+    row = indicatrix.KINDS[IndicatrixKind.TANGENT]
+    monkeypatch.setitem(indicatrix.KINDS, IndicatrixKind.TANGENT,
+                        row._replace(point=lambda mf: row.point(mf) * (1.0 + 1e-6)))
+    frames.modified_frame.cache_clear()
+    [entry] = run_validation(samples=16, only=["geodesic-sphere-det"]).entries
+    assert not entry.passed and entry.n_evaluated
+    assert entry.max_residual == pytest.approx(1e-6, rel=1e-6)
+    assert "off the unit sphere" in entry.note
+
+
+def test_kappa_prime_above_the_gate_fails_rows_that_name_the_curve(monkeypatch):
+    # kappa' + 1e-5 on every frame: the curves that declare constant kappa
+    # exceed the 1e-6 gate, and each row that assumes it fails and names them
+    assemble = frames._assemble
+
+    def offset(*jet):
+        out = list(assemble(*jet))
+        out[5] = out[5] + 1e-5
+        return tuple(out)
+
+    monkeypatch.setattr(frames, "_assemble", offset)
+    frames.modified_frame.cache_clear()
+    try:
+        rep = run_validation(samples=12, families={"h": curves.helix(2.0, 1.0),
+                                                   "c": curves.twisted_cubic()})
+    finally:
+        frames.modified_frame.cache_clear()
+    gated = [e for e in rep.entries if "declares constant kappa" in e.note]
+    names = {e.name for e in gated}
+    assert {"darboux-alignment", "lancret-angle", "pole-ind-covderiv",
+            "geodesic-binormal-unweighted", "involute-normal"} <= names
+    for e in gated:
+        assert not e.passed and e.n_evaluated
+        assert e.note.startswith("h declares constant kappa, but |kappa'| reaches 1e-05")
+        assert e.max_residual == pytest.approx(1e-5)
+    assert not rep.passed
