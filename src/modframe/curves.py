@@ -193,13 +193,20 @@ def _monomials(*powers: int | None):
     terms = [(0.0, 0) if n is None or k > n else (float(math.perm(n, k)), n - k)
              for k in range(5) for n in powers]
     degree = max(filter(None, powers))
+    # A term of power 0 is a * t**0 = a * 1.0 at every t, one float over a
+    # batch too: computed here, zeros included.  A call copies these and
+    # fills in the live terms (index, factor, power).
+    constants = [a * 1.0 for a, _ in terms]
+    live = [(i, a, j) for i, (a, j) in enumerate(terms) if j]
 
     def jet(p, t) -> tuple:
         # each power t**j once, by ** as in the textbook form: t*t*t can
-        # differ from t**3 in the last bit.  t**0 is the float 1.0, so a
-        # zero or constant term stays one float over a batch.
+        # differ from t**3 in the last bit
         tj = [1.0, *[t**j for j in range(1, degree + 1)]]
-        return _vectors(t, tuple([a * tj[j] for a, j in terms]))
+        c = constants.copy()
+        for i, a, j in live:
+            c[i] = a * tj[j]
+        return _vectors(t, tuple(c))
 
     # |r'|^2 = sum of n^2 t^(2n - 2), a polynomial in t^2 (0 t^2 + 1 on the
     # line, so that it broadcasts): its coefficients, highest first, by Horner.
@@ -291,15 +298,17 @@ def _salkowski_length(spec: CurveSpec):
     c, a = _salkowski_terms(params[0])[2]
     k, s_lo = a / c, math.sin(c * t_lo)
 
-    def g(t):
-        return k * ((np.sin if isinstance(t, np.ndarray) else math.sin)(c * t) - s_lo)
+    def maps(xp):  # g and its derivative, the speed, on math's floats or numpy's arrays
+        return (lambda t: k * (xp.sin(c * t) - s_lo)), (lambda t: a * abs(xp.cos(c * t)))
 
-    total, speed = g(t_hi), partial(_salkowski_speed, params)
+    one, batch = maps(math), maps(np)
+    total = one[0](t_hi)
 
     def inverse(s):
         t = np.arcsin(s_lo + s / k)  # at a float too: math.asin can differ in the last bit
-        guess = t / c if isinstance(s, np.ndarray) else float(t) / c
-        return numerics.invert_monotone(g, speed, s, t_lo, t_hi, guess, (0.0, total))
+        if isinstance(s, np.ndarray):
+            return numerics.invert_monotone(*batch, s, t_lo, t_hi, t / c, (0.0, total))
+        return numerics.invert_monotone(*one, s, t_lo, t_hi, float(t) / c, (0.0, total))
 
     return _record(total, inverse)
 
@@ -501,7 +510,9 @@ def at_arclength(spec: CurveSpec, s):
     at that one arclength bit for bit, whatever the array's size.  Raises
     TargetOutOfRange for an s outside :func:`arclength_range`."""
     total, inverse, lo, hi = FAMILIES[spec.family].length(spec)
-    bad = numerics.outside(s, lo, hi)
+    # a float's check is one chained comparison, which NaN fails as well
+    bad = (numerics.outside(s, lo, hi) if isinstance(s, np.ndarray)
+           else None if lo <= s <= hi else s)
     if bad is not None:
         raise TargetOutOfRange(f"arclength {bad:g} outside [0, {total:g}]")
     return inverse(s)

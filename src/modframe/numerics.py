@@ -167,7 +167,8 @@ def outside(x, lo, hi):
 
 
 def _misses(residual, target):
-    # The final check of both loops: the solution must reproduce its target.
+    # The final check of the array loop: the solution must reproduce its
+    # target.  invert_monotone writes it out inline for a float.
     return (abs(residual) > ABS_TOL) & (abs(residual) > 1e-12 * abs(target))
 
 
@@ -185,10 +186,13 @@ def invert_monotone(g: Callable, dg: Callable, target, lo, hi, t0, image=None):
     Newton residual when the solution is that iterate.
     """
     g_lo, g_hi = (g(lo), g(hi)) if image is None else image
-    bad = outside(target, g_lo - ABS_TOL, g_hi + ABS_TOL)
+    array = isinstance(target, np.ndarray)
+    # a float's check is one chained comparison, which NaN fails as well
+    bad = (outside(target, g_lo - ABS_TOL, g_hi + ABS_TOL) if array
+           else None if g_lo - ABS_TOL <= target <= g_hi + ABS_TOL else target)
     if bad is not None:
         raise TargetOutOfRange(f"target {bad:g} outside the image of its bracket")
-    if isinstance(target, np.ndarray):
+    if array:
         t = _newton_elementwise(g, dg, target, lo, hi, t0, g_lo, g_hi)
         # a target within ABS_TOL outside the image is met at its end, as below
         missed = _misses(g(t) - np.clip(target, g_lo, g_hi), target).any()
@@ -201,7 +205,7 @@ def invert_monotone(g: Callable, dg: Callable, target, lo, hi, t0, image=None):
         t = float(t)
         if residual is None:  # g was never evaluated at the root itself
             residual = g(t) - target
-        missed = _misses(residual, target)
+        missed = abs(residual) > ABS_TOL and abs(residual) > 1e-12 * abs(target)
     if missed:
         raise NotMonotone("bracketing converged to a point that misses the target")
     return t

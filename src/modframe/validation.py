@@ -352,8 +352,12 @@ def run_validation(
     and kept only if it lies within the curve's
     :func:`~modframe.curves.arclength_range`.  A row whose curves declare
     constant curvature, but whose frames exceed the gate on kappa', fails
-    and names them.
+    and names them.  Fewer samples than the involute scans need
+    (:data:`~modframe.involute.MIN_SAMPLES`) raise ValueError before any
+    work, whichever rows are chosen.
     """
+    if samples < involute.MIN_SAMPLES:
+        raise ValueError(f"need at least {involute.MIN_SAMPLES} samples")
     specs = families if families is not None else default_families()
     chosen = select(only)
     tables, fits = {}, {}

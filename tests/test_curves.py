@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from modframe import cli, curves, frames, numerics
+from modframe import cli, curves, frames, numerics, validation
 from modframe.curves import (
     arclength,
     arclength_grid,
@@ -426,6 +427,21 @@ class TestAtArclength:
     def test_array_out_of_range(self):
         with pytest.raises(TargetOutOfRange):
             at_arclength(twisted_cubic(), np.array([0.1, -0.5, 0.2]))
+
+    @pytest.mark.parametrize("spec", validation.default_families().values(),
+                             ids=validation.default_families())
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, None],
+                             ids=["nan", "inf", "-inf", "L+2tol"])
+    def test_float_out_of_range_named(self, spec, s):
+        # A float's range check is one chained comparison, which NaN and
+        # the infinities fail as well; every one-point entry refuses the
+        # value and names it.
+        total = total_arclength(spec)
+        s = total + 2.0 * ABS_TOL if s is None else s
+        message = re.escape(f"arclength {s:g} outside [0, {total:g}]")
+        for call in (at_arclength, frames.modified_frame, curves.position_at_arclength):
+            with pytest.raises(TargetOutOfRange, match=f"^{message}$"):
+                call(spec, s)
 
     @pytest.mark.parametrize("spec, most, share", [(twisted_cubic(), 3, 1 / 2),
                                                    (salkowski(0.5), 2, 1 / 3)],

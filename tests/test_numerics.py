@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import modframe
 from modframe import numerics
 from modframe.errors import NotMonotone, StepTooSmall, TargetOutOfRange
-from modframe.numerics import cross, diff_vec, invert_monotone, vec
+from modframe.numerics import ABS_TOL, cross, diff_vec, invert_monotone, vec
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 vectors = st.builds(vec, finite, finite, finite)
@@ -127,8 +127,26 @@ class TestInvertMonotone:
         assert t == pytest.approx(1.0)
 
     def test_out_of_range(self):
-        with pytest.raises(TargetOutOfRange):
-            invert_monotone(lambda t: t, lambda t: 1.0, 3.0, 0.0, 1.0, 0.5)
+        # also one ulp beyond ABS_TOL past either end of the image [0, 1]
+        for target in (3.0, np.nextafter(-ABS_TOL, -1.0), np.nextafter(1.0 + ABS_TOL, 3.0)):
+            with pytest.raises(TargetOutOfRange):
+                invert_monotone(lambda t: t, lambda t: 1.0, float(target), 0.0, 1.0, 0.5)
+
+    def test_nan_target_out_of_range(self):
+        # NaN fails the float's chained range comparison, as it fails outside
+        with pytest.raises(TargetOutOfRange,
+                           match=r"^target nan outside the image of its bracket$"):
+            invert_monotone(lambda t: t, lambda t: 1.0, math.nan, 0.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("target, end", [(0.0, 0), (-0.5 * ABS_TOL, 0), (-ABS_TOL, 0),
+                                             (2.0, 1), (2.0 + 0.5 * ABS_TOL, 1),
+                                             (2.0 + ABS_TOL, 1)])
+    def test_target_within_tol_past_an_end_is_that_end(self, target, end):
+        # g(t) = 2t on the int bracket [0, 1]: a target up to ABS_TOL past
+        # either end of the image [0, 2] gives that end of the bracket, as a
+        # float
+        t = invert_monotone(lambda t: 2.0 * t, lambda t: 2.0, target, 0, 1, 0.5)
+        assert type(t) is float and t == end
 
     def test_non_monotone_detected(self):
         with pytest.raises((NotMonotone, TargetOutOfRange)):

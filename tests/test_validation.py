@@ -52,6 +52,19 @@ def test_only_rejects_unknown_names(monkeypatch):
         run_validation(samples=8, only=["nope", "frame-ode", "bad"])
 
 
+@pytest.mark.parametrize("samples, only", [(2, ["frame-ode"]), (0, ["metric-relations"]),
+                                           (2, None)])
+def test_too_few_samples_refused_before_any_table(monkeypatch, samples, only):
+    # the involute scans' minimum holds for every run, checked before any
+    # table is built, whichever rows are chosen
+    builds, init = [], frames.FrameTable.__init__
+    monkeypatch.setattr(frames.FrameTable, "__init__",
+                        lambda self, *args: builds.append(args) or init(self, *args))
+    with pytest.raises(ValueError, match=r"^need at least 3 samples$"):
+        run_validation(samples=samples, only=only)
+    assert builds == []
+
+
 def test_family_restriction():
     rep = run_validation(samples=8, only=["frame-ode"],
                          families={"helix": curves.helix(2.0, 1.0)})
