@@ -11,17 +11,17 @@ on one table per curve: cumulative lengths at 257 parameter nodes (a
 polynomial from the degree-8 Chebyshev interpolant of the speed; the build
 refuses one that misses its panel's Gauss length.  :func:`arclength`, that
 rule on every family, is the reference.  Jets, speeds and arclength
-inversion take a float or an array of points; a float's jet is Python
-floats until :meth:`CurveSpec.jet` wraps it.  Finite differences are never
-used here; they live in :mod:`modframe.numerics` as the independent
-cross-check.
+inversion take a float or an array of points, by bodies bound to math for
+one point and to numpy for a batch; a float's jet is Python floats until
+:meth:`CurveSpec.jet` wraps it.  Finite differences are never used here;
+they live in :mod:`modframe.numerics` as the independent cross-check.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
+from bisect import bisect_right
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
@@ -158,12 +158,14 @@ def _check_parameters(spec: CurveSpec, *ts) -> None:
         raise OutOfRange(f"t1 = {ts[1]:g} below t0 = {ts[0]:g}")
 
 
-def _vectors(t, c):
+def _tuples(t, c):
     # The five 3-vectors of a jet from its 15 components ``c``, a tuple,
-    # order by order: 3-tuples of floats for a float t, (..., 3) arrays
-    # for an array t, with constant components broadcast.
-    if not isinstance(t, np.ndarray):
-        return c[0:3], c[3:6], c[6:9], c[9:12], c[12:15]
+    # order by order: 3-tuples of floats at one point ...
+    return c[0:3], c[3:6], c[6:9], c[9:12], c[12:15]
+
+
+def _arrays(t, c):
+    # ... and (..., 3) arrays over an array t, constant components broadcast.
     out = []
     for k in range(0, 15, 3):
         v = np.empty(t.shape + (3,))
@@ -172,16 +174,40 @@ def _vectors(t, c):
     return tuple(out)
 
 
-def _helix_jet(p, t) -> tuple:
-    a, b = p
-    # math.cos and math.sin: the fast one-point case (see _salkowski_jet)
-    cos, sin = (np.cos, np.sin) if isinstance(t, np.ndarray) else (math.cos, math.sin)
-    ct, st = cos(t), sin(t)
-    return _vectors(t, (a * ct, a * st, b * t,
-                        -a * st, a * ct, b,
-                        -a * ct, -a * st, 0.0,
-                        a * st, -a * ct, 0.0,
-                        a * ct, a * st, 0.0))
+class _Bound(NamedTuple):
+    """A body bound to math and :func:`_tuples` for one point and to numpy
+    and :func:`_arrays` for a batch, so neither tests its input; a call picks."""
+
+    point: Callable
+    batch: Callable
+
+    def __call__(self, p, t):
+        return (self.batch if isinstance(t, np.ndarray) else self.point)(p, t)
+
+
+def _bound(make) -> _Bound:
+    return _Bound(make(math, _tuples), make(np, _arrays))
+
+
+def _constant(v) -> _Bound:  # the constant speed v(p), broadcast over an array t
+    return _Bound(*[lambda p, t: v(p) + 0.0 * t] * 2)
+
+
+def _helix_jet(xp, vectors):  # math's cos and sin: the fast one-point case (see _salkowski_jet)
+    def jet(p, t, cos=xp.cos, sin=xp.sin) -> tuple:
+        a, b = p
+        ct, st = cos(t), sin(t)
+        return vectors(t, (a * ct, a * st, b * t,
+                           -a * st, a * ct, b,
+                           -a * ct, -a * st, 0.0,
+                           a * st, -a * ct, 0.0,
+                           a * ct, a * st, 0.0))
+    return jet
+
+
+def _circle_jet(xp, vectors):  # the helix of pitch 0
+    helix = _helix_jet(xp, vectors)
+    return lambda p, t: helix((p[0], 0.0), t)
 
 
 def _monomials(*powers: int | None):
@@ -199,26 +225,30 @@ def _monomials(*powers: int | None):
     constants = [a * 1.0 for a, _ in terms]
     live = [(i, a, j) for i, (a, j) in enumerate(terms) if j]
 
-    def jet(p, t) -> tuple:
-        # each power t**j once, by ** as in the textbook form: t*t*t can
-        # differ from t**3 in the last bit
-        tj = [1.0, *[t**j for j in range(1, degree + 1)]]
-        c = constants.copy()
-        for i, a, j in live:
-            c[i] = a * tj[j]
-        return _vectors(t, tuple(c))
+    def jet(xp, vectors):
+        def at(p, t) -> tuple:
+            # each power t**j once, by ** as in the textbook form: t*t*t can
+            # differ from t**3 in the last bit
+            tj = [1.0, *[t**j for j in range(1, degree + 1)]]
+            c = constants.copy()
+            for i, a, j in live:
+                c[i] = a * tj[j]
+            return vectors(t, tuple(c))
+        return at
 
     # |r'|^2 = sum of n^2 t^(2n - 2), a polynomial in t^2 (0 t^2 + 1 on the
     # line, so that it broadcasts): its coefficients, highest first, by Horner.
     top, *rest = (k * k if k in powers else 0 for k in range(max(degree, 2), 0, -1))
 
-    def speed(p, t):
-        t2, acc = t * t, top
-        for c in rest:
-            acc = acc * t2 + c
-        return np.sqrt(acc) if isinstance(acc, np.ndarray) else math.sqrt(acc)
+    def speed(xp, vectors):
+        def at(p, t, sqrt=xp.sqrt):
+            t2, acc = t * t, top
+            for c in rest:
+                acc = acc * t2 + c
+            return sqrt(acc)
+        return at
 
-    return jet, speed
+    return _bound(jet), _bound(speed)
 
 
 @lru_cache(maxsize=64)  # bounded as the tables are: a process may make any number of curves
@@ -242,33 +272,34 @@ def _salkowski_terms(m: float):
     return freqs, tuple(tuple(A * w**k for A, w in zip(amps, freqs)) for k in range(5)), (c, a)
 
 
-def _salkowski_jet(p, t) -> tuple:
+def _salkowski_jet(xp, vectors):
     # cos and sin of the four angles w t, once each; math.cos and math.sin
     # are the fast one-point case of np.cos and np.sin (the two agree bit
     # for bit).  d/dt takes (cos, sin)(w t) to w (-sin, cos)(w t), so order
     # k turns (c, s) by k quarter turns: (-s, c), (-c, -s), (s, -c), (c, s).
-    freqs, factors, _ = _salkowski_terms(p[0])
-    cos, sin = (np.cos, np.sin) if isinstance(t, np.ndarray) else (math.cos, math.sin)
-    w0, w1, w2, wz = freqs
-    g0, g1, g2, gz = w0 * t, w1 * t, w2 * t, wz * t
-    c0, c1, c2, cz = cos(g0), cos(g1), cos(g2), cos(gz)
-    s0, s1, s2, sz = sin(g0), sin(g1), sin(g2), sin(gz)
-    (a0, a1, a2, az), (b0, b1, b2, bz), (d0, d1, d2, dz), (e0, e1, e2, ez), \
-        (f0, f1, f2, fz) = factors
-    return _vectors(t, (
-        a0 * c0 + a1 * c1 + a2 * c2, a0 * s0 + a1 * s1 + a2 * s2, az * cz,
-        -b0 * s0 - b1 * s1 - b2 * s2, b0 * c0 + b1 * c1 + b2 * c2, -bz * sz,
-        -d0 * c0 - d1 * c1 - d2 * c2, -d0 * s0 - d1 * s1 - d2 * s2, -dz * cz,
-        e0 * s0 + e1 * s1 + e2 * s2, -e0 * c0 - e1 * c1 - e2 * c2, ez * sz,
-        f0 * c0 + f1 * c1 + f2 * c2, f0 * s0 + f1 * s1 + f2 * s2, fz * cz,
-    ))
+    def jet(p, t, cos=xp.cos, sin=xp.sin) -> tuple:
+        freqs, factors, _ = _salkowski_terms(p[0])
+        w0, w1, w2, wz = freqs
+        g0, g1, g2, gz = w0 * t, w1 * t, w2 * t, wz * t
+        c0, c1, c2, cz = cos(g0), cos(g1), cos(g2), cos(gz)
+        s0, s1, s2, sz = sin(g0), sin(g1), sin(g2), sin(gz)
+        (a0, a1, a2, az), (b0, b1, b2, bz), (d0, d1, d2, dz), (e0, e1, e2, ez), \
+            (f0, f1, f2, fz) = factors
+        return vectors(t, (
+            a0 * c0 + a1 * c1 + a2 * c2, a0 * s0 + a1 * s1 + a2 * s2, az * cz,
+            -b0 * s0 - b1 * s1 - b2 * s2, b0 * c0 + b1 * c1 + b2 * c2, -bz * sz,
+            -d0 * c0 - d1 * c1 - d2 * c2, -d0 * s0 - d1 * s1 - d2 * s2, -dz * cz,
+            e0 * s0 + e1 * s1 + e2 * s2, -e0 * c0 - e1 * c1 - e2 * c2, ez * sz,
+            f0 * c0 + f1 * c1 + f2 * c2, f0 * s0 + f1 * s1 + f2 * s2, fz * cz,
+        ))
+    return jet
 
 
-def _salkowski_speed(p, t):
-    c, a = _salkowski_terms(p[0])[2]
-    if isinstance(t, np.ndarray):
-        return a * np.abs(np.cos(c * t))
-    return a * abs(math.cos(c * t))
+def _salkowski_speed(xp, vectors):
+    def speed(p, t, cos=xp.cos):  # abs of an array is np.abs
+        c, a = _salkowski_terms(p[0])[2]
+        return a * abs(cos(c * t))
+    return speed
 
 
 @lru_cache(maxsize=64)  # the length records are bounded as the tables are
@@ -280,14 +311,8 @@ def _uniform_length(spec: CurveSpec):
     total = v * (t_hi - t_lo)
     if not math.isfinite(total):
         raise UnresolvedArclength(f"{spec.family}{spec.params}: its length {total:g} overflows")
-
-    def inverse(s):
-        t = t_lo + s / v
-        if isinstance(t, np.ndarray):
-            return np.clip(t, t_lo, t_hi)
-        return min(max(t, t_lo), t_hi)
-
-    return _record(total, inverse)
+    return _record(total, lambda s: min(max(t_lo + s / v, t_lo), t_hi),
+                   lambda s: np.clip(t_lo + s / v, t_lo, t_hi))
 
 
 @lru_cache(maxsize=64)
@@ -297,20 +322,15 @@ def _salkowski_length(spec: CurveSpec):
     _, params, t_lo, t_hi = spec
     c, a = _salkowski_terms(params[0])[2]
     k, s_lo = a / c, math.sin(c * t_lo)
+    total = k * (math.sin(c * t_hi) - s_lo)
 
-    def maps(xp):  # g and its derivative, the speed, on math's floats or numpy's arrays
-        return (lambda t: k * (xp.sin(c * t) - s_lo)), (lambda t: a * abs(xp.cos(c * t)))
+    def inverse(xp, guess):  # on math's floats or numpy's arrays
+        g, speed = (lambda t: k * (xp.sin(c * t) - s_lo)), (lambda t: a * abs(xp.cos(c * t)))
+        # np.arcsin at a float too: math.asin can differ in the last bit
+        return lambda s: numerics.invert_monotone(
+            g, speed, s, t_lo, t_hi, guess(np.arcsin(s_lo + s / k)) / c, (0.0, total))
 
-    one, batch = maps(math), maps(np)
-    total = one[0](t_hi)
-
-    def inverse(s):
-        t = np.arcsin(s_lo + s / k)  # at a float too: math.asin can differ in the last bit
-        if isinstance(s, np.ndarray):
-            return numerics.invert_monotone(*batch, s, t_lo, t_hi, t / c, (0.0, total))
-        return numerics.invert_monotone(*one, s, t_lo, t_hi, float(t) / c, (0.0, total))
-
-    return _record(total, inverse)
+    return _record(total, inverse(math, float), inverse(np, lambda t: t))
 
 
 @lru_cache(maxsize=64)
@@ -320,36 +340,34 @@ def _table_length(spec: CurveSpec):
     [c0, c1], the Hermite first guess of t(s) and the length polynomial
     that Newton solves, with the exact speed as its derivative."""
     _, cum, panels = _arclength_table(spec)
-    speed = partial(FAMILIES[spec.family].speed, spec.params)
+    inner = cum[1:-1]  # a memoryview, so a bisect reads Python floats
+    one, many = (partial(speed, spec.params) for speed in FAMILIES[spec.family].speed)
 
-    def inverse(s):
-        if isinstance(s, np.ndarray):
-            i = np.searchsorted(cum[1:-1], s, side="right")
-            lo, hi, c0, c1, bend0, bend1, mid, half, *coef = panels[i].T
-        else:  # one point, on Python floats
-            i = bisect.bisect_right(cum, s, 1, _PANELS) - 1
-            lo, hi, c0, c1, bend0, bend1, mid, half, *coef = panels[i].tolist()
+    def solve(s, panel, speed):
+        lo, hi, c0, c1, bend0, bend1, mid, half, *coef = panel
         u = (s - c0) / (c1 - c0)
         guess = lo + u * (hi - lo + (1.0 - u) * ((1.0 - u) * bend0 - u * bend1))
         return numerics.invert_monotone(lambda t: c0 + (t - lo) * _horner(coef, (t - mid) / half),
                                         speed, s, lo, hi, guess, (c0, c1))
 
-    return _record(cum[-1], inverse)
+    # one point's panel on Python floats; a batch's as arrays
+    return _record(cum[-1], lambda s: solve(s, panels[bisect_right(inner, s)].tolist(), one),
+                   lambda s: solve(s, panels[np.searchsorted(inner, s, side="right")].T, many))
 
 
-def _record(total: float, inverse: Callable):  # (L, inverse, lo, hi): see Family
-    return total, inverse, -ABS_TOL, total + ABS_TOL
+def _record(total: float, point, batch):  # (L, point, batch, lo, hi): see Family
+    return total, point, batch, -ABS_TOL, total + ABS_TOL
 
 
 class Family(NamedTuple):
     """One curve family: how to build it, evaluate it, and what it is.
 
     ``jet(params, t)`` and ``speed(params, t)`` are exact, for a float
-    ``t`` or an array of them; the jet is the five vectors of a
-    :class:`Jet`, 3-tuples of floats at a float ``t``.
-    ``length(spec)`` is the length record (L, inverse, lo, hi): the total
-    length, the inverse of the length map, and the arclengths it takes,
-    [lo, hi] = [-ABS_TOL, L + ABS_TOL].
+    ``t`` or an array of them, :class:`_Bound` pairs (``.point``, ``.batch``);
+    the jet is the five vectors of a :class:`Jet`, 3-tuples at a float ``t``.
+    ``length(spec)`` is the length record (L, point, batch, lo, hi): the
+    total length, the inverse of the length map at a float and over an
+    array, and the arclengths they take, [lo, hi] = [-ABS_TOL, L + ABS_TOL].
     ``constant_kappa(params)`` is the curvature when it is the same at
     every point and None otherwise;
     ``kappa_zeros`` lists the parameters of isolated curvature zeros.
@@ -358,8 +376,8 @@ class Family(NamedTuple):
     name: str
     arity: int
     factory: Callable[..., CurveSpec]
-    jet: Callable[[tuple, float | np.ndarray], tuple]
-    speed: Callable
+    jet: _Bound
+    speed: _Bound
     length: Callable[[CurveSpec], tuple]
     constant_kappa: Callable[[tuple], float | None]
     kappa_zeros: tuple[float, ...] = ()
@@ -367,17 +385,17 @@ class Family(NamedTuple):
 
 FAMILIES: dict[str, Family] = {f.name: f for f in (
     Family("line", 0, line, *_monomials(1, None, None), _uniform_length, lambda p: 0.0),
-    Family("circle", 1, circle, lambda p, t: _helix_jet((p[0], 0.0), t),
-           lambda p, t: p[0] + 0.0 * t, _uniform_length, lambda p: 1.0 / p[0]),
-    Family("helix", 2, helix, _helix_jet, lambda p, t: math.hypot(*p) + 0.0 * t,
+    Family("circle", 1, circle, _bound(_circle_jet), _constant(lambda p: p[0]),
+           _uniform_length, lambda p: 1.0 / p[0]),
+    Family("helix", 2, helix, _bound(_helix_jet), _constant(lambda p: math.hypot(*p)),
            _uniform_length, lambda p: abs(p[0]) / (p[0] * p[0] + p[1] * p[1])),
     Family("twisted_cubic", 0, twisted_cubic, *_monomials(1, 2, 3), _table_length, lambda p: None),
     # Curvature vanishes at t = 0: the isolated zero exercised by the
     # modified frame.
     Family("planar_cubic", 0, planar_cubic, *_monomials(1, 3, None), _table_length,
            lambda p: None, (0.0,)),
-    Family("salkowski", 1, salkowski, _salkowski_jet, _salkowski_speed, _salkowski_length,
-           lambda p: 1.0),
+    Family("salkowski", 1, salkowski, _bound(_salkowski_jet), _bound(_salkowski_speed),
+           _salkowski_length, lambda p: 1.0),
 )}
 
 
@@ -500,7 +518,7 @@ def total_arclength(spec: CurveSpec) -> float:
 
 def arclength_range(spec: CurveSpec) -> tuple[float, float]:
     """[-ABS_TOL, L + ABS_TOL], the arclengths :func:`at_arclength` takes."""
-    return FAMILIES[spec.family].length(spec)[2:]
+    return FAMILIES[spec.family].length(spec)[3:]
 
 
 def at_arclength(spec: CurveSpec, s):
@@ -509,13 +527,14 @@ def at_arclength(spec: CurveSpec, s):
     parameters from one elementwise solve, so each element equals the call
     at that one arclength bit for bit, whatever the array's size.  Raises
     TargetOutOfRange for an s outside :func:`arclength_range`."""
-    total, inverse, lo, hi = FAMILIES[spec.family].length(spec)
-    # a float's check is one chained comparison, which NaN fails as well
-    bad = (numerics.outside(s, lo, hi) if isinstance(s, np.ndarray)
-           else None if lo <= s <= hi else s)
-    if bad is not None:
-        raise TargetOutOfRange(f"arclength {bad:g} outside [0, {total:g}]")
-    return inverse(s)
+    total, point, batch, lo, hi = FAMILIES[spec.family].length(spec)
+    if not isinstance(s, np.ndarray):
+        if lo <= s <= hi:  # one chained comparison, which NaN fails as well
+            return point(s)
+        bad = s
+    elif (bad := numerics.outside(s, lo, hi)) is None:
+        return batch(s)
+    raise TargetOutOfRange(f"arclength {bad:g} outside [0, {total:g}]")
 
 
 def position_at_arclength(spec: CurveSpec, s: float) -> Vec3:

@@ -161,18 +161,17 @@ def _rates(r1, r2, r3, r4, v, v3, v5, sqrt):
     return d / u2, kappa_prime, tau_prime
 
 
-def _assemble(r1, r2, r3, r4):
+def _assemble(r1, r2, r3, r4, one):
     """T, N, B, kappa, tau, kappa' and tau' from the derivatives of a jet
     in any parameter: the one assembly behind both frame paths.  They are
-    3-tuples of floats at one point (a family's jet at a float), or
+    3-tuples of floats at ``one`` point (a family's point jet), or
     (..., 3) arrays at many, worked on as (3, ...) arrays; both unpack to
-    x, y, z alike, and one test of which it is picks math.sqrt or np.sqrt.
-    T, N and B come back as read-only (3,) or (..., 3) arrays.  Over a
+    x, y, z alike, and ``one``, which the caller knows, picks math.sqrt or
+    np.sqrt.  T, N and B come back as read-only (3,) or (..., 3) arrays.  Over a
     batch, call it under ``np.errstate(all="ignore")``: _check_scale
     refuses what overflowed.  Python floats never touch numpy's error
     state: a float v**3 or v**5 that overflows, the one that raises, is
     inf, and every divisor is tested before it divides."""
-    one = not isinstance(r1, np.ndarray)
     if one:
         sqrt = math.sqrt
     else:
@@ -221,7 +220,12 @@ def modified_frame(spec: CurveSpec, s: float) -> ModifiedFrame:
     the frame algebra can represent.  A numpy scalar ``s`` is read as a
     Python float, so the frame's scalar fields are Python floats.
     """
-    return _frame_at(spec, curves.at_arclength(spec, float(s)))
+    t = curves.at_arclength(spec, float(s))
+    # the point jet, unchecked (t is in range); only r, T, N, B are arrays, read-only where made
+    r, r1, r2, r3, r4 = curves.FAMILIES[spec.family].jet.point(spec.params, t)
+    r = np.array(r)
+    r.setflags(False)
+    return ModifiedFrame(*_assemble(r1, r2, r3, r4, True), t, r)
 
 
 def modified_frames(spec: CurveSpec, s) -> ModifiedFrame:
@@ -235,21 +239,11 @@ def modified_frames(spec: CurveSpec, s) -> ModifiedFrame:
     s = np.asarray(s, dtype=float)
     if s.ndim != 1:
         raise ValueError(f"modified_frames takes a 1-D array of arclengths, not {s.shape}")
-    return _frame_at(spec, curves.at_arclength(spec, s))
-
-
-def _frame_at(spec: CurveSpec, t) -> ModifiedFrame:
-    # The frame at parameter t, a float or an array that at_arclength gave
-    # inside the range: the family's jet, checked no further, goes straight
-    # to the assembly, floats and all.  At a float only r, T, N and B are
-    # arrays, and each is flagged read-only where it is made.
-    r, r1, r2, r3, r4 = curves.FAMILIES[spec.family].jet(spec.params, t)
-    r = np.asarray(r)  # a jet's components are floats
+    t = curves.at_arclength(spec, s)
+    r, r1, r2, r3, r4 = curves.FAMILIES[spec.family].jet.batch(spec.params, t)
     r.setflags(False)
-    if not isinstance(t, np.ndarray):
-        return ModifiedFrame(*_assemble(r1, r2, r3, r4), t, r)
     with np.errstate(all="ignore"):  # _check_scale refuses what overflowed
-        T, N, B, *scalars = _assemble(r1, r2, r3, r4)
+        T, N, B, *scalars = _assemble(r1, r2, r3, r4, False)
     return ModifiedFrame(T, N, B, *_read_only(*scalars, t), r)
 
 
@@ -314,7 +308,7 @@ def frames_at(spec, s) -> ModifiedFrame:
     scalar frame for one point of a CurveSpec, else a batch."""
     if isinstance(spec, FrameTable):
         return spec(s)
-    return modified_frame(spec, s) if np.ndim(s) == 0 else modified_frames(spec, s)
+    return modified_frame(spec, float(s)) if np.ndim(s) == 0 else modified_frames(spec, s)
 
 
 @np.errstate(divide="ignore", invalid="ignore")

@@ -175,16 +175,32 @@ class TestEvalJet:
             assert [[x.hex() for x in v] for v in one] == \
                 [[x.hex() for x in row] for row in textbook(t)], t
 
-    @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
+    @pytest.mark.parametrize("spec", [*ALL_FAMILIES, salkowski(-0.7), salkowski(3.0)],
+                             ids=[s.family for s in ALL_FAMILIES] + ["salkowski-0.7", "salkowski3"])
     def test_array_jet_matches_point_jets(self, spec):
-        ts = np.linspace(spec.t_lo, spec.t_hi, 11)
-        batch = spec.jet(ts)
-        for i, t in enumerate(ts):
-            one = spec.jet(float(t))
-            for name in ("r", "r1", "r2", "r3", "r4"):
-                assert getattr(batch, name).shape == (len(ts), 3)
-                assert np.allclose(getattr(batch, name)[i], getattr(one, name),
-                                   rtol=1e-15, atol=1e-15), (name, t)
+        # Each jet and speed is one body bound to math for a point and to
+        # numpy for a batch; the two bindings agree bit for bit at 1,001
+        # seeded parameters and both ends.  The cubics' jets only to 1e-15:
+        # numpy's array power can differ from Python's t**3 and t**2 in the
+        # last bit (their speeds are a Horner sum in t*t, and agree).
+        family = curves.FAMILIES[spec.family]
+        rng = np.random.default_rng(36)
+        ts = np.concatenate(([spec.t_lo, spec.t_hi], rng.uniform(spec.t_lo, spec.t_hi, 1001)))
+        batch, speeds = family.jet.batch(spec.params, ts), family.speed.batch(spec.params, ts)
+        exact = spec.family not in ("twisted_cubic", "planar_cubic")
+        for i, t in enumerate(ts.tolist()):
+            one = family.jet.point(spec.params, t)
+            for k, v in enumerate(one):
+                assert batch[k].shape == (len(ts), 3)
+                if exact:
+                    assert batch[k][i].tobytes() == np.array(v).tobytes(), (k, t)
+                else:
+                    assert np.allclose(batch[k][i], v, rtol=1e-15, atol=1e-15), (k, t)
+            assert speeds[i].tobytes() == np.float64(family.speed.point(spec.params, t)).tobytes()
+        # the dual calls pick the binding by their input
+        assert family.jet(spec.params, t) == one
+        assert family.jet(spec.params, ts)[0].tobytes() == batch[0].tobytes()
+        assert family.speed(spec.params, ts).tobytes() == speeds.tobytes()
 
     @pytest.mark.parametrize("m", [-0.7, 1e-4, 0.1, 0.5, 3.0, 100.0])
     def test_salkowski_jet_matches_cosine_sum(self, m):

@@ -1,10 +1,12 @@
+import cProfile
 import math
+import pstats
 import warnings
 
 import numpy as np
 import pytest
 
-from modframe import curves, frames, numerics, validation
+from modframe import curves, frames, indicatrix, involute, numerics, validation
 from modframe.curves import (
     arclength_grid,
     circle,
@@ -14,7 +16,13 @@ from modframe.curves import (
     salkowski,
     twisted_cubic,
 )
-from modframe.errors import CurvatureVanishes, DegenerateFrame, TargetOutOfRange
+from modframe.errors import (
+    CurvatureVanishes,
+    DegenerateFrame,
+    NonConstantCurvature,
+    TargetOutOfRange,
+)
+from modframe.indicatrix import IndicatrixKind
 
 HELIX = helix(2.0, 1.0)
 #: kappa = a / (a^2 + b^2), tau = b / (a^2 + b^2) for helix(a, b)
@@ -206,6 +214,48 @@ class TestModifiedFrame:
                     v, w = getattr(mf, name), getattr(plain, name)
                     assert v.tobytes() == w.tobytes(), (spec.family, s, name)
                     assert not v.flags.writeable, (spec.family, s, name)
+
+    @pytest.mark.parametrize("spec", [HELIX, twisted_cubic()], ids=lambda s: s.family)
+    def test_zero_d_array_arclength_reads_as_a_float(self, spec):
+        # np.ndim(s) == 0 sends a 0-d array down the one-point path of
+        # frames_at, whose frame cache hashes its arguments: each caller
+        # gives at np.array(x) what it gives at x, bit for bit (a sample
+        # echoes its s as given), or the same refusal.
+        def fields(call, spec, x):
+            try:
+                value = call(spec, x)
+            except NonConstantCurvature as exc:  # the binormal pairing, on the cubic
+                return [str(exc)]
+            if isinstance(value, indicatrix.IndicatrixSample):
+                value = value._replace(s=None)
+            return [np.asarray(v).tobytes() if isinstance(v, (float, np.ndarray)) else repr(v)
+                    for v in (value if isinstance(value, tuple) else (value,))]
+
+        calls = {"frenet_frame": frames.frenet_frame, "metric_residual": frames.metric_residual,
+                 "sample": lambda sp, x: indicatrix.sample(IndicatrixKind.TANGENT, sp, x),
+                 "involute_inner": lambda sp, x: involute.involute_inner(
+                     IndicatrixKind.BINORMAL, sp, x)}
+        for x in (0.25, 1.0, 0.5 * curves.total_arclength(spec)):
+            for name, call in calls.items():
+                assert fields(call, spec, np.array(x)) == fields(call, spec, x), (name, x)
+
+    def test_one_point_frame_tests_its_input_once_per_layer(self):
+        # One float-or-array test per uncached one-point frame, in
+        # at_arclength, and one more in invert_monotone on the curves it
+        # inverts by Newton: the jets, speeds, length inverses and the
+        # assembly below them are bound to the point case, and test nothing.
+        frame = frames.modified_frame.__wrapped__
+        seen = {}
+        for spec in (HELIX, twisted_cubic(), salkowski(0.5)):
+            points = np.linspace(0.0, curves.total_arclength(spec), 200).tolist()
+            profile = cProfile.Profile()
+            profile.enable()
+            for s in points:
+                frame(spec, s)
+            profile.disable()
+            seen[spec.family] = sum(v[1] for k, v in pstats.Stats(profile).stats.items()
+                                    if k[2] == "<built-in method builtins.isinstance>") / 200
+        assert seen == {"helix": 1.0, "twisted_cubic": 2.0, "salkowski": 2.0}
 
     def test_b_is_cross_of_t_and_n(self):
         mf = frames.modified_frame(twisted_cubic(), 1.0)

@@ -12,7 +12,8 @@ the general pole rate reads and the library's drops: 1.2e-13 on a rate
 of size 9.  The derived forms come out expanded (the binormal
 geodesic curvature as a ratio of quintics in tau) and cancel a few digits
 where kappa is 1: the worst miss is 1.4e-13 on a field of size 5, on
-salkowski(3).  The bound is 1e-13 (about 450 eps) of each field's largest
+salkowski(3).  On salkowski(1e-4) the normal and pole images miss (see
+``_SMALL_M``).  The bound is 1e-13 (about 450 eps) of each field's largest
 value on the curve, floored at 1, so that a form that vanishes on a curve
 (the helix's phi', the planar cubic's tau) is held to 1e-13 absolute.
 Where the library blanks a form (a rate at most ABS_TOL leaves the
@@ -31,7 +32,8 @@ from modframe.errors import NonConstantCurvature  # noqa: E402
 from modframe.indicatrix import IndicatrixKind  # noqa: E402
 
 REL = 1e-13
-CURVES = {**validation.default_families(), "salkowski3": curves.salkowski(3.0)}
+CURVES = {**validation.default_families(), "salkowski3": curves.salkowski(3.0),
+          "salkowski1e-4": curves.salkowski(1e-4)}
 LIBRARY = {"point": indicatrix.indicatrix_point, "rate": indicatrix._signed_rate,
            "tangent": indicatrix.indicatrix_tangent, "cov": indicatrix.cov_deriv_closed,
            "gamma": indicatrix.geodesic_curvature_closed}
@@ -39,13 +41,27 @@ LIBRARY = {"point": indicatrix.indicatrix_point, "rate": indicatrix._signed_rate
 # drops under its constant-curvature gate (ROADMAP item 1).
 _POLE_VARYING = pytest.mark.xfail(strict=True, raises=NonConstantCurvature, reason=(
     "ROADMAP item 1: the pole image needs constant kappa in the library"))
+# salkowski(1e-4) misses on two sides.  Its frames carry kappa' up to
+# 2.6e-15 where it is 0 exactly, the jet's rounding at small m: the general
+# pole rate reads it and the library's drops it, which moves cov and gamma
+# by 2.6e-8 on fields of size 1e4 (each side is within 4e-12 of a 60-digit
+# evaluation of its own form).  The normal image's derived gamma, a ratio
+# of expanded polynomials in tau, cancels to 9.4e-13 on a field of size
+# 1e-4, floored at 1; the library's agrees with 60 digits to 1e-20.
+_SMALL_M = {
+    IndicatrixKind.POLE: pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 3: the salkowski jet's kappa' at small m")),
+    IndicatrixKind.NORMAL: pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 12: cancellation in the expanded derived gamma")),
+}
 
 
 def _cases():
     for kind in IndicatrixKind:
         for name, spec in CURVES.items():
             if validation._admits(kind)(spec):
-                yield pytest.param(kind, name, id=f"{kind.value}-{name}")
+                marks = _SMALL_M.get(kind, ()) if name == "salkowski1e-4" else ()
+                yield pytest.param(kind, name, id=f"{kind.value}-{name}", marks=marks)
     yield pytest.param(IndicatrixKind.POLE, "twisted_cubic", id="pole-twisted_cubic",
                        marks=_POLE_VARYING)
 
