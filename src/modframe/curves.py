@@ -10,11 +10,12 @@ on one table per curve: cumulative lengths at 257 parameter nodes (a
 16-node Gauss-Legendre rule per panel) and, per panel, a degree-9 length
 polynomial from the degree-8 Chebyshev interpolant of the speed; the build
 refuses one that misses its panel's Gauss length.  :func:`arclength`, that
-rule on every family, is the reference.  Jets, speeds and arclength
-inversion take a float or an array of points, by bodies bound to math for
-one point and to numpy for a batch; a float's jet is Python floats until
-:meth:`CurveSpec.jet` wraps it.  Finite differences are never used here;
-they live in :mod:`modframe.numerics` as the independent cross-check.
+rule on every family, is the reference.  A curve binds its family's jet,
+speed and length record once, into one cached record: bodies over its own
+constants, bound to math for one point and to numpy for a batch; a float's
+jet is Python floats until :meth:`CurveSpec.jet` wraps it.  Finite
+differences are never used here; they live in :mod:`modframe.numerics` as
+the independent cross-check.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from functools import lru_cache, partial
+from collections import namedtuple
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -46,6 +48,8 @@ _GL_WEIGHTS = np.array(_GL_W[::-1] + _GL_W)
 # miss of the panel's Gauss length, relative to that length.
 _FIT_NODES = 9
 _FIT_TOL = 1e-12
+# The refusal of an input that is neither a float nor a numpy array.
+_NOT_A_NUMBER = "{} must be a float or a numpy array, not {}"
 
 
 class CurveSpec(NamedTuple("CurveSpec", [("family", str), ("params", tuple[float, ...]),
@@ -69,15 +73,24 @@ class CurveSpec(NamedTuple("CurveSpec", [("family", str), ("params", tuple[float
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def jet(self, t) -> Jet:
-        """Exact position and derivatives of the curve at parameter ``t``,
-        a float or an array of parameters, from the family's jet."""
+        """Exact position and derivatives of the curve at parameter ``t``, a
+        float or a numpy array of parameters (TypeError for a list, say),
+        from the curve's bound jet.  Raises OutOfRange outside the range."""
         _check_parameters(self, t)
-        return Jet(*numerics._read_only(*(np.asarray(v, dtype=float)
-                                          for v in FAMILIES[self.family].jet(self.params, t))))
+        curve = _curve(self)
+        jet = curve.jets if isinstance(t, np.ndarray) else curve.jet
+        return Jet(*numerics._read_only(*(np.asarray(v, dtype=float) for v in jet(t))))
 
     def speed(self, t):
-        """Exact |dr/dt| at ``t``, a float or an array of parameters."""
-        return FAMILIES[self.family].speed(self.params, t)
+        """Exact |dr/dt| at ``t``, a float or a numpy array of parameters
+        (TypeError for a list, say)."""
+        curve = _curve(self)
+        if isinstance(t, np.ndarray):
+            return curve.speeds(t)
+        try:
+            return curve.speed(t)
+        except TypeError:
+            raise TypeError(_NOT_A_NUMBER.format("t", type(t).__name__)) from None
 
     @property
     def constant_kappa(self) -> float | None:
@@ -147,75 +160,51 @@ def salkowski(m: float) -> CurveSpec:
 
 def _check_parameters(spec: CurveSpec, *ts) -> None:
     """The one check of a curve's parameter range: refuse with OutOfRange a
-    parameter (a float or an array) outside [t_lo, t_hi] by more than
-    ABS_TOL, and an interval t0, t1 with t1 below t0."""
+    parameter (a float or an array, TypeError for a list) outside [t_lo,
+    t_hi] by more than ABS_TOL, and an interval t0, t1 with t1 below t0."""
     family, _, t_lo, t_hi = spec  # one unpack, not four field reads
     for t in ts:
-        bad = numerics.outside(t, t_lo - ABS_TOL, t_hi + ABS_TOL)
+        try:
+            bad = numerics.outside(t, t_lo - ABS_TOL, t_hi + ABS_TOL)
+        except TypeError:
+            raise TypeError(_NOT_A_NUMBER.format("t", type(t).__name__)) from None
         if bad is not None:
             raise OutOfRange(f"t = {bad:g} outside [{t_lo:g}, {t_hi:g}] for {family}")
     if ts[1:] and ts[1] < ts[0]:
         raise OutOfRange(f"t1 = {ts[1]:g} below t0 = {ts[0]:g}")
 
 
-def _tuples(t, c):
-    # The five 3-vectors of a jet from its 15 components ``c``, a tuple,
-    # order by order: 3-tuples of floats at one point ...
-    return c[0:3], c[3:6], c[6:9], c[9:12], c[12:15]
+def _arrays(jet):  # the batch jet of a jet bound to numpy: its 3-tuples as (..., 3) arrays
+    def jets(t):
+        out = []
+        for x, y, z in jet(t):
+            v = np.empty(t.shape + (3,))
+            v[..., 0], v[..., 1], v[..., 2] = x, y, z
+            out.append(v)
+        return tuple(out)
+    return jets
 
 
-def _arrays(t, c):
-    # ... and (..., 3) arrays over an array t, constant components broadcast.
-    out = []
-    for k in range(0, 15, 3):
-        v = np.empty(t.shape + (3,))
-        v[..., 0], v[..., 1], v[..., 2] = c[k:k + 3]
-        out.append(v)
-    return tuple(out)
+def _constant(v):  # the binder of the constant speed v(params), broadcast over an array t
+    return lambda xp, p: lambda t, c=v(p): c + 0.0 * t
 
 
-class _Bound(NamedTuple):
-    """A body bound to math and :func:`_tuples` for one point and to numpy
-    and :func:`_arrays` for a batch, so neither tests its input; a call picks."""
+def _helix_jet(xp, p):  # math's cos and sin: the fast one-point case (see _salkowski_jet)
+    a, b = p
 
-    point: Callable
-    batch: Callable
-
-    def __call__(self, p, t):
-        return (self.batch if isinstance(t, np.ndarray) else self.point)(p, t)
-
-
-def _bound(make) -> _Bound:
-    return _Bound(make(math, _tuples), make(np, _arrays))
-
-
-def _constant(v) -> _Bound:  # the constant speed v(p), broadcast over an array t
-    return _Bound(*[lambda p, t: v(p) + 0.0 * t] * 2)
-
-
-def _helix_jet(xp, vectors):  # math's cos and sin: the fast one-point case (see _salkowski_jet)
-    def jet(p, t, cos=xp.cos, sin=xp.sin) -> tuple:
-        a, b = p
+    def jet(t, cos=xp.cos, sin=xp.sin):
         ct, st = cos(t), sin(t)
-        return vectors(t, (a * ct, a * st, b * t,
-                           -a * st, a * ct, b,
-                           -a * ct, -a * st, 0.0,
-                           a * st, -a * ct, 0.0,
-                           a * ct, a * st, 0.0))
+        return ((a * ct, a * st, b * t), (-a * st, a * ct, b), (-a * ct, -a * st, 0.0),
+                (a * st, -a * ct, 0.0), (a * ct, a * st, 0.0))
     return jet
 
 
-def _circle_jet(xp, vectors):  # the helix of pitch 0
-    helix = _helix_jet(xp, vectors)
-    return lambda p, t: helix((p[0], 0.0), t)
-
-
 def _monomials(*powers: int | None):
-    """(jet, speed) of t -> (t**n for n in powers); None is a zero component."""
+    """(jet, speed) binders of t -> (t**n for n in powers); None is a zero
+    component.  No parameters, and the jet calls nothing that xp binds."""
     # d^k/dt^k t**n = perm(n, k) * t**(n - k): per order k, per component,
     # that (factor, power), and (0.0, 0) for a zero term: 0.0 * t**0 is 0.0.
-    # A float factor multiplies a float faster than an int does, to the
-    # same bits.
+    # A float factor multiplies a float faster than an int does, to the same bits.
     terms = [(0.0, 0) if n is None or k > n else (float(math.perm(n, k)), n - k)
              for k in range(5) for n in powers]
     degree = max(filter(None, powers))
@@ -225,33 +214,33 @@ def _monomials(*powers: int | None):
     constants = [a * 1.0 for a, _ in terms]
     live = [(i, a, j) for i, (a, j) in enumerate(terms) if j]
 
-    def jet(xp, vectors):
-        def at(p, t) -> tuple:
-            # each power t**j once, by ** as in the textbook form: t*t*t can
-            # differ from t**3 in the last bit
-            tj = [1.0, *[t**j for j in range(1, degree + 1)]]
-            c = constants.copy()
-            for i, a, j in live:
-                c[i] = a * tj[j]
-            return vectors(t, tuple(c))
-        return at
+    def jet(t):
+        # each power t**j once, by ** as in the textbook form: t*t*t can
+        # differ from t**3 in the last bit
+        tj = [1.0]
+        for j in range(1, degree + 1):
+            tj.append(t**j)
+        c = constants.copy()
+        for i, a, j in live:
+            c[i] = a * tj[j]
+        c = tuple(c)
+        return c[0:3], c[3:6], c[6:9], c[9:12], c[12:15]  # order by order
 
     # |r'|^2 = sum of n^2 t^(2n - 2), a polynomial in t^2 (0 t^2 + 1 on the
     # line, so that it broadcasts): its coefficients, highest first, by Horner.
     top, *rest = (k * k if k in powers else 0 for k in range(max(degree, 2), 0, -1))
 
-    def speed(xp, vectors):
-        def at(p, t, sqrt=xp.sqrt):
+    def speed(xp, p):
+        def at(t, sqrt=xp.sqrt):
             t2, acc = t * t, top
             for c in rest:
                 acc = acc * t2 + c
             return sqrt(acc)
         return at
 
-    return _bound(jet), _bound(speed)
+    return (lambda xp, p: jet), speed
 
 
-@lru_cache(maxsize=64)  # bounded as the tables are: a process may make any number of curves
 def _salkowski_terms(m: float):
     """(frequencies, factors, (c, a)) of the salkowski curve with parameter m.
 
@@ -259,7 +248,7 @@ def _salkowski_terms(m: float):
     and y = sum A sin(w t) over the frequencies 1, 1 + 2c and 1 - 2c, and
     z = A cos(2c t).  ``factors[k]`` holds A w**k of the four terms, the
     amplitudes of the k-th derivative.  Raises ValueError where 1 + m*m
-    overflows, so that c and a cannot be represented.
+    overflows, so that c and a cannot be represented.  Not cached.
     """
     c, a = m / math.sqrt(1.0 + m * m), 1.0 / math.sqrt(1.0 + m * m)
     if a == 0.0:
@@ -272,51 +261,45 @@ def _salkowski_terms(m: float):
     return freqs, tuple(tuple(A * w**k for A, w in zip(amps, freqs)) for k in range(5)), (c, a)
 
 
-def _salkowski_jet(xp, vectors):
+def _salkowski_jet(xp, p):
     # cos and sin of the four angles w t, once each; math.cos and math.sin
     # are the fast one-point case of np.cos and np.sin (the two agree bit
     # for bit).  d/dt takes (cos, sin)(w t) to w (-sin, cos)(w t), so order
     # k turns (c, s) by k quarter turns: (-s, c), (-c, -s), (s, -c), (c, s).
-    def jet(p, t, cos=xp.cos, sin=xp.sin) -> tuple:
-        freqs, factors, _ = _salkowski_terms(p[0])
-        w0, w1, w2, wz = freqs
+    (w0, w1, w2, wz), factors, _ = _salkowski_terms(p[0])
+    (a0, a1, a2, az), (b0, b1, b2, bz), (d0, d1, d2, dz), (e0, e1, e2, ez), \
+        (f0, f1, f2, fz) = factors
+
+    def jet(t, cos=xp.cos, sin=xp.sin):
         g0, g1, g2, gz = w0 * t, w1 * t, w2 * t, wz * t
         c0, c1, c2, cz = cos(g0), cos(g1), cos(g2), cos(gz)
         s0, s1, s2, sz = sin(g0), sin(g1), sin(g2), sin(gz)
-        (a0, a1, a2, az), (b0, b1, b2, bz), (d0, d1, d2, dz), (e0, e1, e2, ez), \
-            (f0, f1, f2, fz) = factors
-        return vectors(t, (
-            a0 * c0 + a1 * c1 + a2 * c2, a0 * s0 + a1 * s1 + a2 * s2, az * cz,
-            -b0 * s0 - b1 * s1 - b2 * s2, b0 * c0 + b1 * c1 + b2 * c2, -bz * sz,
-            -d0 * c0 - d1 * c1 - d2 * c2, -d0 * s0 - d1 * s1 - d2 * s2, -dz * cz,
-            e0 * s0 + e1 * s1 + e2 * s2, -e0 * c0 - e1 * c1 - e2 * c2, ez * sz,
-            f0 * c0 + f1 * c1 + f2 * c2, f0 * s0 + f1 * s1 + f2 * s2, fz * cz,
-        ))
+        return ((a0 * c0 + a1 * c1 + a2 * c2, a0 * s0 + a1 * s1 + a2 * s2, az * cz),
+                (-b0 * s0 - b1 * s1 - b2 * s2, b0 * c0 + b1 * c1 + b2 * c2, -bz * sz),
+                (-d0 * c0 - d1 * c1 - d2 * c2, -d0 * s0 - d1 * s1 - d2 * s2, -dz * cz),
+                (e0 * s0 + e1 * s1 + e2 * s2, -e0 * c0 - e1 * c1 - e2 * c2, ez * sz),
+                (f0 * c0 + f1 * c1 + f2 * c2, f0 * s0 + f1 * s1 + f2 * s2, fz * cz))
     return jet
 
 
-def _salkowski_speed(xp, vectors):
-    def speed(p, t, cos=xp.cos):  # abs of an array is np.abs
-        c, a = _salkowski_terms(p[0])[2]
-        return a * abs(cos(c * t))
-    return speed
+def _salkowski_speed(xp, p):
+    c, a = _salkowski_terms(p[0])[2]
+    return lambda t, cos=xp.cos: a * abs(cos(c * t))  # abs of an array is np.abs
 
 
-@lru_cache(maxsize=64)  # the length records are bounded as the tables are
-def _uniform_length(spec: CurveSpec):
+def _uniform_length(spec: CurveSpec, speed, speeds):
     """The length record at a constant speed v: t = t_lo + s/v, clipped against
     rounding.  Raises UnresolvedArclength where L overflows."""
     _, _, t_lo, t_hi = spec
-    v = spec.speed(t_lo)
+    v = speed(t_lo)
     total = v * (t_hi - t_lo)
     if not math.isfinite(total):
         raise UnresolvedArclength(f"{spec.family}{spec.params}: its length {total:g} overflows")
-    return _record(total, lambda s: min(max(t_lo + s / v, t_lo), t_hi),
-                   lambda s: np.clip(t_lo + s / v, t_lo, t_hi))
+    return (total, lambda s: min(max(t_lo + s / v, t_lo), t_hi),
+            lambda s: np.clip(t_lo + s / v, t_lo, t_hi))
 
 
-@lru_cache(maxsize=64)
-def _salkowski_length(spec: CurveSpec):
+def _salkowski_length(spec: CurveSpec, speed, speeds):
     """The length record of salkowski: Newton on its exact length map
     g(t) = (a/c)(sin(c t) - sin(c t_lo)), L = g(t_hi), from arcsin(sin(c t_lo) + c s/a)/c."""
     _, params, t_lo, t_hi = spec
@@ -324,50 +307,45 @@ def _salkowski_length(spec: CurveSpec):
     k, s_lo = a / c, math.sin(c * t_lo)
     total = k * (math.sin(c * t_hi) - s_lo)
 
-    def inverse(xp, guess):  # on math's floats or numpy's arrays
-        g, speed = (lambda t: k * (xp.sin(c * t) - s_lo)), (lambda t: a * abs(xp.cos(c * t)))
+    def inverse(sin, speed, guess):  # on math's floats or numpy's arrays
+        def g(t):
+            return k * (sin(c * t) - s_lo)
         # np.arcsin at a float too: math.asin can differ in the last bit
         return lambda s: numerics.invert_monotone(
             g, speed, s, t_lo, t_hi, guess(np.arcsin(s_lo + s / k)) / c, (0.0, total))
 
-    return _record(total, inverse(math, float), inverse(np, lambda t: t))
+    return total, inverse(math.sin, speed, float), inverse(np.sin, speeds, lambda t: t)
 
 
-@lru_cache(maxsize=64)
-def _table_length(spec: CurveSpec):
+def _table_length(spec: CurveSpec, speed, speeds):
     """The length record from the curve's :func:`_arclength_table`: the panel
     that holds s (the count of inner edges at or below s) gives the bracket
     [c0, c1], the Hermite first guess of t(s) and the length polynomial
     that Newton solves, with the exact speed as its derivative."""
     _, cum, panels = _arclength_table(spec)
     inner = cum[1:-1]  # a memoryview, so a bisect reads Python floats
-    one, many = (partial(speed, spec.params) for speed in FAMILIES[spec.family].speed)
 
-    def solve(s, panel, speed):
+    def solve(s, panel, dg):
         lo, hi, c0, c1, bend0, bend1, mid, half, *coef = panel
         u = (s - c0) / (c1 - c0)
         guess = lo + u * (hi - lo + (1.0 - u) * ((1.0 - u) * bend0 - u * bend1))
         return numerics.invert_monotone(lambda t: c0 + (t - lo) * _horner(coef, (t - mid) / half),
-                                        speed, s, lo, hi, guess, (c0, c1))
+                                        dg, s, lo, hi, guess, (c0, c1))
 
-    # one point's panel on Python floats; a batch's as arrays
-    return _record(cum[-1], lambda s: solve(s, panels[bisect_right(inner, s)].tolist(), one),
-                   lambda s: solve(s, panels[np.searchsorted(inner, s, side="right")].T, many))
-
-
-def _record(total: float, point, batch):  # (L, point, batch, lo, hi): see Family
-    return total, point, batch, -ABS_TOL, total + ABS_TOL
+    # one point's panel on Python floats; a batch's as arrays, one per column
+    # of the table, whatever the shape of s
+    return (cum[-1], lambda s: solve(s, panels[bisect_right(inner, s)].tolist(), speed),
+            lambda s: solve(s, panels.T[:, np.searchsorted(inner, s, side="right")], speeds))
 
 
 class Family(NamedTuple):
     """One curve family: how to build it, evaluate it, and what it is.
 
-    ``jet(params, t)`` and ``speed(params, t)`` are exact, for a float
-    ``t`` or an array of them, :class:`_Bound` pairs (``.point``, ``.batch``);
-    the jet is the five vectors of a :class:`Jet`, 3-tuples at a float ``t``.
-    ``length(spec)`` is the length record (L, point, batch, lo, hi): the
-    total length, the inverse of the length map at a float and over an
-    array, and the arclengths they take, [lo, hi] = [-ABS_TOL, L + ABS_TOL].
+    ``jet(xp, params)`` and ``speed(xp, params)`` bind the exact bodies to
+    a curve's parameters and to ``xp``, math for a point or numpy for a
+    batch; a bound jet gives a :class:`Jet`'s five vectors as 3-tuples.
+    ``length(spec, speed, speeds)`` builds from the bound speeds the total
+    length and the inverse of the length map at a float and over an array.
     ``constant_kappa(params)`` is the curvature when it is the same at
     every point and None otherwise;
     ``kappa_zeros`` lists the parameters of isolated curvature zeros.
@@ -376,33 +354,50 @@ class Family(NamedTuple):
     name: str
     arity: int
     factory: Callable[..., CurveSpec]
-    jet: _Bound
-    speed: _Bound
-    length: Callable[[CurveSpec], tuple]
+    jet: Callable
+    speed: Callable
+    length: Callable[..., tuple]
     constant_kappa: Callable[[tuple], float | None]
     kappa_zeros: tuple[float, ...] = ()
 
 
 FAMILIES: dict[str, Family] = {f.name: f for f in (
     Family("line", 0, line, *_monomials(1, None, None), _uniform_length, lambda p: 0.0),
-    Family("circle", 1, circle, _bound(_circle_jet), _constant(lambda p: p[0]),
-           _uniform_length, lambda p: 1.0 / p[0]),
-    Family("helix", 2, helix, _bound(_helix_jet), _constant(lambda p: math.hypot(*p)),
+    Family("circle", 1, circle, lambda xp, p: _helix_jet(xp, (p[0], 0.0)),  # pitch 0
+           _constant(lambda p: p[0]), _uniform_length, lambda p: 1.0 / p[0]),
+    Family("helix", 2, helix, _helix_jet, _constant(lambda p: math.hypot(*p)),
            _uniform_length, lambda p: abs(p[0]) / (p[0] * p[0] + p[1] * p[1])),
     Family("twisted_cubic", 0, twisted_cubic, *_monomials(1, 2, 3), _table_length, lambda p: None),
     # Curvature vanishes at t = 0: the isolated zero exercised by the
     # modified frame.
     Family("planar_cubic", 0, planar_cubic, *_monomials(1, 3, None), _table_length,
            lambda p: None, (0.0,)),
-    Family("salkowski", 1, salkowski, _bound(_salkowski_jet), _bound(_salkowski_speed),
+    Family("salkowski", 1, salkowski, _salkowski_jet, _salkowski_speed,
            _salkowski_length, lambda p: 1.0),
 )}
 
 
-def _gauss(spec: CurveSpec, a, b):
-    # One 16-node Gauss-Legendre rule over [a, b]: numpy floats, or arrays elementwise.
+_Curve = namedtuple("_Curve", "total hi inverse inverses jet jets speed speeds")
+
+
+@lru_cache(maxsize=64)  # bounded as the tables are: a process may make any number of curves
+def _curve(spec: CurveSpec) -> _Curve:
+    """The one cache of what a point of ``spec`` reads: its length L, the
+    end hi = L + ABS_TOL of the arclengths :func:`at_arclength` takes, and
+    the inverse of its length map, its jet and its speed, each at a float
+    and over an array.  Raises the length record's UnresolvedArclength.
+    Private, so the benchmark's tracer puts no span on its lookups."""
+    family, params = FAMILIES[spec.family], spec.params
+    speed, speeds = family.speed(math, params), family.speed(np, params)
+    total, inverse, inverses = family.length(spec, speed, speeds)
+    return _Curve(total, total + ABS_TOL, inverse, inverses,
+                  family.jet(math, params), _arrays(family.jet(np, params)), speed, speeds)
+
+
+def _gauss(speed, a, b):
+    # One 16-node Gauss-Legendre rule of ``speed`` over [a, b]: floats, or arrays elementwise.
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * (spec.speed(mid[..., None] + half[..., None] * _GL_NODES) @ _GL_WEIGHTS)
+    return half * (speed(mid[..., None] + half[..., None] * _GL_NODES) @ _GL_WEIGHTS)
 
 
 @lru_cache(maxsize=None)
@@ -473,10 +468,11 @@ def _arclength_table(spec: CurveSpec):
     is refused rather than inverted wrongly; and where a panel's length is
     subnormal, below sys.float_info.min, where rounding has no relative bound.
     """
+    speed = FAMILIES[spec.family].speed(np, spec.params)  # _curve(spec) is being built
     ts = np.linspace(spec.t_lo, spec.t_hi, _PANELS + 1)
-    lengths = _gauss(spec, ts[:-1], ts[1:])
+    lengths = _gauss(speed, ts[:-1], ts[1:])
     cum = np.concatenate(([0.0], np.cumsum(lengths)))
-    v = spec.speed(ts)
+    v = speed(ts)
     live = (0.0 < v) & (v < math.inf)
     width = np.diff(ts)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -484,7 +480,7 @@ def _arclength_table(spec: CurveSpec):
                         for w in (v[:-1], v[1:]))
     mid, half = 0.5 * (ts[:-1] + ts[1:]), 0.5 * width
     nodes, fit = _length_fit()
-    coef = np.einsum("pj,jk->pk", spec.speed(mid[:, None] + half[:, None] * nodes), fit)
+    coef = np.einsum("pj,jk->pk", speed(mid[:, None] + half[:, None] * nodes), fit)
     miss = np.abs(width * _horner(coef.T, 1.0) - lengths)
     unresolved = ~(miss <= _FIT_TOL * lengths) | (lengths < sys.float_info.min)  # NaN too
     if unresolved.any():
@@ -508,33 +504,37 @@ def arclength(spec: CurveSpec, t0: float, t1: float) -> float:
     i0, i1 = np.clip(np.searchsorted(ts, (t0, t1), side="right") - 1, 0, _PANELS - 1)
     # a rule per part-panel: a (2, 16) matrix product sums in another order
     return (float(cum[i1] - cum[i0])
-            + float(_gauss(spec, ts[i1], t1)) - float(_gauss(spec, ts[i0], t0)))
+            + float(_gauss(spec.speed, ts[i1], t1)) - float(_gauss(spec.speed, ts[i0], t0)))
 
 
 def total_arclength(spec: CurveSpec) -> float:
-    """Length of the curve over its whole range, from its length record."""
-    return FAMILIES[spec.family].length(spec)[0]
+    """Length of the curve over its whole range, from its record."""
+    return _curve(spec).total
 
 
 def arclength_range(spec: CurveSpec) -> tuple[float, float]:
     """[-ABS_TOL, L + ABS_TOL], the arclengths :func:`at_arclength` takes."""
-    return FAMILIES[spec.family].length(spec)[3:]
+    return -ABS_TOL, _curve(spec).hi
 
 
 def at_arclength(spec: CurveSpec, s):
     """Parameter t with arclength(spec, t_lo, t) = s, from the inverse in
-    the family's length record; for an array of arclengths, an array of
-    parameters from one elementwise solve, so each element equals the call
-    at that one arclength bit for bit, whatever the array's size.  Raises
-    TargetOutOfRange for an s outside :func:`arclength_range`."""
-    total, point, batch, lo, hi = FAMILIES[spec.family].length(spec)
+    the curve's record; for a numpy array of arclengths, of any shape, an
+    array of parameters from one elementwise solve, each element equal bit
+    for bit to the call at that one arclength.  Raises TargetOutOfRange for
+    an s outside :func:`arclength_range`, and TypeError for an s that is
+    neither a float nor a numpy array (a list, say)."""
+    curve = _curve(spec)
     if not isinstance(s, np.ndarray):
-        if lo <= s <= hi:  # one chained comparison, which NaN fails as well
-            return point(s)
+        try:
+            if -ABS_TOL <= s <= curve.hi:  # one chained comparison, which NaN fails as well
+                return curve.inverse(s)
+        except TypeError:
+            raise TypeError(_NOT_A_NUMBER.format("arclength", type(s).__name__)) from None
         bad = s
-    elif (bad := numerics.outside(s, lo, hi)) is None:
-        return batch(s)
-    raise TargetOutOfRange(f"arclength {bad:g} outside [0, {total:g}]")
+    elif (bad := numerics.outside(s, -ABS_TOL, curve.hi)) is None:
+        return curve.inverses(s)
+    raise TargetOutOfRange(f"arclength {bad:g} outside [0, {_curve(spec).total:g}]")
 
 
 def position_at_arclength(spec: CurveSpec, s: float) -> Vec3:

@@ -164,7 +164,7 @@ def _rates(r1, r2, r3, r4, v, v3, v5, sqrt):
 def _assemble(r1, r2, r3, r4, one):
     """T, N, B, kappa, tau, kappa' and tau' from the derivatives of a jet
     in any parameter: the one assembly behind both frame paths.  They are
-    3-tuples of floats at ``one`` point (a family's point jet), or
+    3-tuples of floats at ``one`` point (a curve's point jet), or
     (..., 3) arrays at many, worked on as (3, ...) arrays; both unpack to
     x, y, z alike, and ``one``, which the caller knows, picks math.sqrt or
     np.sqrt.  T, N and B come back as read-only (3,) or (..., 3) arrays.  Over a
@@ -221,8 +221,8 @@ def modified_frame(spec: CurveSpec, s: float) -> ModifiedFrame:
     Python float, so the frame's scalar fields are Python floats.
     """
     t = curves.at_arclength(spec, float(s))
-    # the point jet, unchecked (t is in range); only r, T, N, B are arrays, read-only where made
-    r, r1, r2, r3, r4 = curves.FAMILIES[spec.family].jet.point(spec.params, t)
+    # the curve's point jet, unchecked (t is in range); r, T, N, B: read-only where made
+    r, r1, r2, r3, r4 = curves._curve(spec).jet(t)
     r = np.array(r)
     r.setflags(False)
     return ModifiedFrame(*_assemble(r1, r2, r3, r4, True), t, r)
@@ -240,7 +240,7 @@ def modified_frames(spec: CurveSpec, s) -> ModifiedFrame:
     if s.ndim != 1:
         raise ValueError(f"modified_frames takes a 1-D array of arclengths, not {s.shape}")
     t = curves.at_arclength(spec, s)
-    r, r1, r2, r3, r4 = curves.FAMILIES[spec.family].jet.batch(spec.params, t)
+    r, r1, r2, r3, r4 = curves._curve(spec).jets(t)
     r.setflags(False)
     with np.errstate(all="ignore"):  # _check_scale refuses what overflowed
         T, N, B, *scalars = _assemble(r1, r2, r3, r4, False)

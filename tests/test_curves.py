@@ -166,12 +166,13 @@ class TestEvalJet:
 
         ts = np.linspace(spec.t_lo, spec.t_hi, 1001)
         assert 0.0 in ts
-        batch = curves.FAMILIES[spec.family].jet(spec.params, ts)
+        curve = curves._curve(spec)
+        batch = curve.jets(ts)
         for k, row in enumerate(textbook(ts)):
             expected = np.column_stack([np.broadcast_to(c, ts.shape) for c in row])
             assert batch[k].tobytes() == expected.tobytes(), k
         for t in ts.tolist():
-            one = curves.FAMILIES[spec.family].jet(spec.params, t)
+            one = curve.jet(t)
             assert [[x.hex() for x in v] for v in one] == \
                 [[x.hex() for x in row] for row in textbook(t)], t
 
@@ -179,28 +180,28 @@ class TestEvalJet:
                              ids=[s.family for s in ALL_FAMILIES] + ["salkowski-0.7", "salkowski3"])
     def test_array_jet_matches_point_jets(self, spec):
         # Each jet and speed is one body bound to math for a point and to
-        # numpy for a batch; the two bindings agree bit for bit at 1,001
-        # seeded parameters and both ends.  The cubics' jets only to 1e-15:
-        # numpy's array power can differ from Python's t**3 and t**2 in the
-        # last bit (their speeds are a Horner sum in t*t, and agree).
-        family = curves.FAMILIES[spec.family]
+        # numpy for a batch; the curve's two bindings agree bit for bit at
+        # 1,001 seeded parameters and both ends.  The cubics' jets only to
+        # 1e-15: numpy's array power can differ from Python's t**3 and t**2
+        # in the last bit (their speeds are a Horner sum in t*t, and agree).
+        curve = curves._curve(spec)
         rng = np.random.default_rng(36)
         ts = np.concatenate(([spec.t_lo, spec.t_hi], rng.uniform(spec.t_lo, spec.t_hi, 1001)))
-        batch, speeds = family.jet.batch(spec.params, ts), family.speed.batch(spec.params, ts)
+        batch, speeds = curve.jets(ts), curve.speeds(ts)
         exact = spec.family not in ("twisted_cubic", "planar_cubic")
         for i, t in enumerate(ts.tolist()):
-            one = family.jet.point(spec.params, t)
+            one = curve.jet(t)
             for k, v in enumerate(one):
                 assert batch[k].shape == (len(ts), 3)
                 if exact:
                     assert batch[k][i].tobytes() == np.array(v).tobytes(), (k, t)
                 else:
                     assert np.allclose(batch[k][i], v, rtol=1e-15, atol=1e-15), (k, t)
-            assert speeds[i].tobytes() == np.float64(family.speed.point(spec.params, t)).tobytes()
-        # the dual calls pick the binding by their input
-        assert family.jet(spec.params, t) == one
-        assert family.jet(spec.params, ts)[0].tobytes() == batch[0].tobytes()
-        assert family.speed(spec.params, ts).tobytes() == speeds.tobytes()
+            assert speeds[i].tobytes() == np.float64(curve.speed(t)).tobytes()
+        # CurveSpec.jet and speed pick the binding by their input
+        assert [v.tolist() for v in spec.jet(t)] == [list(v) for v in one]
+        assert spec.jet(ts)[0].tobytes() == batch[0].tobytes()
+        assert spec.speed(ts).tobytes() == speeds.tobytes()
 
     @pytest.mark.parametrize("m", [-0.7, 1e-4, 0.1, 0.5, 3.0, 100.0])
     def test_salkowski_jet_matches_cosine_sum(self, m):
@@ -306,8 +307,11 @@ class TestArclength:
     @pytest.mark.parametrize("spec", [circle(1e308), helix(1e308, 1.0)], ids=["circle", "helix"])
     def test_overflowing_length_is_refused(self, spec):
         # 1e308 x 2 pi overflows: the length record refuses the curve
-        # rather than inverting arclengths in [0, inf]
-        for call in (lambda: total_arclength(spec), lambda: at_arclength(spec, 1.0)):
+        # rather than inverting arclengths in [0, inf], and with it the
+        # curve's one bound record, its jet and speed too (at a speed the
+        # frame algebra refuses anyway)
+        for call in (lambda: total_arclength(spec), lambda: at_arclength(spec, 1.0),
+                     lambda: spec.jet(0.5), lambda: spec.speed(0.5)):
             with pytest.raises(UnresolvedArclength, match="overflows"):
                 call()
 
@@ -501,15 +505,19 @@ class TestAtArclength:
         # solve still lands on the root.
         spec = curves.CurveSpec("twisted_cubic", (), -1.0, 0.875)  # a range no other test uses
         nodes = {10: 0.0, 20: math.inf, 30: math.nan}
-        speed = curves.CurveSpec.speed
+        family = curves.FAMILIES["twisted_cubic"]
 
-        def broken(self, t):
-            v = speed(self, t)
-            if np.shape(t) == (curves._PANELS + 1,):
-                v = v.copy()
-                for k, x in nodes.items():
-                    v[k] = x
-            return v
+        def broken(xp, params):  # the family's speed binder, broken at the table's nodes
+            speed = family.speed(xp, params)
+
+            def at(t):
+                v = speed(t)
+                if np.shape(t) == (curves._PANELS + 1,):
+                    v = v.copy()
+                    for k, x in nodes.items():
+                        v[k] = x
+                return v
+            return at
 
         guesses = []
         invert = numerics.invert_monotone
@@ -518,7 +526,7 @@ class TestAtArclength:
             guesses.append(t0)
             return invert(g, dg, target, lo, hi, t0, *args)
 
-        monkeypatch.setattr(curves.CurveSpec, "speed", broken)
+        monkeypatch.setitem(curves.FAMILIES, "twisted_cubic", family._replace(speed=broken))
         monkeypatch.setattr(numerics, "invert_monotone", recorded)
         try:
             ts, cum, *_ = curves._arclength_table(spec)
@@ -532,7 +540,7 @@ class TestAtArclength:
                     assert abs(arclength(spec, spec.t_lo, t) - s) <= 1e-12 * max(1.0, s)
         finally:
             curves._arclength_table.cache_clear()
-            curves._table_length.cache_clear()
+            curves._curve.cache_clear()
 
     def test_table_cache_is_bounded(self):
         # each curve of varying speed has a table of about 40 KB; the cache
@@ -552,22 +560,36 @@ class TestAtArclength:
             assert np.array_equal(np.asarray(old), np.asarray(new))
 
     def test_length_record_caches_are_bounded(self):
-        # each family builds its length record once per curve and keeps a
-        # fixed number of them, as it keeps the tables
-        for family in curves.FAMILIES.values():
-            assert family.length.cache_info().maxsize == 64
+        # each curve's length record is built once, into its one bound
+        # record, and the records are kept as the tables are: a fixed number
+        # of them
+        assert curves._curve.cache_info().maxsize == 64
         for k in range(100):
             total_arclength(helix(1.0 + 1e-3 * k, 0.5))
-        assert curves._uniform_length.cache_info().currsize <= 64
+        assert curves._curve.cache_info().currsize <= 64
 
     def test_salkowski_caches_are_bounded(self):
-        # a process that makes new salkowski curves keeps a fixed number of
-        # their terms and length maps
+        # a process that makes new salkowski and helix curves keeps a fixed
+        # number of their bound records, and no other per-curve cache
         for k in range(3000):
-            spec = salkowski(0.3 + 1e-4 * k)
-            at_arclength(spec, 0.5 * total_arclength(spec))
-        for cache in (curves._salkowski_terms, curves._salkowski_length):
-            assert cache.cache_info().currsize <= cache.cache_info().maxsize == 64
+            for spec in (salkowski(0.3 + 1e-4 * k), helix(1.0 + 1e-4 * k, 0.5)):
+                at_arclength(spec, 0.5 * total_arclength(spec))
+        assert curves._curve.cache_info().currsize <= 64
+        assert not hasattr(curves._salkowski_terms, "cache_info")
+
+    def test_one_record_per_curve(self):
+        # 1,000 one-point frames and one batch on one curve build its
+        # record once: one miss of the record's cache, and hits after it
+        spec = salkowski(0.2917)  # used by no other test, so nothing is cached
+        before = curves._curve.cache_info()
+        grid = arclength_grid(spec, 1000)
+        for s in grid.tolist():
+            frames.modified_frame(spec, s)
+            curves.position_at_arclength(spec, s)
+        frames.modified_frames(spec, grid)
+        after = curves._curve.cache_info()
+        assert after.misses - before.misses == 1
+        assert after.hits - before.hits >= 2000
 
     def test_cached_table_is_read_only(self):
         # every caller shares the table, so no caller may change it
@@ -723,10 +745,10 @@ class TestLengthPolynomial:
         # bound allows 64 eps.
         ts, cum, panels = curves._arclength_table(spec)
         t0, t1, mid, half, coef = *panels[:, [0, 1, 6, 7]].T, panels[:, 8:].T
-        lengths = curves._gauss(spec, t0, t1)
+        lengths = curves._gauss(spec.speed, t0, t1)
         for t in (t0, t0 + 1e-6 * half, mid - 0.7 * half, mid + 0.2 * half, mid + 0.9 * half, t1):
             poly = (t - t0) * curves._horner(coef, (t - mid) / half)
-            miss = np.abs(poly - curves._gauss(spec, t0, t)) / lengths
+            miss = np.abs(poly - curves._gauss(spec.speed, t0, t)) / lengths
             assert np.max(miss) <= 64.0 * np.finfo(float).eps
         assert np.array_equal(panels[:, 2:4], np.column_stack((cum[:-1], cum[1:])))
 
@@ -752,8 +774,34 @@ def test_float_jet_is_python_floats(spec):
     # float subclass).  test_cached_vectors_own_their_memory holds the
     # frame's scalars to the same contract.
     for t in np.linspace(spec.t_lo, spec.t_hi, 9).tolist():
-        jet = curves.FAMILIES[spec.family].jet(spec.params, t)
+        jet = curves._curve(spec).jet(t)
         assert len(jet) == 5
         for v in jet:
             assert type(v) is tuple and len(v) == 3, t
             assert all(type(x) is float for x in v), (t, v)
+
+
+@pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
+def test_arclengths_of_any_shape_invert_elementwise(spec):
+    # An array of arclengths inverts elementwise whatever its shape: a
+    # reshaped array gives the 1-D result, reshaped, byte for byte.  The
+    # cubics' table inverse raised IndexError on a 2-D array.
+    flat = np.linspace(0.0, total_arclength(spec), 24)
+    expected = at_arclength(spec, flat)
+    for shape in ((1, 24), (24, 1), (4, 6), (2, 3, 4)):
+        t = at_arclength(spec, flat.reshape(shape))
+        assert t.shape == shape
+        assert t.tobytes() == expected.reshape(shape).tobytes(), shape
+
+
+@pytest.mark.parametrize("value", [[0.5, 0.6], (0.5,), None, "0.5"], ids=repr)
+@pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
+def test_only_floats_and_arrays_are_taken(spec, value):
+    # A list is not an array: the arclength inverse, the jet and the speed
+    # refuse it, and anything else that is neither a float nor an ndarray,
+    # with a TypeError that names what they take.
+    for call in (lambda: at_arclength(spec, value), lambda: spec.jet(value),
+                 lambda: spec.speed(value)):
+        with pytest.raises(TypeError, match=f"must be a float or a numpy array, not "
+                                            f"{type(value).__name__}$"):
+            call()
