@@ -199,46 +199,32 @@ def _helix_jet(xp, p):  # math's cos and sin: the fast one-point case (see _salk
     return jet
 
 
-def _monomials(*powers: int | None):
-    """(jet, speed) binders of t -> (t**n for n in powers); None is a zero
-    component.  No parameters, and the jet calls nothing that xp binds."""
-    # d^k/dt^k t**n = perm(n, k) * t**(n - k): per order k, per component,
-    # that (factor, power), and (0.0, 0) for a zero term: 0.0 * t**0 is 0.0.
-    # A float factor multiplies a float faster than an int does, to the same bits.
-    terms = [(0.0, 0) if n is None or k > n else (float(math.perm(n, k)), n - k)
-             for k in range(5) for n in powers]
-    degree = max(filter(None, powers))
-    # A term of power 0 is a * t**0 = a * 1.0 at every t, one float over a
-    # batch too: computed here, zeros included.  A call copies these and
-    # fills in the live terms (index, factor, power).
-    constants = [a * 1.0 for a, _ in terms]
-    live = [(i, a, j) for i, (a, j) in enumerate(terms) if j]
+# The polynomial families' jets, d^k/dt^k t**n = perm(n, k) * t**(n - k)
+# written out with float factors, each power by ** as in the textbook form
+# (t*t*t can differ from t**3 in the last bit), and the cubics' speeds |r'|
+# by Horner in t*t.  The jets call nothing that xp binds.
 
-    def jet(t):
-        # each power t**j once, by ** as in the textbook form: t*t*t can
-        # differ from t**3 in the last bit
-        tj = [1.0]
-        for j in range(1, degree + 1):
-            tj.append(t**j)
-        c = constants.copy()
-        for i, a, j in live:
-            c[i] = a * tj[j]
-        c = tuple(c)
-        return c[0:3], c[3:6], c[6:9], c[9:12], c[12:15]  # order by order
+def _line_jet(xp, p):
+    return lambda t: ((t, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+                      (0.0, 0.0, 0.0))
 
-    # |r'|^2 = sum of n^2 t^(2n - 2), a polynomial in t^2 (0 t^2 + 1 on the
-    # line, so that it broadcasts): its coefficients, highest first, by Horner.
-    top, *rest = (k * k if k in powers else 0 for k in range(max(degree, 2), 0, -1))
 
-    def speed(xp, p):
-        def at(t, sqrt=xp.sqrt):
-            t2, acc = t * t, top
-            for c in rest:
-                acc = acc * t2 + c
-            return sqrt(acc)
-        return at
+def _twisted_cubic_jet(xp, p):
+    return lambda t: ((t, (t2 := t**2), t**3), (1.0, 2.0 * t, 3.0 * t2), (0.0, 2.0, 6.0 * t),
+                      (0.0, 0.0, 6.0), (0.0, 0.0, 0.0))
 
-    return (lambda xp, p: jet), speed
+
+def _twisted_cubic_speed(xp, p):
+    return lambda t, sqrt=xp.sqrt: sqrt((9.0 * (t2 := t * t) + 4.0) * t2 + 1.0)
+
+
+def _planar_cubic_jet(xp, p):
+    return lambda t: ((t, t**3, 0.0), (1.0, 3.0 * t**2, 0.0), (0.0, 6.0 * t, 0.0),
+                      (0.0, 6.0, 0.0), (0.0, 0.0, 0.0))
+
+
+def _planar_cubic_speed(xp, p):
+    return lambda t, sqrt=xp.sqrt: sqrt(9.0 * (t2 := t * t) * t2 + 1.0)
 
 
 def _salkowski_terms(m: float):
@@ -326,11 +312,15 @@ def _table_length(spec: CurveSpec, speed, speeds):
     inner = cum[1:-1]  # a memoryview, so a bisect reads Python floats
 
     def solve(s, panel, dg):
-        lo, hi, c0, c1, bend0, bend1, mid, half, *coef = panel
+        lo, hi, c0, c1, bend0, bend1, mid, half, a0, a1, a2, a3, a4, a5, a6, a7, a8 = panel
         u = (s - c0) / (c1 - c0)
         guess = lo + u * (hi - lo + (1.0 - u) * ((1.0 - u) * bend0 - u * bend1))
-        return numerics.invert_monotone(lambda t: c0 + (t - lo) * _horner(coef, (t - mid) / half),
-                                        dg, s, lo, hi, guess, (c0, c1))
+
+        def g(t):  # _horner(coef, u) written out: its first step 0.0 * u + a0 is a0
+            u = (t - mid) / half
+            return c0 + (t - lo) * ((((((((a0 * u + a1) * u + a2) * u + a3) * u + a4) * u + a5)
+                                       * u + a6) * u + a7) * u + a8)
+        return numerics.invert_monotone(g, dg, s, lo, hi, guess, (c0, c1))
 
     # one point's panel on Python floats; a batch's as arrays, one per column
     # of the table, whatever the shape of s
@@ -362,16 +352,18 @@ class Family(NamedTuple):
 
 
 FAMILIES: dict[str, Family] = {f.name: f for f in (
-    Family("line", 0, line, *_monomials(1, None, None), _uniform_length, lambda p: 0.0),
+    Family("line", 0, line, _line_jet, _constant(lambda p: 1.0), _uniform_length,
+           lambda p: 0.0),
     Family("circle", 1, circle, lambda xp, p: _helix_jet(xp, (p[0], 0.0)),  # pitch 0
            _constant(lambda p: p[0]), _uniform_length, lambda p: 1.0 / p[0]),
     Family("helix", 2, helix, _helix_jet, _constant(lambda p: math.hypot(*p)),
            _uniform_length, lambda p: abs(p[0]) / (p[0] * p[0] + p[1] * p[1])),
-    Family("twisted_cubic", 0, twisted_cubic, *_monomials(1, 2, 3), _table_length, lambda p: None),
+    Family("twisted_cubic", 0, twisted_cubic, _twisted_cubic_jet, _twisted_cubic_speed,
+           _table_length, lambda p: None),
     # Curvature vanishes at t = 0: the isolated zero exercised by the
     # modified frame.
-    Family("planar_cubic", 0, planar_cubic, *_monomials(1, 3, None), _table_length,
-           lambda p: None, (0.0,)),
+    Family("planar_cubic", 0, planar_cubic, _planar_cubic_jet, _planar_cubic_speed,
+           _table_length, lambda p: None, (0.0,)),
     Family("salkowski", 1, salkowski, _salkowski_jet, _salkowski_speed,
            _salkowski_length, lambda p: 1.0),
 )}

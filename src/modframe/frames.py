@@ -217,10 +217,16 @@ def modified_frame(spec: CurveSpec, s: float) -> ModifiedFrame:
     Its cache keeps the last point only: the parameter and position of a
     point are read from its frame, so a point asked twice in a row is
     inverted once.  Raises DegenerateFrame where the speed is beyond what
-    the frame algebra can represent.  A numpy scalar ``s`` is read as a
-    Python float, so the frame's scalar fields are Python floats.
+    the frame algebra can represent.  A numpy scalar or an int ``s`` is
+    read as a Python float, so the frame's scalar fields are Python
+    floats; a str, bytes or bytearray raises TypeError, as a list does
+    from the cache's key before the body runs.
     """
-    t = curves.at_arclength(spec, float(s))
+    if type(s) is not float:
+        if isinstance(s, (str, bytes, bytearray)):  # float() would parse them
+            raise TypeError(curves._NOT_A_NUMBER.format("arclength", type(s).__name__))
+        s = float(s)
+    t = curves.at_arclength(spec, s)
     # the curve's point jet, unchecked (t is in range); r, T, N, B: read-only where made
     r, r1, r2, r3, r4 = curves._curve(spec).jet(t)
     r = np.array(r)

@@ -752,6 +752,36 @@ class TestLengthPolynomial:
             assert np.max(miss) <= 64.0 * np.finfo(float).eps
         assert np.array_equal(panels[:, 2:4], np.column_stack((cum[:-1], cum[1:])))
 
+    @pytest.mark.parametrize("spec", [twisted_cubic(), planar_cubic()], ids=lambda s: s.family)
+    def test_written_out_panel_polynomial_is_horner(self, spec, monkeypatch):
+        # The length map the inverse hands Newton, c0 + (t - t0) m(u) with
+        # m one written-out Horner chain, equals it through _horner bit for
+        # bit: on every panel at 9 floats, both ends included, through the
+        # point inverse, and over one array through the batch inverse.
+        _, _, panels = curves._arclength_table(spec)
+        record, invert, maps = curves._curve(spec), numerics.invert_monotone, []
+        monkeypatch.setattr(numerics, "invert_monotone",
+                            lambda g, *args: maps.append(g) or invert(g, *args))
+
+        def through_horner(t0, c0, mid, half, coef, t):
+            return c0 + (t - t0) * curves._horner(coef, (t - mid) / half)
+
+        mids = 0.5 * (panels[:, 2] + panels[:, 3])
+        for row, s in zip(panels.tolist(), mids.tolist()):
+            maps.clear()
+            record.inverse(s)
+            (g,) = maps
+            t0, t1, c0, _, _, _, mid, half, *coef = row
+            for t in np.linspace(t0, t1, 9).tolist():
+                assert g(t).hex() == through_horner(t0, c0, mid, half, coef, t).hex(), t
+
+        maps.clear()
+        record.inverses(np.repeat(mids, 9))
+        (g,) = maps
+        t = np.linspace(panels[:, 0], panels[:, 1], 9, axis=1).ravel()
+        t0, _, c0, _, _, _, mid, half, *coef = np.repeat(panels, 9, axis=0).T
+        assert g(t).tobytes() == through_horner(t0, c0, mid, half, coef, t).tobytes()
+
 
 def test_salkowski_torsion_positive_and_varying():
     spec = salkowski(0.5)

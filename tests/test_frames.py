@@ -215,6 +215,22 @@ class TestModifiedFrame:
                     assert v.tobytes() == w.tobytes(), (spec.family, s, name)
                     assert not v.flags.writeable, (spec.family, s, name)
 
+    @pytest.mark.parametrize("spec", [line(), circle(2.0), HELIX, twisted_cubic(),
+                                      planar_cubic(), salkowski(0.5)], ids=lambda s: s.family)
+    def test_a_string_is_not_an_arclength(self, spec):
+        # float() parses "0.5" and b"0.5": the frame and the position refuse
+        # them, as at_arclength does.  A list fails at the frame cache's key,
+        # and so does a bytearray, which the frame's body refuses as well.
+        refusal = "arclength must be a float or a numpy array, not {}"
+        for call in (frames.modified_frame, curves.position_at_arclength):
+            for s in ("0.5", b"0.5"):
+                with pytest.raises(TypeError, match=refusal.format(type(s).__name__)):
+                    call(spec, s)
+            with pytest.raises(TypeError):
+                call(spec, [0.5])
+        with pytest.raises(TypeError, match=refusal.format("bytearray")):
+            frames.modified_frame.__wrapped__(spec, bytearray(b"0.5"))
+
     @pytest.mark.parametrize("spec", [HELIX, twisted_cubic()], ids=lambda s: s.family)
     def test_zero_d_array_arclength_reads_as_a_float(self, spec):
         # np.ndim(s) == 0 sends a 0-d array down the one-point path of
