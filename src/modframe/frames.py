@@ -311,10 +311,13 @@ def curve_of(spec) -> CurveSpec:
 
 def frames_at(spec, s) -> ModifiedFrame:
     """Frames of ``spec`` (a CurveSpec or a FrameTable) at ``s``: the cached
-    scalar frame for one point of a CurveSpec, else a batch."""
+    scalar frame for one point of a CurveSpec, else a batch.  A 0-d array
+    reads as its scalar; any other point goes to modified_frame as given."""
     if isinstance(spec, FrameTable):
         return spec(s)
-    return modified_frame(spec, float(s)) if np.ndim(s) == 0 else modified_frames(spec, s)
+    if np.ndim(s):
+        return modified_frames(spec, s)
+    return modified_frame(spec, s[()] if isinstance(s, np.ndarray) else s)
 
 
 @np.errstate(divide="ignore", invalid="ignore")

@@ -3,8 +3,9 @@
 Runs every closed-form identity against its numerical oracle across the
 built-in curve families and collects the residuals into a machine
 readable report.  The identities are the rows of :data:`IDENTITIES`: each
-names the curves it assumes and how it is measured, and
-:func:`run_validation` is one loop over them that judges every entry.
+names the curves it assumes, the grid it reads and its residual at each
+sample, and :func:`run_validation` is one loop over them that judges
+every entry by its worst sample.
 One entry, the unweighted binormal geodesic curvature, is a known
 algebraic discrepancy: it is reported with its measured gap and marked
 ``expected_discrepancy`` instead of being judged.
@@ -71,15 +72,15 @@ def default_families() -> dict[str, CurveSpec]:
     }
 
 
-def _max_over(tables, names, n, fn) -> tuple[float, int]:
+def _max_over(tables, names, grid, fn) -> tuple[float, int]:
     """Worst value of ``fn`` over the named curves' grids, and the number
     of samples it was evaluated on.  ``fn(table, s)`` takes a curve's
-    frame table and its whole grid and returns one residual per sample,
-    NaN where the sample is degenerate and skipped."""
+    frame table and its whole grid ``grid(spec)`` and returns one residual
+    per sample, NaN where the sample is degenerate and skipped."""
     worst, evaluated = 0.0, 0
     for name in names:
         table = tables[name]
-        residual = fn(table, curves.arclength_grid(table.spec, n))
+        residual = fn(table, grid(table.spec))
         live = residual[~np.isnan(residual)]
         worst = max(worst, float(live.max(initial=0.0)))
         evaluated += live.size
@@ -99,23 +100,17 @@ def _admits(kind: IndicatrixKind) -> Callable[[CurveSpec], bool]:
     return _const_kappa if KINDS[kind].constant_kappa else (lambda spec: True)
 
 
-# The arclengths an identity reads frames at, points(spec, samples): its
-# grid, the finite-difference stencil around it, or the determinant
-# oracle's half-size grid with both of its stencils.  An identity skips a
-# curve that its points would leave, as a stencil leaves one below ~2e-4.
+# Grids besides arclength_grid, grid(spec, samples).  A row skips a curve
+# that its points would leave, as a stencil leaves one below ~2e-4.
 
-def _stencil_points(spec, samples):
-    return numerics.stencil(curves.arclength_grid(spec, samples))
-
-
-def _det_samples(samples):
-    return max(samples // 2, 4)
+def _det_grid(spec, samples):
+    # the determinant oracle's half-size grid
+    return curves.arclength_grid(spec, max(samples // 2, 4))
 
 
-def _det_points(spec, samples):
-    grid = curves.arclength_grid(spec, _det_samples(samples))
-    return np.concatenate([numerics.stencil(grid),
-                           numerics.stencil(grid, *geodesic.SPHERE_STENCIL)])
+def _zeros(spec, samples):
+    # the arclengths of the curve's curvature zeros
+    return np.array([curves.arclength(spec, spec.t_lo, t0) for t0 in spec.kappa_zeros])
 
 
 # Per-sample residuals, fn(table, s) for _max_over: one value per sample
@@ -155,13 +150,35 @@ def _binormal_gap(table, s):
 
 
 def _det_residual(kind, table, s):
-    det = geodesic.geodesic_curvature_sphere_at(kind, table, s)
+    # a kind whose points leave the sphere reads their distance from it,
+    # which unit-sphere-points judges
+    try:
+        det = geodesic.geodesic_curvature_sphere_at(kind, table, s)
+    except NotOnUnitSphere:
+        return _sphere_distance(kind, table, s)
     oracle = geodesic.geodesic_curvature_oracle(kind, table, s)
     return np.abs(np.abs(det) - oracle)
 
 
 def _sphere_distance(kind, table, s):
     return np.abs(norm(indicatrix.indicatrix_point(kind, table(s)).T) - 1.0)
+
+
+def _on_sphere(residual):
+    # The worst of residual(kind, table, s) over the unit-sphere kinds
+    # whose closed forms hold on the curve.
+    return lambda table, s: np.fmax.reduce([residual(k, table, s) for k, row in KINDS.items()
+                                            if row.on_unit_sphere and _admits(k)(table.spec)])
+
+
+def _involute_defect(kind, table, s):
+    return np.abs(involute.involute_inner(kind, table, s))
+
+
+def _frame_at_zeros(table, s):
+    # The frame at each zero is asked for alone: one scalar frame.
+    at_zeros = [frames.modified_frame(table.spec, x) for x in s.tolist()]
+    return np.array([max(norm(mf.N), norm(mf.B)) for mf in at_zeros])
 
 
 def _coincidence(table, s):
@@ -176,72 +193,22 @@ def _unit_speed(table, s):
     return np.abs(norm(fd.T) - 1.0)
 
 
-# Whole-entry measurements, fn(tables, names, samples).  Each returns
-# (residual, n_evaluated, holds, note): holds is the identity's condition
-# besides its tolerance, True where it has none.
-
-def _sphere_det(tables, names, samples):
-    # every indicatrix on the unit sphere, on the curves it admits; a kind
-    # whose points leave the sphere fails the row by their distance from it
-    results, off = [], []
-    for kind, row in KINDS.items():
-        if row.on_unit_sphere:
-            over = partial(_max_over, tables, [f for f in names if _admits(kind)(tables[f].spec)],
-                           _det_samples(samples))
-            try:
-                results.append(over(partial(_det_residual, kind)))
-            except NotOnUnitSphere:
-                off.append(over(partial(_sphere_distance, kind)))
-    return (max(w for w, _ in off or results), sum(n for _, n in results + off), not off,
-            "points off the unit sphere: the residual is their distance from it" if off else "")
-
-
-def _involute_defect(kind, tables, names, samples):
-    reps = [r for r in (involute.involute_scan(kind, tables[f], samples) for f in names)
-            if r.n_defined]
-    return (max((r.max_abs_inner for r in reps), default=0.0),
-            sum(r.n_defined for r in reps), True, "")
-
-
-def _involute_normal(tables, names, samples):
-    # judged on helices; on a varying-torsion curve it must not vanish
-    scan = lambda family: [involute.involute_scan(IndicatrixKind("normal"), tables[f], samples)
-                           for f in names if tables[f].spec.family == family]
-    helix_reps = scan("helix")
-    if not helix_reps:
-        return 0.0, 0, True, ""
-    salk_reps = scan("salkowski")
-    note = "helix defect vanishes with phi'" + "".join(
-        f"; varying-torsion defect reaches {r.max_abs_inner:.3g}" for r in salk_reps)
-    return (max(r.max_abs_inner for r in helix_reps),
-            sum(r.n_defined for r in helix_reps + salk_reps),
-            all(r.max_abs_inner > 1e-3 for r in salk_reps), note)
-
-
-def _kappa_zero_extension(tables, names, samples):
-    worst, evaluated = _max_over(tables, names, samples, frames.metric_residual)
-    # The frame at the zero itself is asked for alone: one scalar frame.
-    at_zeros = [frames.modified_frame(sp, curves.arclength(sp, sp.t_lo, t0))
-                for sp in (tables[f].spec for f in names) for t0 in sp.kappa_zeros]
-    vanish = all(norm(mf.N) <= 1e-6 and norm(mf.B) <= 1e-6 for mf in at_zeros)
-    return worst, evaluated, vanish, "N = B = 0 at the zero itself"
-
-
 class Identity(NamedTuple):
-    """One identity of the suite: it runs on the curves for which
-    ``assumes`` holds, either as a per-sample ``residual`` or as one
-    ``measure`` of the whole entry, judged against ``tolerance``, and
-    reads frames at the arclengths ``points(spec, samples)``."""
+    """One identity of the suite: on the curves for which ``assumes``
+    holds, its ``residual(table, s)`` at each sample of its grid
+    ``grid(spec, samples)`` is judged against ``tolerance``.  It reads
+    frames at the grid and at ``numerics.stencil(grid, order, step)`` for
+    each ``(order, step)`` of ``stencils``."""
 
     name: str
     description: str
     tolerance: float
     assumes: Callable[[CurveSpec], bool]
-    residual: Callable[[frames.FrameTable, np.ndarray], np.ndarray] | None = None
-    measure: Callable[..., tuple] | None = None
+    residual: Callable[[frames.FrameTable, np.ndarray], np.ndarray]
     expected_discrepancy: bool = False
     note: str = ""
-    points: Callable[[CurveSpec, int], np.ndarray] = _stencil_points
+    grid: Callable[[CurveSpec, int], np.ndarray] = curves.arclength_grid
+    stencils: tuple[tuple[int, float | None], ...] = ((1, None),)
 
 
 def _per_kind(name, description, residual):
@@ -260,7 +227,7 @@ IDENTITIES: list[Identity] = [
              residual=lambda table, s: frames.check_frame_ode(table, s).max_residual),
     Identity("metric-relations", "frame inner products equal (1, k^2, k^2, 0, 0, 0)",
              1e-9, lambda spec: True, residual=lambda table, s: frames.metric_residual(table, s),
-             points=curves.arclength_grid),
+             stencils=()),
     Identity("darboux-alignment", "N x N' = k^2 w against the finite-difference N'",
              1e-5, _const_kappa, residual=lambda table, s: check_alignment(table, s)),
     Identity("darboux-rotation",
@@ -268,7 +235,7 @@ IDENTITIES: list[Identity] = [
              1e-5, _const_kappa,
              residual=lambda table, s: np.maximum.reduce(rotation_residuals(table, s))),
     Identity("lancret-angle", "sin(phi)|w| = tau and cos(phi)|w| = kappa",
-             1e-9, _const_kappa, residual=_lancret, points=curves.arclength_grid),
+             1e-9, _const_kappa, residual=_lancret, stencils=()),
     *_per_kind("{}-ind-covderiv",
                "{}-indicatrix covariant derivative, closed vs oracle", _cov_residual),
     *_per_kind("{}-ind-tangent",
@@ -284,26 +251,41 @@ IDENTITIES: list[Identity] = [
     Identity("geodesic-sphere-det",
              "determinant oracle agrees with the Gauss-equation oracle on the "
              "unit-sphere indicatrices",
-             1e-5, lambda spec: True, measure=_sphere_det, points=_det_points),
+             1e-5, lambda spec: True, residual=_on_sphere(_det_residual), grid=_det_grid,
+             stencils=((1, None), geodesic.SPHERE_STENCIL)),
+    Identity("unit-sphere-points", "the unit-sphere indicatrices lie on the unit sphere",
+             ABS_TOL, lambda spec: True, residual=_on_sphere(_sphere_distance),
+             grid=_det_grid, stencils=()),
     Identity("involute-tangent",
              "pole-curve tangent orthogonal to the tangent indicatrix tangent",
-             1e-9, _const_kappa, measure=partial(_involute_defect, IndicatrixKind("tangent")),
-             points=curves.arclength_grid),
+             1e-9, _const_kappa, residual=partial(_involute_defect, IndicatrixKind("tangent")),
+             stencils=()),
     Identity("involute-binormal",
              "pole-curve tangent orthogonal to the binormal indicatrix tangent",
-             1e-9, _const_kappa, measure=partial(_involute_defect, IndicatrixKind("binormal")),
-             points=curves.arclength_grid),
+             1e-9, _const_kappa, residual=partial(_involute_defect, IndicatrixKind("binormal")),
+             stencils=()),
     Identity("involute-normal",
              "normal-indicatrix involute defect is zero exactly for helices",
-             1e-9, _const_kappa, measure=_involute_normal, points=curves.arclength_grid),
+             1e-9, lambda spec: _const_kappa(spec) and spec.family == "helix",
+             residual=partial(_involute_defect, IndicatrixKind("normal")), stencils=(),
+             note="helix defect vanishes with phi'"),
+    Identity("involute-normal-varying",
+             "normal-indicatrix involute defect reaches 1e-3 at every sample where "
+             "the torsion varies",
+             ABS_TOL, lambda spec: spec.family == "salkowski", stencils=(),
+             residual=lambda table, s:  # the shortfall below 1e-3
+             np.maximum(0.0, 1e-3 - _involute_defect(IndicatrixKind("normal"), table, s))),
     Identity("frame-coincidence", "modified frame equals (t, k n, k b) of the jet's Frenet frame",
-             1e-9, lambda spec: True, residual=_coincidence, points=curves.arclength_grid),
+             1e-9, lambda spec: True, residual=_coincidence, stencils=()),
     Identity("unit-speed", "arclength reparametrization has unit speed",
              1e-6, lambda spec: True, residual=_unit_speed),
     Identity("kappa-zero-extension",
              "|N|^2 and |B|^2 extend continuously through the curvature zero",
-             1e-7, lambda spec: bool(spec.kappa_zeros), measure=_kappa_zero_extension,
-             points=curves.arclength_grid),
+             1e-7, lambda spec: bool(spec.kappa_zeros),
+             residual=lambda table, s: frames.metric_residual(table, s), stencils=()),
+    Identity("kappa-zero-frame", "N = B = 0 at the curvature zero itself",
+             1e-6, lambda spec: bool(spec.kappa_zeros), residual=_frame_at_zeros,
+             grid=_zeros, stencils=()),
 ]
 
 IDENTITY_NAMES = [i.name for i in IDENTITIES]
@@ -311,7 +293,10 @@ IDENTITY_NAMES = [i.name for i in IDENTITIES]
 
 def select(only: list[str] | None = None) -> list[Identity]:
     """The identities named in ``only``, in the order of :data:`IDENTITIES`,
-    or all of them for None; raises ValueError on an empty or unknown name."""
+    or all of them for None; raises ValueError on an empty or unknown name,
+    and TypeError on one string in place of a collection of names."""
+    if isinstance(only, (str, bytes)):  # "" in "frame-ode" holds
+        raise TypeError(f"only takes a collection of identity names, not {type(only).__name__}")
     if "" in (only or ()):
         raise ValueError(f"empty identity name in {only}")
     unknown = [n for n in only or () if n not in IDENTITY_NAMES]
@@ -343,8 +328,8 @@ def run_validation(
 ) -> ValidationReport:
     """Run every identity suite and collect a report.
 
-    An entry passes when its residual is within ``tolerance_override``
-    (else its own tolerance) and its extra condition holds; expected
+    An entry passes when its worst residual is within
+    ``tolerance_override`` (else its own tolerance); expected
     discrepancies pass.  ``only`` restricts to the identities it names,
     through :func:`select`.  Each curve's frames come from one
     :class:`~modframe.frames.FrameTable` that holds every arclength the
@@ -362,26 +347,30 @@ def run_validation(
     chosen = select(only)
     tables, fits = {}, {}
     for f, spec in specs.items():
-        wanted = dict.fromkeys(i.points for i in chosen if i.assumes(spec))
-        sets = {p: p(spec, samples) for p in wanted}
+        sets = {}
+        for grid, stencils in dict.fromkeys((i.grid, i.stencils) for i in chosen
+                                            if i.assumes(spec)):
+            s = grid(spec, samples)
+            sets[grid, stencils] = np.concatenate(
+                [s, *(numerics.stencil(s, order, step) for order, step in stencils)])
         lo, hi = curves.arclength_range(spec)
         fits[f] = [p for p, s in sets.items() if numerics.outside(s, lo, hi) is None]
         if fits[f]:
             tables[f] = frames.FrameTable(spec, np.concatenate([sets[p] for p in fits[f]]))
     entries = []
     for ident in chosen:
-        names = [f for f, spec in specs.items() if ident.assumes(spec) and ident.points in fits[f]]
+        names = [f for f, spec in specs.items()
+                 if ident.assumes(spec) and (ident.grid, ident.stencils) in fits[f]]
+        tol = tolerance_override if tolerance_override is not None else ident.tolerance
         try:
-            residual, n_evaluated, holds, note = (
-                ident.measure(tables, names, samples) if ident.residual is None
-                else (*_max_over(tables, names, samples, ident.residual), True, ident.note))
+            residual, n_evaluated = _max_over(
+                tables, names, lambda spec: ident.grid(spec, samples), ident.residual)
+            passed, note = ident.expected_discrepancy or residual <= tol, ident.note
         except NonConstantCurvature:
             residual, n_evaluated, note = _off_gate(tables, names)
             if not n_evaluated:
                 raise
-            holds = False
-        tol = tolerance_override if tolerance_override is not None else ident.tolerance
-        passed = (ident.expected_discrepancy or residual <= tol) and holds
+            passed = False
         if not n_evaluated:
             passed, note = False, "not applicable: no sample evaluated"
         entries.append(ValidationEntry(

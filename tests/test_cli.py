@@ -297,7 +297,7 @@ class TestValidate:
         assert code == EXIT_VALIDATION_FAILED
         doc = json.loads(out)
         assert doc["report"]["passed"] is False
-        # the override reaches an entry with an extra condition too
+        # the override reaches the row on the curvature zero too
         code, out, err = run(capsys, "validate", "--curve", "planarcubic",
                              "--only", "kappa-zero-extension", "--tolerance", "1e-30")
         assert code == EXIT_VALIDATION_FAILED
@@ -319,17 +319,17 @@ class TestValidate:
         code, out, err = run(capsys, "validate", "--samples", "6", "--curve", "line")
         entries = {e["name"]: e for e in json.loads(out)["report"]["entries"]}
         evaluated = {n for n, e in entries.items() if e["n_evaluated"]}
-        assert evaluated == {"metric-relations", "unit-speed"}
+        assert evaluated == {"metric-relations", "unit-sphere-points", "unit-speed"}
         for name in entries.keys() - evaluated:
             assert entries[name]["passed"] is False
             assert entries[name]["note"] == "not applicable: no sample evaluated"
-        # the two evaluated identities pass and carry the verdict
+        # the three evaluated identities pass and carry the verdict
         assert code == EXIT_OK
 
     def test_straight_line_lists_every_identity(self, capsys):
         code, out, err = run(capsys, "validate", "--samples", "6", "--curve", "line")
         names = [e["name"] for e in json.loads(out)["report"]["entries"]]
-        assert names == validation.IDENTITY_NAMES and len(names) == 25
+        assert names == validation.IDENTITY_NAMES and len(names) == 28
         code, out, err = run(capsys, "validate", "--samples", "6", "--curve", "line",
                              "--only", "involute-normal")
         [entry] = json.loads(out)["report"]["entries"]
@@ -343,7 +343,7 @@ class TestValidate:
         code, out, err = run(capsys, "validate", "--samples", "6", "--curve", "circle:1e12")
         entries = {e["name"]: e for e in json.loads(out)["report"]["entries"]}
         evaluated = {n for n, e in entries.items() if e["n_evaluated"]}
-        assert evaluated == {"metric-relations", "unit-speed"}
+        assert evaluated == {"metric-relations", "unit-sphere-points", "unit-speed"}
         assert entries["metric-relations"]["passed"] is True
         # s +- FD_STEP rounds to s at this scale, so the finite-difference
         # speed is 0: a known failure of the fixed oracle step

@@ -231,6 +231,16 @@ class TestModifiedFrame:
         with pytest.raises(TypeError, match=refusal.format("bytearray")):
             frames.modified_frame.__wrapped__(spec, bytearray(b"0.5"))
 
+    def test_the_oracles_refuse_a_string_arclength(self):
+        # frames_at hands a one-point s that is not an array to the frame as
+        # given, so the oracles refuse what modified_frame refuses
+        refusal = "arclength must be a float or a numpy array, not {}"
+        for call in (frames.frenet_frame, frames.metric_residual,
+                     lambda sp, x: indicatrix.sample(IndicatrixKind.TANGENT, sp, x)):
+            for s in ("0.5", b"0.5"):
+                with pytest.raises(TypeError, match=refusal.format(type(s).__name__)):
+                    call(HELIX, s)
+
     @pytest.mark.parametrize("spec", [HELIX, twisted_cubic()], ids=lambda s: s.family)
     def test_zero_d_array_arclength_reads_as_a_float(self, spec):
         # np.ndim(s) == 0 sends a 0-d array down the one-point path of

@@ -47,10 +47,10 @@ LAYOUTS = {
                                   "n_evaluated", "expected_discrepancy", "note"),
                                  {"expected_discrepancy": False, "note": ""}),
     validation.ValidationReport: (("entries",), {"entries": ()}),
-    validation.Identity: (("name", "description", "tolerance", "assumes", "residual", "measure",
-                           "expected_discrepancy", "note", "points"),
-                          {"residual": None, "measure": None, "expected_discrepancy": False,
-                           "note": "", "points": validation._stencil_points}),
+    validation.Identity: (("name", "description", "tolerance", "assumes", "residual",
+                           "expected_discrepancy", "note", "grid", "stencils"),
+                          {"expected_discrepancy": False, "note": "",
+                           "grid": curves.arclength_grid, "stencils": ((1, None),)}),
 }
 
 

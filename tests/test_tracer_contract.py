@@ -37,7 +37,7 @@ def test_traced_validation_matches_and_is_seen():
     # the functions behind the per-layer metrics of BENCHMARK.json
     for name in ("darboux.darboux", "indicatrix.cov_deriv_closed",
                  "indicatrix.cov_deriv_numeric", "geodesic.geodesic_report",
-                 "geodesic.geodesic_curvature_sphere_at", "involute.involute_scan"):
+                 "geodesic.geodesic_curvature_sphere_at", "involute.involute_inner"):
         assert raw["calls"].get(name, 0) >= 1, name
 
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import modframe
@@ -73,14 +74,16 @@ def test_family_restriction():
 
 
 def test_curves_chosen_by_property_not_key():
-    rep = run_validation(samples=6,
-                         only=["darboux-rotation", "involute-normal", "kappa-zero-extension"],
+    only = ["darboux-rotation", "involute-normal", "involute-normal-varying",
+            "kappa-zero-extension", "kappa-zero-frame"]
+    rep = run_validation(samples=6, only=only,
                          families={"a": curves.helix(2.0, 1.0), "b": curves.planar_cubic(),
                                    "c": curves.salkowski(0.5)})
     entries = {e.name: e for e in rep.entries}
-    assert set(entries) == {"darboux-rotation", "involute-normal", "kappa-zero-extension"}
+    assert set(entries) == set(only)
     assert entries["darboux-rotation"].max_residual > 0.0  # evaluated, not vacuous
-    assert "varying-torsion" in entries["involute-normal"].note
+    # the helix, the salkowski curve and the planar cubic's one zero
+    assert [entries[n].n_evaluated for n in only[1:]] == [6, 6, 6, 1]
     assert rep.passed
 
 
@@ -88,7 +91,7 @@ def test_tolerance_override_can_fail():
     rep = run_validation(samples=8, only=["frame-ode"],
                          tolerance_override=1e-18)
     assert not rep.passed
-    # the override also reaches an entry with an extra condition
+    # the override also reaches the row on the curvature zero
     rep = run_validation(samples=8, only=["kappa-zero-extension"],
                          tolerance_override=1e-30)
     assert rep.entries[0].n_evaluated and not rep.entries[0].passed
@@ -120,9 +123,9 @@ def test_table_names_unique_and_in_report_order():
         "tangent-ind-tangent", "normal-ind-tangent", "binormal-ind-tangent",
         "pole-ind-tangent",
         "geodesic-tangent", "geodesic-normal", "geodesic-binormal", "geodesic-pole",
-        "geodesic-binormal-unweighted", "geodesic-sphere-det",
-        "involute-tangent", "involute-binormal", "involute-normal",
-        "frame-coincidence", "unit-speed", "kappa-zero-extension",
+        "geodesic-binormal-unweighted", "geodesic-sphere-det", "unit-sphere-points",
+        "involute-tangent", "involute-binormal", "involute-normal", "involute-normal-varying",
+        "frame-coincidence", "unit-speed", "kappa-zero-extension", "kappa-zero-frame",
     ]
 
 
@@ -137,7 +140,9 @@ def test_skipped_samples_count_nowhere(report):
     # 12 samples per curve; a degenerate sample (the pole of a helix or a
     # circle, the binormal of a circle) counts in no entry.  The unweighted
     # binormal gap counts every sample of the helix and the salkowski curve,
-    # and the frame coincidence every sample of all six curves.
+    # and the frame coincidence every sample of all six curves.  The two
+    # sphere rows count the samples of the 6-sample grid, the normal
+    # involute the helix's and the frame at the zero the planar cubic's one.
     assert {e.name: e.n_evaluated for e in report.entries} == {
         "frame-ode": 72, "metric-relations": 72, "darboux-alignment": 48,
         "darboux-rotation": 48, "lancret-angle": 48,
@@ -147,9 +152,10 @@ def test_skipped_samples_count_nowhere(report):
         "binormal-ind-tangent": 24, "pole-ind-tangent": 12,
         "geodesic-tangent": 72, "geodesic-normal": 48, "geodesic-binormal": 24,
         "geodesic-pole": 12, "geodesic-binormal-unweighted": 24,
-        "geodesic-sphere-det": 42, "involute-tangent": 48, "involute-binormal": 24,
-        "involute-normal": 24, "frame-coincidence": 72, "unit-speed": 72,
-        "kappa-zero-extension": 12,
+        "geodesic-sphere-det": 36, "unit-sphere-points": 36, "involute-tangent": 48,
+        "involute-binormal": 24, "involute-normal": 12, "involute-normal-varying": 12,
+        "frame-coincidence": 72, "unit-speed": 72, "kappa-zero-extension": 12,
+        "kappa-zero-frame": 1,
     }
 
 
@@ -296,20 +302,72 @@ def test_select_owns_the_names():
             run_validation(samples=8, only=only)
 
 
+@pytest.mark.parametrize("only", ["frame-ode", "", b"frame-ode"], ids=["str", "empty", "bytes"])
+def test_select_refuses_one_string(only):
+    # "" in "frame-ode" holds, so a string once read as an empty name
+    match = f"only takes a collection of identity names, not {type(only).__name__}"
+    with pytest.raises(TypeError, match=match):
+        validation.select(only)
+    with pytest.raises(TypeError, match=match):
+        run_validation(samples=8, only=only)
+    for names in (["frame-ode"], ("frame-ode",), {"frame-ode"}):
+        assert [i.name for i in validation.select(names)] == ["frame-ode"]
+
+
 def test_point_off_the_sphere_fails_the_determinant_row(monkeypatch):
     # a tangent image scaled by 1 + 1e-6 leaves the unit sphere by 1e-6:
-    # the determinant oracle refuses it, and the row fails by that distance
-    # (below its 1e-5 tolerance) instead of the run raising NotOnUnitSphere
+    # the determinant oracle refuses it, and its row reads that distance
+    # (below its 1e-5 tolerance) instead of the run raising NotOnUnitSphere;
+    # unit-sphere-points fails by it, far above its ABS_TOL
     from modframe import indicatrix
     from modframe.indicatrix import IndicatrixKind
     row = indicatrix.KINDS[IndicatrixKind.TANGENT]
     monkeypatch.setitem(indicatrix.KINDS, IndicatrixKind.TANGENT,
                         row._replace(point=lambda mf: row.point(mf) * (1.0 + 1e-6)))
     frames.modified_frame.cache_clear()
-    [entry] = run_validation(samples=16, only=["geodesic-sphere-det"]).entries
-    assert not entry.passed and entry.n_evaluated
-    assert entry.max_residual == pytest.approx(1e-6, rel=1e-6)
-    assert "off the unit sphere" in entry.note
+    det, points = run_validation(samples=16,
+                                 only=["geodesic-sphere-det", "unit-sphere-points"]).entries
+    assert det.passed and det.max_residual == pytest.approx(1e-6, rel=1e-6)
+    assert not points.passed and points.n_evaluated == det.n_evaluated == 48
+    assert points.max_residual == pytest.approx(1e-6, rel=1e-6)
+    assert points.tolerance == ABS_TOL
+
+
+def test_constant_phi_fails_the_varying_torsion_row(monkeypatch):
+    # phi' x 0 on every frame: the normal-involute defect of the salkowski
+    # curve vanishes, as on a helix, and the row reads the whole 1e-3
+    module = importlib.import_module("modframe.darboux")
+    real = module.darboux
+    monkeypatch.setattr(module, "darboux",
+                        lambda mf: (d := real(mf))._replace(phi_prime=d.phi_prime * 0.0))
+    frames.modified_frame.cache_clear()
+    try:
+        [entry] = run_validation(samples=16, only=["involute-normal-varying"]).entries
+        # the tolerance override reaches a condition row as any other
+        [loose] = run_validation(samples=16, only=["involute-normal-varying"],
+                                 tolerance_override=1e-2).entries
+    finally:
+        frames.modified_frame.cache_clear()
+    assert (entry.n_evaluated, entry.passed, entry.max_residual) == (16, False, 1e-3)
+    assert loose.passed
+
+
+def test_normal_at_the_zero_fails_the_zero_frame_row(monkeypatch):
+    # N moved by 1e-5 along x: at the planar cubic's zero |N| = 1e-5
+    assemble = frames._assemble
+
+    def moved(*jet):
+        T, N, *rest = assemble(*jet)
+        return (T, N + np.array([1e-5, 0.0, 0.0]), *rest)
+
+    monkeypatch.setattr(frames, "_assemble", moved)
+    frames.modified_frame.cache_clear()
+    try:
+        [entry] = run_validation(samples=16, only=["kappa-zero-frame"]).entries
+    finally:
+        frames.modified_frame.cache_clear()
+    assert (entry.n_evaluated, entry.passed) == (1, False)
+    assert entry.max_residual == pytest.approx(1e-5)
 
 
 def test_kappa_prime_above_the_gate_fails_rows_that_name_the_curve(monkeypatch):
